@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,18 +65,24 @@ class InefficiencyReport:
         }
 
 
-def inefficiency(mech: MechanismId, inst: Instance) -> InefficiencyReport:
+def inefficiency(mech: MechanismId, inst: Instance,
+                 optimum: tuple | None = None) -> InefficiencyReport:
     """Worst/best equilibrium makespan against the optimum, with witnesses.
 
     Because the rules are task-independent, every combination of per-task
     equilibrium winners is realized by some whole-profile equilibrium, so the
     worst and best equilibrium makespans are masked assignment optimizations
-    over the winner sets.
+    over the winner sets.  `optimum` is `opt_makespan(inst)`'s (value,
+    witness) when the caller already has it; it is also the best
+    equilibrium when every machine may win every task.
     """
     mask = achievable_winners(mech, inst).to_mask()
-    opt, opt_w = opt_makespan(inst)
+    opt, opt_w = opt_makespan(inst) if optimum is None else optimum
     worst, worst_w = opt_makespan_masked(inst, mask, "max")
-    best, best_w = opt_makespan_masked(inst, mask, "min")
+    if all(len(s) == inst.n for s in mask.allowed):
+        best, best_w = opt, opt_w
+    else:
+        best, best_w = opt_makespan_masked(inst, mask, "min")
     return InefficiencyReport(
         mech=mech,
         opt=opt,
@@ -103,16 +107,6 @@ class FrontierPoint:
     pos_emp: float
 
 
-def thread_count(threads: int | None = None) -> int:
-    """Explicit argument, else MECHFRONT_THREADS (0 = auto), else cpu count."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("MECHFRONT_THREADS", "").strip()
-    if env and env != "0":
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def default_frontier_suite(n: int, alpha: float) -> list:
     """Instances swept at one alpha: the stress pair at this alpha (the tilde
     member meets the worst-case bound exactly), a hat just past the
@@ -130,31 +124,34 @@ def default_frontier_suite(n: int, alpha: float) -> list:
     return specs
 
 
-def frontier_sweep(n: int, alphas, suite=None, threads: int | None = None) -> list:
+def frontier_sweep(n: int, alphas, suite=None) -> list:
     """One FrontierPoint per alpha (caller order), empirical columns maxed
     over the suite.  `suite` is a list of GeneratorSpec shared by every alpha;
-    by default it is rebuilt per alpha via `default_frontier_suite`."""
+    by default it is rebuilt per alpha via `default_frontier_suite`.
+
+    Most suite members do not depend on alpha (21 of the default suite's
+    24), so within one call each distinct spec is built once and each
+    distinct instance's optimum is solved once."""
     if n < 2:
         raise ValueError("need n >= 2")
     alphas = [float(a) for a in alphas]
     if any(a < 1 for a in alphas):
         raise ValueError("alphas must be >= 1")
-    workers = thread_count(threads)
+    built = {}  # GeneratorSpec -> Instance
+    optima = {}  # Instance -> opt_makespan's (value, witness)
     points = []
     for alpha in alphas:
-        specs = default_frontier_suite(n, alpha) if suite is None else list(suite)
-        insts = []
-        for spec in specs:
-            built = spec.build()
-            if not isinstance(built, Instance):
-                raise ValueError(f"generator {spec.name!r} does not produce an instance")
-            insts.append(built)
         mech = MechanismId.spa(alpha)
-        if workers > 1 and len(insts) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(lambda i: inefficiency(mech, i), insts))
-        else:
-            reports = [inefficiency(mech, i) for i in insts]
+        reports = []
+        for spec in default_frontier_suite(n, alpha) if suite is None else suite:
+            if spec not in built:
+                built[spec] = spec.build()
+                if not isinstance(built[spec], Instance):
+                    raise ValueError(f"generator {spec.name!r} does not produce an instance")
+            inst = built[spec]
+            if inst not in optima:
+                optima[inst] = opt_makespan(inst)
+            reports.append(inefficiency(mech, inst, optima[inst]))
         points.append(FrontierPoint(
             alpha=alpha,
             poa_bound=(n - 1) * alpha + 1,

@@ -92,7 +92,6 @@ def _parser() -> argparse.ArgumentParser:
     q = sub.add_parser("frontier", help="bounds vs. measured ratios per alpha (CSV)")
     q.add_argument("-n", type=int, required=True)
     q.add_argument("--alphas", required=True, help="comma list, e.g. 1,1.5,2,4")
-    q.add_argument("--threads", type=int)
     q.add_argument("--suite", help="semicolon list of generators, e.g. "
                                    "'uniform:n=3;hat:n=3,alpha=2' (default: built-in)")
 
@@ -178,7 +177,7 @@ def _dispatch(args) -> int:
         if args.suite:
             suite = [instances.GeneratorSpec.parse(s)
                      for s in args.suite.split(";") if s.strip()]
-        points = analysis.frontier_sweep(args.n, alphas, suite, args.threads)
+        points = analysis.frontier_sweep(args.n, alphas, suite)
         print("alpha,poa_bound,pos_bound,poa_emp,pos_emp")
         for pt in points:
             print(",".join(_fmt(v) for v in

@@ -18,10 +18,16 @@ anything it names, per task, the machines that win in *some* equilibrium:
                machine would need a payment at sentinel scale, which capped
                reports cannot produce).
 
-Enumeration and the analytic sets agree exactly when true times are positive
-grid multiples.  With a zero time one grid step away from a positive one the
-continuum undercut falls between grid points and enumeration may certify an
-extra winner; instances with zero entries are therefore handled analytically.
+For sp and spa, enumeration and the analytic sets agree exactly when true
+times are positive grid multiples.  For fp the grid adds winners the closed
+form omits: a lower-index runner-up exactly one step above the fastest can
+win at utility 0 -- both bid the runner-up's time, the runner-up keeps the
+tie-break, and the fastest gains nothing by undercutting a full step.  So
+(2.7, 1.1, 1.0) enumerates {1, 2} while the closed form gives {2}; fp
+enumeration lies between the argmin set and the machines within one step of
+it.  With a zero time one grid step away from a positive one the continuum
+undercut falls between grid points and enumeration may certify an extra
+winner; instances with zero entries are therefore handled analytically.
 
 Grids anchor their points to caller-supplied values (instance entries), so
 payments computed from grid points are bit-for-bit the payments computed from
@@ -354,6 +360,15 @@ def equilibrium_template_spa(alpha: float, true_times, target: int, eps: float) 
     return tuple(bids)
 
 
+def _point_above(grid: Grid, value: float) -> float:
+    """The grid point one step above `value`, taken from the grid itself:
+    the float sum value + step can miss an anchored or generated point."""
+    i = grid.index_of(value) + 1
+    if i == len(grid.points):
+        raise ValueError(f"{value} is the top grid point; no bid above it")
+    return float(grid.points[i])
+
+
 def canonical_certificate(mech: MechanismId, inst: Instance,
                           grid: Grid | None = None) -> EquilibriumCertificate:
     """A concrete verified whole-profile equilibrium for fp, sp, or spa.
@@ -393,7 +408,7 @@ def canonical_certificate(mech: MechanismId, inst: Instance,
             )
         w = min(i for i, t in enumerate(col) if t == t_min)
         if mech.kind == "fp" or (mech.kind == "spa" and mech.alpha == 1):
-            bids = [t_min if i >= w else t_min + step for i in range(n)]
+            bids = [t_min if i >= w else _point_above(grid, t_min) for i in range(n)]
         else:
             if mech.kind == "sp":
                 reserve_floor = cap
@@ -402,7 +417,7 @@ def canonical_certificate(mech: MechanismId, inst: Instance,
             bids = [grid.floor(min(col[i], reserve_floor)) for i in range(n)]
             for i in range(n):
                 if i != w and bids[i] <= t_min:
-                    bids[i] = t_min + step
+                    bids[i] = _point_above(grid, t_min)
             for i in range(n):
                 if col[i] == t_min:
                     bids[i] = t_min

@@ -9,14 +9,32 @@ orders tasks by decreasing best-case time and prunes a node when
 
 already reaches the incumbent beyond float dust.  Candidate values are always
 re-evaluated by accumulating each machine's times in ascending task order --
-the same arithmetic the brute-force twin and `model.loads` use -- so the two
+the same arithmetic the brute-force oracle and `model.loads` use -- so the two
 solvers return bit-identical floats; the pruning comparison allows a 1e-9
 relative margin so a node can never be cut by summation-order noise alone.
+
+Interchangeable machines are searched once.  A machine's *twins* are the
+lower-index machines with an identical `times` row and the same eligibility
+on every task.  At a node the search skips machine i when giving it the task
+would start a subtree that mirrors, leaf for leaf with i and k swapped, one
+already searched under a twin k < i.  The mirror must be bit-exact: the two
+machines' canonical sums must agree on every completion.  That holds when
+(a) both machines are still empty, whatever their loads read (undoing a
+placement by subtraction can leave float dust), or (b) they hold equal loads
+and every sum of the instance's entries is exact in floats (all entries are
+multiples of one power of two and no load can exceed 2^53 of them), so a sum
+does not depend on which tasks make it up.  Case (b) covers integer and
+dyadic instances such as `uniform`; elsewhere equal loads built from
+different tasks can round apart by an ulp, so only case (a) applies.
+Mirrored leaves come after the originals they copy and the incumbent only
+improves on a strict `<`, so the search returns the same value and the same
+witness as without the rule.
+
 The masked variants restrict each task to an
 eligibility set (used to scan the makespans reachable by a mechanism's
 equilibrium winner sets); `objective="max"` finds the *worst* reachable
-makespan instead.  Brute force twins are kept for cross-checking and refuse
-anything past `budget` assignments.
+makespan instead.  A brute-force oracle is kept for cross-checking; it
+refuses anything past `budget` assignments.
 """
 from __future__ import annotations
 
@@ -104,11 +122,17 @@ def opt_makespan_masked(inst: Instance, mask: EligibilityMask, objective: str = 
         suffix_sum[d] = suffix_sum[d + 1] + min_time[j]
         suffix_max[d] = max(suffix_max[d + 1], min_time[j])
 
+    twins = [tuple(k for k in range(i) if times[k] == times[i]
+                   and all((k in s) == (i in s) for s in mask.allowed))
+             for i in range(n)]
+    exact = any(twins) and _sums_are_exact(times)
+
     assign = _greedy_assignment(inst, allowed)
     best_val = max(_loads_of(inst, assign))
     best_assign = list(assign)
 
     loads = [0.0] * n
+    used = [0] * n  # tasks currently placed on each machine
     current = [0] * m
 
     def rec(depth: int, load_sum: float, load_max: float) -> None:
@@ -127,13 +151,18 @@ def opt_makespan_masked(inst: Instance, mask: EligibilityMask, objective: str = 
             return
         j = order[depth]
         for i in allowed[j]:
+            if twins[i] and any(used[k] == used[i] == 0 or (exact and loads[k] == loads[i])
+                                for k in twins[i]):
+                continue  # mirrors the subtree already searched under twin k
             t = times[i][j]
             if max(load_max, loads[i] + t) >= cut:
                 continue
             loads[i] += t
+            used[i] += 1
             current[j] = i
             rec(depth + 1, load_sum + t, max(load_max, loads[i]))
             loads[i] -= t
+            used[i] -= 1
         current[j] = 0
 
     rec(0, 0.0, 0.0)
@@ -162,6 +191,21 @@ def _masked_max(inst: Instance, allowed) -> tuple:
     return val, tuple(assign)
 
 
+def _sums_are_exact(times) -> bool:
+    """Whether every sum of at most one entry per task is exact in floats.
+
+    Float entries are dyadic rationals, so all of them are integer multiples
+    of 1/scale, with scale the largest of their denominators; the sums are
+    exact when the largest possible load, counted in that unit, stays within
+    2^53."""
+    scale = max(t.as_integer_ratio()[1] for row in times for t in row)
+    top = 0
+    for col in zip(*times):
+        num, den = max(col).as_integer_ratio()
+        top += num * (scale // den)
+    return top <= 2 ** 53
+
+
 def _loads_of(inst: Instance, assign) -> list:
     loads = [0.0] * inst.n
     for j, i in enumerate(assign):
@@ -176,7 +220,7 @@ def opt_makespan(inst: Instance) -> tuple:
 
 def brute_force_makespan(inst: Instance, mask: EligibilityMask | None = None,
                          objective: str = "min", budget: int = BRUTE_FORCE_BUDGET) -> tuple:
-    """Exhaustive twin of the solvers above; refuses more than `budget` assignments."""
+    """Exhaustive oracle for the solvers above; refuses more than `budget` assignments."""
     if objective not in ("min", "max"):
         raise ValueError("objective must be 'min' or 'max'")
     mask = full_mask(inst) if mask is None else mask

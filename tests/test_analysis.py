@@ -16,7 +16,6 @@ from mechfront.analysis import (
     monotonicity_check,
     anonymity_check,
     probe_matrix,
-    thread_count,
 )
 from mechfront.equilibria import Grid, canonical_certificate, default_grid
 from mechfront.instances import (
@@ -138,7 +137,7 @@ def test_report_dict_shape():
 # ---------------------------------------------------------------- frontier
 
 def test_frontier_sweep_values():
-    points = frontier_sweep(3, [1.0, 1.5, 2.0, 4.0], threads=1)
+    points = frontier_sweep(3, [1.0, 1.5, 2.0, 4.0])
     assert [p.alpha for p in points] == [1.0, 1.5, 2.0, 4.0]
     for p in points:
         assert p.poa_bound == 2 * p.alpha + 1
@@ -150,10 +149,21 @@ def test_frontier_sweep_values():
     assert points[2].pos_emp == pytest.approx(4.1 / 2.1)
 
 
-def test_frontier_thread_count_does_not_change_results():
-    a = frontier_sweep(3, [1.5, 2.0], threads=1)
-    b = frontier_sweep(3, [1.5, 2.0], threads=4)
-    assert a == b
+def test_frontier_solves_each_instance_once(monkeypatch):
+    solved = []
+    real = analysis.opt_makespan
+
+    def counting(inst):
+        solved.append(inst)
+        return real(inst)
+
+    monkeypatch.setattr(analysis, "opt_makespan", counting)
+    alphas = [1.0, 1.5, 2.0, 4.0]
+    points = frontier_sweep(3, alphas)
+    distinct = {spec.build() for a in alphas for spec in default_frontier_suite(3, a)}
+    assert len(solved) == len(set(solved)) == len(distinct)
+    assert set(solved) == distinct
+    assert [p.alpha for p in points] == alphas
 
 
 def test_frontier_rejects_bad_args():
@@ -168,16 +178,6 @@ def test_default_frontier_suite_shape():
     assert len(specs) == 24                    # 4 named + 20 seeded randoms
     assert specs[0].name == "uniform"
     assert {s.name for s in specs[:4]} == {"uniform", "tilde", "hat"}
-
-
-def test_thread_count(monkeypatch):
-    assert thread_count(3) == 3
-    monkeypatch.setenv("MECHFRONT_THREADS", "5")
-    assert thread_count() == 5
-    monkeypatch.setenv("MECHFRONT_THREADS", "0")
-    assert thread_count() >= 1
-    monkeypatch.delenv("MECHFRONT_THREADS")
-    assert thread_count() >= 1
 
 
 # ---------------------------------------------------------------- monotonicity

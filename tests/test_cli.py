@@ -135,6 +135,26 @@ def test_analyze_rounds_to_six_significant_digits(capsys, tmp_path):
     assert data["pos_ratio"] == 2.9703
 
 
+UNIFORM3_ROUND_ROBIN = [0, 1, 2, 0, 1, 2, 0, 1, 2]
+
+
+@pytest.mark.parametrize("mech", ["fp", "spa:2"])
+def test_analyze_uniform_golden_stdout(capsys, tmp_path, mech):
+    """Byte-exact report, witnesses included: the optimum's witness is the
+    first optimal leaf of the branch-and-bound's search order."""
+    path = tmp_path / "uniform.json"
+    instances.save_instance(gen_uniform(3), str(path))
+    code, out, _ = run_cli(capsys, "analyze", "-i", str(path), "--mech", mech)
+    assert code == 0
+    expected = {
+        "mech": mech, "opt": 3.0, "worst_makespan": 9.0, "best_makespan": 3.0,
+        "poa_ratio": 3.0, "pos_ratio": 1.0,
+        "witnesses": {"opt": UNIFORM3_ROUND_ROBIN, "worst": [0] * 9,
+                      "best": UNIFORM3_ROUND_ROBIN},
+    }
+    assert out == json.dumps(expected, indent=1) + "\n"
+
+
 # ---------------------------------------------------------------- frontier
 
 def test_frontier_csv_exact(capsys):

@@ -14,7 +14,7 @@ from mechfront.equilibria import (
     verify_certificate,
     verify_equilibrium,
 )
-from mechfront.instances import gen_fp_pos, gen_hat, gen_tradeoff
+from mechfront.instances import gen_fp_pos, gen_hat, gen_random, gen_tradeoff
 from mechfront.model import (
     BudgetExceededError,
     Instance,
@@ -312,6 +312,26 @@ def test_canonical_certificate_handles_off_grid_times(mid):
 def test_canonical_certificate_rejects_greedy():
     with pytest.raises(UnsupportedMechanismError):
         canonical_certificate(MechanismId.parse("greedy"), gen_tradeoff(3, 1.5))
+
+
+@pytest.mark.parametrize("mid", ["fp", "sp", "spa:2"])
+def test_canonical_certificate_losers_bid_grid_points(mid):
+    # task 3's fastest time is 1.7000000000000002, and adding the step to it
+    # overshoots the grid point 1.8; fp's losers used to bid that sum and the
+    # construction failed
+    inst = gen_random(3, 4, seed=1)
+    mech = MechanismId.parse(mid)
+    grid = default_grid(inst, mech)
+    cert = canonical_certificate(mech, inst, grid)
+    assert verify_certificate(mech, inst, cert, grid).ok
+    points = set(grid.points.tolist())
+    assert all(bid in points for row in cert.profile for bid in row)
+
+
+def test_canonical_certificate_refuses_a_fastest_time_at_the_grid_top():
+    inst = Instance(((2.0,), (1.0,)))  # machine 0 must bid above machine 1
+    with pytest.raises(ValueError, match="top grid point"):
+        canonical_certificate(FP, inst, Grid(0.5, 1.0))
 
 
 def test_verify_certificate_with_modified_truth():

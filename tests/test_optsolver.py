@@ -1,8 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mechfront import optsolver
 from mechfront.instances import gen_random, gen_tradeoff, gen_uniform
-from mechfront.model import BudgetExceededError, Instance
+from mechfront.model import BudgetExceededError, Instance, makespan
 from mechfront.optsolver import (
     EligibilityMask,
     brute_force_makespan,
@@ -114,3 +119,75 @@ def test_max_with_sentinels_avoids_them_when_it_can():
     v, w = opt_makespan_masked(inst, mask, "max")
     v_bf, _ = brute_force_makespan(inst, mask, "max")
     assert v == v_bf
+
+
+# ---------------------------------------------------------------- twin rule
+
+def search_order_optimum(inst, mask):
+    """What the search returns with no machine skipped: the greedy incumbent
+    when it is optimal, else the first optimal leaf in search order (tasks by
+    decreasing best eligible time, machines ascending)."""
+    value, _ = brute_force_makespan(inst, mask)
+    allowed = [sorted(s) for s in mask.allowed]
+    greedy = optsolver._greedy_assignment(inst, allowed)
+    if makespan(inst, greedy) == value:
+        return value, tuple(greedy)
+    order = sorted(range(inst.m),
+                   key=lambda j: (-min(inst.times[i][j] for i in allowed[j]), j))
+    for choice in itertools.product(*(allowed[j] for j in order)):
+        assign = [0] * inst.m
+        for j, i in zip(order, choice):
+            assign[j] = i
+        if makespan(inst, assign) == value:
+            return value, tuple(assign)
+    raise AssertionError("brute force found no optimal leaf")
+
+
+@st.composite
+def instances_with_twins(draw):
+    """2-4 machines whose rows repeat a few distinct rows, with float entries
+    whose sums round (0.1 steps) or stay exact (dyadic), and a random mask."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, {2: 8, 3: 6, 4: 5}[n]))
+    values = draw(st.sampled_from([(0.1, 0.2, 0.3, 0.6, 0.7, 1 / 3),
+                                   (0.25, 0.5, 1.0, 1.5, 2.0)]))
+    rows = draw(st.lists(st.tuples(*[st.sampled_from(values)] * m), min_size=1, max_size=n))
+    times = tuple(draw(st.sampled_from(rows)) for _ in range(n))
+    if draw(st.booleans()):
+        mask = full_mask(Instance(times))
+    else:
+        machines = st.frozensets(st.integers(0, n - 1), min_size=1)
+        mask = EligibilityMask(tuple(draw(machines) for _ in range(m)))
+    return Instance(times), mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances_with_twins())
+def test_twin_rule_keeps_the_value_and_the_witness(case):
+    inst, mask = case
+    value, witness = opt_makespan_masked(inst, mask, "min")
+    assert (value, witness) == search_order_optimum(inst, mask)
+    assert makespan(inst, witness) == value
+    assert all(witness[j] in mask.allowed[j] for j in range(inst.m))
+
+
+def test_twin_rule_leaves_equal_loads_apart_when_sums_round():
+    # twin machines whose search-order loads tie while the canonical sums of
+    # their completions differ by an ulp: merging them changes the witness
+    row = (0.3, 0.1, 0.5, 0.6, 0.5, 1.1, 0.2)
+    inst = Instance((row, row))
+    assert opt_makespan(inst) == search_order_optimum(inst, full_mask(inst))
+    assert opt_makespan(inst) == (1.7, (1, 1, 0, 1, 1, 0, 1))
+
+
+def test_twin_rule_keeps_the_round_robin_witness_on_uniform():
+    value, witness = opt_makespan(gen_uniform(3))
+    assert value == 3.0
+    assert witness == (0, 1, 2) * 3
+
+
+def test_sums_are_exact():
+    assert optsolver._sums_are_exact(gen_uniform(3).times)
+    assert optsolver._sums_are_exact(((0.5, 0.25), (1.5, 2.0)))
+    assert not optsolver._sums_are_exact(((0.1, 0.2), (0.3, 0.4)))
+    assert not optsolver._sums_are_exact(((2.0 ** 53, 1.0), (1.0, 1.0)))
