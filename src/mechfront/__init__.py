@@ -16,7 +16,7 @@ from .model import (
     makespan,
     utility,
 )
-from .rules import SingleTaskRule, fp_rule, payload_greedy, rule_for, sp_rule, spa_rule
+from .rules import SingleTaskRule, payload_greedy, rule_for
 from .optsolver import (
     EligibilityMask,
     brute_force_makespan,
@@ -29,13 +29,10 @@ from .equilibria import (
     EquilibriumCertificate,
     Grid,
     VerifyResult,
-    WinnerSets,
     achievable_winners,
     canonical_certificate,
     default_grid,
     enumerate_equilibria,
-    equilibrium_template_spa,
-    verify_certificate,
     verify_equilibrium,
 )
 from .instances import (

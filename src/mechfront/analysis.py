@@ -76,7 +76,7 @@ def inefficiency(mech: MechanismId, inst: Instance,
     witness) when the caller already has it; it is also the best
     equilibrium when every machine may win every task.
     """
-    mask = achievable_winners(mech, inst).to_mask()
+    mask = achievable_winners(mech, inst)
     opt, opt_w = opt_makespan(inst) if optimum is None else optimum
     worst, worst_w = opt_makespan_masked(inst, mask, "max")
     if all(len(s) == inst.n for s in mask.allowed):
@@ -259,12 +259,6 @@ class ProbeMatrix:
     a: tuple
     eps: float
     rule: str
-
-    def within_bound(self, alpha: float) -> bool:
-        n = len(self.a)
-        limit = (n - 1) * alpha / SQRT2 + 1
-        return all(0 < self.a[i][j] < limit
-                   for i in range(n) for j in range(n) if i != j)
 
 
 def probe_matrix(rule: SingleTaskRule, n: int, eps: float, grid: Grid,

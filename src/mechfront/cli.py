@@ -136,7 +136,7 @@ def _dispatch(args) -> int:
         inst = _load_instance(args.instance)
         if args.mech:
             mech = MechanismId.parse(args.mech)
-            mask = equilibria.achievable_winners(mech, inst).to_mask()
+            mask = equilibria.achievable_winners(mech, inst)
             value, witness = opt_makespan_masked(inst, mask, args.objective)
             print(_dump({"mech": str(mech), "objective": args.objective,
                          "value": value, "witness": list(witness)}))

@@ -57,7 +57,8 @@ ENUMERATION_BUDGET = 10 ** 7
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Bid grid {0, step, ..., cap}; `anchors` are values that must be
-    representable exactly and replace their nearest generated point."""
+    representable exactly and replace their nearest generated point.  A grid
+    of more than ENUMERATION_BUDGET points is refused before it is built."""
 
     step: float
     cap: float
@@ -67,9 +68,15 @@ class Grid:
     def __post_init__(self):
         if not self.step > 0:
             raise ValueError("step must be positive")
+        if not math.isfinite(self.cap):
+            raise ValueError(f"cap must be finite, got {self.cap}")
         k = round(self.cap / self.step)
         if k < 1 or abs(k * self.step - self.cap) > 1e-9 * max(1.0, self.cap):
             raise ValueError(f"cap {self.cap} is not a positive multiple of step {self.step}")
+        if k + 1 > ENUMERATION_BUDGET:
+            raise BudgetExceededError(
+                f"{k + 1} grid points exceed the enumeration budget {ENUMERATION_BUDGET}"
+            )
         pts = np.arange(k + 1) * self.step
         for a in self.anchors:
             a = float(a)
@@ -149,30 +156,27 @@ class EquilibriumCertificate:
     """A profile plus what was checked to call it an equilibrium.
 
     `profile` is an n x m report matrix (one column per task) and `winner`
-    the per-task winning machine.  scope "grid" means every grid deviation
-    was scanned; "analytic" marks certificates built from closed forms.
+    the per-task winning machine.  Every grid deviation of every machine was
+    scanned in every column; `checked_deviations` counts them.
     """
 
     profile: tuple
-    scope: str
     winner: tuple
     checked_deviations: int
 
-    def __post_init__(self):
-        if self.scope not in ("grid", "analytic"):
-            raise ValueError("scope must be 'grid' or 'analytic'")
 
-
-def _utilities(rule: SingleTaskRule, true_times, B: np.ndarray, machine: int) -> np.ndarray:
-    winners, pay = rule.batch(B)
+def _utility(winners, pay, true_times: np.ndarray, machine):
+    """Utility of `machine` (an index, or one index per row) in each row."""
     return np.where(winners == machine, pay - true_times[machine], 0.0)
 
 
 def verify_equilibrium(rule: SingleTaskRule, true_times, bids, grid: Grid) -> VerifyResult:
     """Scan every unilateral grid deviation of every machine.
 
-    `bids` must already be grid points.  The returned witness is the best
-    improving deviation (ties toward the lowest bid).
+    `bids` must already be grid points.  All n * len(grid) deviation rows,
+    plus the profile itself, go through one `rule.batch` call.  The returned
+    witness is the best improving deviation, ties toward the lowest machine,
+    then the lowest bid.
     """
     true_times = tuple(float(t) for t in true_times)
     bids = tuple(float(b) for b in bids)
@@ -182,39 +186,30 @@ def verify_equilibrium(rule: SingleTaskRule, true_times, bids, grid: Grid) -> Ve
     for b in bids:
         grid.index_of(b)  # raises when off-grid
 
+    t = np.asarray(true_times)
     pts = grid.points
     g = len(pts)
-    w0, pay0 = rule.outcome(bids)
-    base = np.asarray(bids)
-    best_machine = None
-    best_dev = None
-    best_gain = 0.0
-    for i in range(n):
-        current = pay0 - true_times[i] if w0 == i else 0.0
-        B = np.tile(base, (g, 1))
-        B[:, i] = pts
-        u = _utilities(rule, true_times, B, i)
-        k = int(np.argmax(u))
-        gain = float(u[k]) - current
-        if gain > best_gain:
-            best_machine = i
-            best_dev = float(pts[k])
-            best_gain = gain
-    ok = best_machine is None
-    return VerifyResult(ok, best_machine, best_dev, best_gain, n * g)
+    mover = np.repeat(np.arange(n), g)  # row block i moves machine i's bid
+    B = np.tile(np.asarray(bids), (n * g + 1, 1))  # the last row is the profile
+    B[np.arange(n * g), mover] = np.tile(pts, n)
+    winners, pay = rule.batch(B)
+    current = _utility(winners[-1], pay[-1], t, np.arange(n))
+    u = _utility(winners[:-1], pay[:-1], t, mover).reshape(n, g)
+    best = np.argmax(u, axis=1)
+    gains = u[np.arange(n), best] - current
+    i = int(np.argmax(gains))
+    if gains[i] > 0:
+        return VerifyResult(False, i, float(pts[best[i]]), float(gains[i]), n * g)
+    return VerifyResult(True, None, None, 0.0, n * g)
 
 
 @dataclass(frozen=True, eq=False)
 class EnumerationResult:
     """All grid equilibria of one task: profiles (K x n) and winners (K,).
 
-    Iterating yields one EquilibriumCertificate per profile; `winner_union`
-    is the deduplicated set of equilibrium winners.
+    `winner_union` is the deduplicated set of equilibrium winners.
     """
 
-    rule: SingleTaskRule
-    true_times: tuple
-    grid: Grid
     profiles: np.ndarray
     winners: np.ndarray
     scanned: int
@@ -224,16 +219,6 @@ class EnumerationResult:
 
     def winner_union(self) -> frozenset:
         return frozenset(int(w) for w in np.unique(self.winners))
-
-    def __iter__(self):
-        per_profile = self.rule.n * len(self.grid)
-        for row, w in zip(self.profiles, self.winners):
-            yield EquilibriumCertificate(
-                profile=tuple((float(b),) for b in row),
-                scope="grid",
-                winner=(int(w),),
-                checked_deviations=per_profile,
-            )
 
 
 def enumerate_equilibria(rule: SingleTaskRule, true_times, grid: Grid,
@@ -245,9 +230,9 @@ def enumerate_equilibria(rule: SingleTaskRule, true_times, grid: Grid,
     utility cube, so the whole scan is a handful of vectorized passes.
     Refuses to start when the profile count exceeds `budget`.
     """
-    true_times = tuple(float(t) for t in true_times)
+    t = np.asarray([float(x) for x in true_times])
     n = rule.n
-    if len(true_times) != n:
+    if len(t) != n:
         raise ValueError(f"expected {n} true times")
     pts = grid.points
     g = len(pts)
@@ -262,29 +247,14 @@ def enumerate_equilibria(rule: SingleTaskRule, true_times, grid: Grid,
     eq = np.ones(total, dtype=bool)
     shape = (g,) * n
     for i in range(n):
-        u = np.where(winners == i, pay - true_times[i], 0.0).reshape(shape)
+        u = _utility(winners, pay, t, i).reshape(shape)
         eq &= (u == u.max(axis=i, keepdims=True)).reshape(-1)
-    return EnumerationResult(rule, true_times, grid, B[eq], winners[eq], total)
+    return EnumerationResult(B[eq], winners[eq], total)
 
 
 # ---------------------------------------------------------------------------
 # analytic winner sets
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WinnerSets:
-    """allowed[j] = machines that win task j in some equilibrium."""
-
-    allowed: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "allowed", tuple(frozenset(int(i) for i in s) for s in self.allowed)
-        )
-
-    def to_mask(self) -> EligibilityMask:
-        return EligibilityMask(self.allowed)
-
 
 def _column_winners(mech: MechanismId, col, big: float) -> frozenset:
     t_min = min(col)
@@ -301,15 +271,16 @@ def _column_winners(mech: MechanismId, col, big: float) -> frozenset:
     return frozenset(i for i, t in enumerate(col) if t <= mech.alpha * t_min)
 
 
-def achievable_winners(mech: MechanismId, inst: Instance) -> WinnerSets:
-    """Per-task equilibrium winner sets, by closed form (no enumeration)."""
+def achievable_winners(mech: MechanismId, inst: Instance) -> EligibilityMask:
+    """Per-task equilibrium winner sets, by closed form (no enumeration):
+    allowed[j] = machines that win task j in some equilibrium."""
     if mech.kind == "greedy":
         raise UnsupportedMechanismError(
             "payload_greedy is not task-independent; no winner-set analysis"
         )
     if mech.kind in ("sp", "spa") and inst.n < 2:
         raise ValueError(f"{mech} needs n >= 2")
-    return WinnerSets(
+    return EligibilityMask(
         tuple(_column_winners(mech, inst.column(j), inst.big) for j in range(inst.m))
     )
 
@@ -317,48 +288,6 @@ def achievable_winners(mech: MechanismId, inst: Instance) -> WinnerSets:
 # ---------------------------------------------------------------------------
 # constructive equilibria
 # ---------------------------------------------------------------------------
-
-def equilibrium_template_spa(alpha: float, true_times, target: int, eps: float) -> tuple:
-    """Bids making `target` the spa winner of a single task, alpha > 1.
-
-    Slower-than-fastest targets bid the fastest time while everyone else bids
-    the target's time (payment = the target's own time, utility 0).  A
-    tied-fastest target bids its time while the rest sit one step above,
-    which needs eps < (alpha - 1) * t_min so the step stays under the
-    reserve.  Raises ValueError when the target is outside the bucket or the
-    step is too coarse.
-    """
-    if not alpha > 1:
-        raise ValueError("template needs alpha > 1")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    t = tuple(float(x) for x in true_times)
-    n = len(t)
-    if not 0 <= target < n:
-        raise ValueError(f"target {target} out of range")
-    t_min = min(t)
-    if not t[target] <= alpha * t_min:
-        raise ValueError(
-            f"target {target} (time {t[target]}) is outside the bucket: "
-            f"{t[target]} > {alpha} * {t_min}"
-        )
-    if t[target] > t_min:
-        bids = [t[target]] * n
-        bids[target] = t_min
-    else:
-        if not t_min + eps < alpha * t_min:
-            raise ValueError(
-                f"eps {eps} too coarse for a tied-fastest target: need "
-                f"t_min + eps < alpha * t_min = {alpha * t_min}"
-            )
-        bids = [t_min + eps] * n
-        bids[target] = t_min
-    # the target is the unique lowest bidder by construction; if a lower-index
-    # machine ever matched it, step the target down to reclaim the tie-break
-    while any(i < target and bids[i] <= bids[target] for i in range(n)) and bids[target] - eps >= 0:
-        bids[target] -= eps
-    return tuple(bids)
-
 
 def _point_above(grid: Grid, value: float) -> float:
     """The grid point one step above `value`, taken from the grid itself:
@@ -434,31 +363,4 @@ def canonical_certificate(mech: MechanismId, inst: Instance,
         winners.append(out_w)
         checked += res.checked_deviations
     profile = tuple(tuple(columns[j][i] for j in range(m)) for i in range(n))
-    return EquilibriumCertificate(profile, "grid", tuple(winners), checked)
-
-
-def verify_certificate(mech: MechanismId, inst: Instance, cert: EquilibriumCertificate,
-                       grid: Grid | None = None,
-                       true_times=None) -> VerifyResult:
-    """Re-check a whole-profile certificate column by column.
-
-    `true_times` optionally overrides the instance's matrix (same shape) --
-    used to probe how robust an equilibrium is to changes in the truth.
-    Returns the first failing column's result, or the last column's success.
-    """
-    if mech.kind == "greedy":
-        raise UnsupportedMechanismError("certificates only exist for single-task rules")
-    if grid is None:
-        grid = default_grid(inst, mech)
-    times = inst.times if true_times is None else tuple(tuple(r) for r in true_times)
-    rule = rule_for(mech, inst.n)
-    last = None
-    for j in range(inst.m):
-        col = tuple(times[i][j] for i in range(inst.n))
-        bids = tuple(cert.profile[i][j] for i in range(inst.n))
-        last = verify_equilibrium(rule, col, bids, grid)
-        if not last:
-            return last
-    if last is None:
-        raise ValueError("certificate covers no tasks")
-    return last
+    return EquilibriumCertificate(profile, tuple(winners), checked)

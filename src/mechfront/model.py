@@ -44,6 +44,8 @@ def _as_matrix(rows, what: str) -> tuple:
         out.append(row)
     if not out:
         raise ValueError(f"{what}: need at least one row")
+    if not width:
+        raise ValueError(f"{what}: need at least one column")
     return tuple(out)
 
 
@@ -130,24 +132,19 @@ class Outcome:
 
 @dataclass(frozen=True)
 class MechanismId:
-    """Which mechanism: kind in {fp, sp, spa, greedy}; spa carries its multiplier alpha.
-
-    Ties are always broken toward the lowest machine index; the field exists to
-    document that policy, no other value is accepted.
-    """
+    """Which mechanism: kind in {fp, sp, spa, greedy}; spa carries its
+    multiplier alpha.  Every mechanism breaks ties toward the lowest machine
+    index."""
 
     kind: str
     alpha: float | None = None
-    tie_break: str = "lowest-index"
 
     def __post_init__(self):
         if self.kind not in MECHANISM_KINDS:
             raise ValueError(f"unknown mechanism kind {self.kind!r}")
-        if self.tie_break != "lowest-index":
-            raise ValueError("only lowest-index tie-breaking is supported")
         if self.kind == "spa":
-            if self.alpha is None or not self.alpha >= 1:
-                raise ValueError("spa needs alpha >= 1")
+            if self.alpha is None or not 1 <= self.alpha < math.inf:
+                raise ValueError(f"spa needs a finite alpha >= 1, got {self.alpha}")
             object.__setattr__(self, "alpha", float(self.alpha))
         elif self.alpha is not None:
             raise ValueError(f"{self.kind} takes no alpha")
@@ -209,13 +206,11 @@ def apply(mech: MechanismId, profile: StrategyProfile) -> Outcome:
     if mech.kind == "greedy":
         return rules.payload_greedy(profile)
     rule = rules.rule_for(mech, profile.n)
-    winner = []
+    winner, pay = rule.batch([profile.column(j) for j in range(profile.m)])
     payments = [0.0] * profile.n
-    for j in range(profile.m):
-        w, pay = rule.outcome(profile.column(j))
-        winner.append(w)
-        payments[w] += pay
-    return Outcome(tuple(winner), tuple(payments))
+    for w, p in zip(winner.tolist(), pay.tolist()):
+        payments[w] += p
+    return Outcome(winner, payments)
 
 
 def utility(mech: MechanismId, inst: Instance, profile: StrategyProfile, machine: int) -> float:

@@ -9,6 +9,9 @@ the lowest bidder (lowest index on ties), and pays only the winner:
           pay = min(second lowest bid, alpha * winning bid).  spa with
           alpha = 1 collapses to fp (the cap always binds at the own bid).
 
+`SingleTaskRule.batch` is the one definition of all three; `outcome` runs it
+on a single profile.
+
 `payload_greedy` is a whole-profile mechanism kept around as a foil: it
 assigns tasks in index order to the machine whose reported load would stay
 lowest and pays each machine the sum of its winning reports.  It is not
@@ -23,15 +26,6 @@ import numpy as np
 from .model import MechanismId, Outcome, StrategyProfile, UnsupportedMechanismError
 
 
-def _check_bids(bids) -> tuple:
-    bids = tuple(float(b) for b in bids)
-    if not bids:
-        raise ValueError("need at least one bid")
-    if any(b < 0 for b in bids):
-        raise ValueError("bids must be >= 0")
-    return bids
-
-
 def _argmin(bids) -> int:
     # min() on the pairs would compare second elements; do it explicitly.
     w = 0
@@ -39,44 +33,6 @@ def _argmin(bids) -> int:
         if bids[i] < bids[w]:
             w = i
     return w
-
-
-def fp_rule(bids) -> tuple:
-    """First price: winner = lowest bidder (lowest index on ties), paid its bid."""
-    bids = _check_bids(bids)
-    w = _argmin(bids)
-    pay = [0.0] * len(bids)
-    pay[w] = bids[w]
-    return w, tuple(pay)
-
-
-def sp_rule(bids) -> tuple:
-    """Second price: winner paid the lowest bid among the other machines."""
-    bids = _check_bids(bids)
-    if len(bids) < 2:
-        raise ValueError("second price needs at least two machines")
-    w = _argmin(bids)
-    pay = [0.0] * len(bids)
-    pay[w] = min(b for i, b in enumerate(bids) if i != w)
-    return w, tuple(pay)
-
-
-def spa_rule(alpha: float, bids) -> tuple:
-    """Second price with reserve alpha * winning bid; alpha >= 1.
-
-    The winner is paid min(second lowest bid, alpha * own bid), so overbidding
-    by the losers is only rewarded up to the reserve.
-    """
-    if not alpha >= 1:
-        raise ValueError("alpha must be >= 1")
-    bids = _check_bids(bids)
-    if len(bids) < 2:
-        raise ValueError("second price with reserve needs at least two machines")
-    w = _argmin(bids)
-    second = min(b for i, b in enumerate(bids) if i != w)
-    pay = [0.0] * len(bids)
-    pay[w] = min(second, alpha * bids[w])
-    return w, tuple(pay)
 
 
 def payload_greedy(profile: StrategyProfile) -> Outcome:
@@ -95,18 +51,13 @@ def payload_greedy(profile: StrategyProfile) -> Outcome:
     return Outcome(tuple(winner), tuple(payments))
 
 
-# ---------------------------------------------------------------------------
-# batched kernels (used by the grid-equilibrium engine)
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class SingleTaskRule:
     """A single-task rule bound to a machine count.
 
-    `outcome(bids)` mirrors the scalar functions above; `batch(B)` evaluates
-    K profiles at once (B has shape (K, n)) and returns the winner index and
-    the winner's payment per row.  Anything duck-typing these two methods
-    (plus `.n`) can be fed to the equilibrium engine.
+    `batch(B)` evaluates K profiles at once (B has shape (K, n)) and returns
+    the winner index and the winner's payment per row; `outcome(bids)` is
+    `batch` on one profile, returned as (int, float).
     """
 
     id: MechanismId
@@ -123,13 +74,11 @@ class SingleTaskRule:
     def outcome(self, bids) -> tuple:
         if len(bids) != self.n:
             raise ValueError(f"expected {self.n} bids, got {len(bids)}")
-        if self.id.kind == "fp":
-            w, pay = fp_rule(bids)
-        elif self.id.kind == "sp":
-            w, pay = sp_rule(bids)
-        else:
-            w, pay = spa_rule(self.id.alpha, bids)
-        return w, pay[w]
+        row = np.asarray(bids, dtype=float).reshape(1, self.n)
+        if (row < 0).any():
+            raise ValueError("bids must be >= 0")
+        w, pay = self.batch(row)
+        return int(w[0]), float(pay[0])
 
     def batch(self, B: np.ndarray) -> tuple:
         B = np.asarray(B, dtype=float)

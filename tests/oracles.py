@@ -1,0 +1,100 @@
+"""Second implementations kept only as test oracles.
+
+The scalar fp/sp/spa rules and the per-machine deviation scan are the
+straightforward versions of `SingleTaskRule.batch` and `verify_equilibrium`;
+the tests compare the production paths against them.
+"""
+import numpy as np
+
+from mechfront.equilibria import VerifyResult
+
+
+def _check_bids(bids) -> tuple:
+    bids = tuple(float(b) for b in bids)
+    if not bids:
+        raise ValueError("need at least one bid")
+    if any(b < 0 for b in bids):
+        raise ValueError("bids must be >= 0")
+    return bids
+
+
+def _argmin(bids) -> int:
+    w = 0
+    for i in range(1, len(bids)):
+        if bids[i] < bids[w]:
+            w = i
+    return w
+
+
+def fp_rule(bids) -> tuple:
+    """First price: winner = lowest bidder (lowest index on ties), paid its bid."""
+    bids = _check_bids(bids)
+    w = _argmin(bids)
+    pay = [0.0] * len(bids)
+    pay[w] = bids[w]
+    return w, tuple(pay)
+
+
+def sp_rule(bids) -> tuple:
+    """Second price: winner paid the lowest bid among the other machines."""
+    bids = _check_bids(bids)
+    if len(bids) < 2:
+        raise ValueError("second price needs at least two machines")
+    w = _argmin(bids)
+    pay = [0.0] * len(bids)
+    pay[w] = min(b for i, b in enumerate(bids) if i != w)
+    return w, tuple(pay)
+
+
+def spa_rule(alpha: float, bids) -> tuple:
+    """Second price with reserve alpha * winning bid; alpha >= 1."""
+    if not alpha >= 1:
+        raise ValueError("alpha must be >= 1")
+    bids = _check_bids(bids)
+    if len(bids) < 2:
+        raise ValueError("second price with reserve needs at least two machines")
+    w = _argmin(bids)
+    second = min(b for i, b in enumerate(bids) if i != w)
+    pay = [0.0] * len(bids)
+    pay[w] = min(second, alpha * bids[w])
+    return w, tuple(pay)
+
+
+def scalar_outcome(mech, bids) -> tuple:
+    """(winner, winner's payment) of one profile under the scalar rules."""
+    if mech.kind == "fp":
+        w, pay = fp_rule(bids)
+    elif mech.kind == "sp":
+        w, pay = sp_rule(bids)
+    else:
+        w, pay = spa_rule(mech.alpha, bids)
+    return w, pay[w]
+
+
+def per_machine_scan(rule, true_times, bids, grid) -> VerifyResult:
+    """verify_equilibrium one machine at a time: a tiled batch per machine,
+    strict improvement over the best gain so far."""
+    true_times = tuple(float(t) for t in true_times)
+    bids = tuple(float(b) for b in bids)
+    n = rule.n
+    for b in bids:
+        grid.index_of(b)
+    pts = grid.points
+    g = len(pts)
+    w0, pay0 = scalar_outcome(rule.id, bids)
+    best_machine = None
+    best_dev = None
+    best_gain = 0.0
+    for i in range(n):
+        current = pay0 - true_times[i] if w0 == i else 0.0
+        B = np.tile(np.asarray(bids), (g, 1))
+        B[:, i] = pts
+        winners, pay = rule.batch(B)
+        u = np.where(winners == i, pay - true_times[i], 0.0)
+        k = int(np.argmax(u))
+        gain = float(u[k]) - current
+        if gain > best_gain:
+            best_machine = i
+            best_dev = float(pts[k])
+            best_gain = gain
+    return VerifyResult(best_machine is None, best_machine, best_dev, best_gain, n * g)

@@ -268,7 +268,8 @@ def test_probe_matrix_spa2():
     grid = Grid(0.5, 6.0, anchors=(1.0,))
     pm = probe_matrix(rule, 3, 0.5, grid)
     assert pm.a == ((0.0, 2.0, 2.0), (2.0, 0.0, 2.0), (2.0, 2.0, 0.0))
-    assert pm.within_bound(2.0)
+    limit = (3 - 1) * 2.0 / math.sqrt(2.0) + 1
+    assert all(0 < pm.a[i][j] < limit for i in range(3) for j in range(3) if i != j)
 
 
 def test_probe_matrix_fp_tie_break_asymmetry():

@@ -52,6 +52,30 @@ def test_opt_masked_max(capsys, tradeoff_file):
     assert data["witness"] == [0, 0, 0]
 
 
+def test_opt_refuses_zero_task_instance(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"times": [[], []], "big": 1000000.0}))
+    code, out, err = run_cli(capsys, "opt", "-i", str(path))
+    assert code == 2
+    assert out == ""
+    assert "error: times: need at least one column" in err
+
+
+@pytest.mark.parametrize("verb", ["equilibria", "analyze"])
+def test_infinite_alpha_refused(capsys, tradeoff_file, verb):
+    code, out, err = run_cli(capsys, verb, "-i", tradeoff_file, "--mech", "spa:inf")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "finite alpha" in err
+
+
+def test_oversized_grid_refused(capsys, tradeoff_file):
+    code, _, err = run_cli(capsys, "equilibria", "-i", tradeoff_file,
+                           "--mech", "fp", "--grid", "1e-7,2")
+    assert code == 3
+    assert "budget refused" in err
+
+
 def test_opt_missing_file(capsys):
     code, _, err = run_cli(capsys, "opt", "-i", "/no/such/file.json")
     assert code == 2
@@ -153,6 +177,79 @@ def test_analyze_uniform_golden_stdout(capsys, tmp_path, mech):
                       "best": UNIFORM3_ROUND_ROBIN},
     }
     assert out == json.dumps(expected, indent=1) + "\n"
+
+
+# ---------------------------------------------------------------- golden stdout
+
+def _golden(data) -> str:
+    return json.dumps(data, indent=1) + "\n"
+
+
+def _tasks(profiles):
+    return [{"task": j, "profiles": k, "winners": [0]} for j, k in enumerate(profiles)]
+
+
+GOLDEN_TRADEOFF = {
+    ("opt",): {"opt": 2.0, "witness": [0, 1, 2]},
+    ("opt", "--mech", "sp", "--objective", "max"):
+        {"mech": "sp", "objective": "max", "value": 3.0, "witness": [0, 0, 0]},
+    ("equilibria", "--mech", "fp"):
+        {"mech": "fp", "eps": 0.1, "cap": 2.2, "tasks": _tasks((9, 323, 323))},
+    ("equilibria", "--mech", "spa:2"):
+        {"mech": "spa:2", "eps": 0.1, "cap": 4.2, "tasks": _tasks((7590, 9676, 9676))},
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_TRADEOFF))
+def test_tradeoff_golden_stdout(capsys, tradeoff_file, argv):
+    code, out, _ = run_cli(capsys, argv[0], "-i", tradeoff_file, *argv[1:])
+    assert code == 0
+    assert out == _golden(GOLDEN_TRADEOFF[argv])
+
+
+GOLDEN_PROBE = {
+    ("spa:2", "3"): {"mech": "spa:2", "eps": 0.5,
+                     "a": [[0.0, 2.0, 2.0], [2.0, 0.0, 2.0], [2.0, 2.0, 0.0]]},
+    ("fp", "2"): {"mech": "fp", "eps": 0.5, "a": [[0.0, 1.0], [1.5, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("mech,n", sorted(GOLDEN_PROBE))
+def test_probe_golden_stdout(capsys, mech, n):
+    code, out, _ = run_cli(capsys, "probe", "--mech", mech, "-n", n)
+    assert code == 0
+    assert out == _golden(GOLDEN_PROBE[(mech, n)])
+
+
+VERIFY_ANONYMITY = """\
+anonymity: pass
+  fp: 4 permuted enumerations, ok
+  spa:2: 4 permuted enumerations, ok
+"""
+
+REVERSE_FAILURES = (
+    ("uniform-2", 800, 800, 800), ("uniform-3", 1800, 1800, 1800),
+    ("tradeoff-3-1.5", 600, 91, 91), ("fp_pos-3-0.01", 600, 400, 400),
+    ("hat-3-2", 600, 374, 191), ("tilde-3-2", 600, 193, 193),
+    ("random-2x3-101", 600, 419, 419), ("random-3x4-201", 800, 575, 575),
+    ("random-3x4-202", 800, 764, 764), ("random-3x5-301", 1000, 741, 741),
+)
+
+VERIFY_MONOTONICITY_REVERSE = "monotonicity-reverse: pass\n" + "".join(
+    f"  {label} {mech}: 200 trials, {k} failures\n"
+    for label, *counts in REVERSE_FAILURES
+    for mech, k in zip(("fp", "sp", "spa:2"), counts)
+)
+
+
+@pytest.mark.parametrize("suite,expected", [
+    ("anonymity", VERIFY_ANONYMITY),
+    ("monotonicity-reverse", VERIFY_MONOTONICITY_REVERSE),
+])
+def test_verify_golden_stdout(capsys, suite, expected):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite)
+    assert code == 0
+    assert out == expected
 
 
 # ---------------------------------------------------------------- frontier

@@ -2,16 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mechfront.equilibria import (
+    ENUMERATION_BUDGET,
     Grid,
     achievable_winners,
     canonical_certificate,
     default_grid,
     enumerate_equilibria,
-    equilibrium_template_spa,
     on_grid,
-    verify_certificate,
     verify_equilibrium,
 )
 from mechfront.instances import gen_fp_pos, gen_hat, gen_random, gen_tradeoff
@@ -23,7 +24,8 @@ from mechfront.model import (
     UnsupportedMechanismError,
     apply,
 )
-from mechfront.rules import rule_for
+from mechfront.rules import SingleTaskRule, rule_for
+from oracles import per_machine_scan
 
 FP = MechanismId.parse("fp")
 SP = MechanismId.parse("sp")
@@ -54,6 +56,17 @@ def test_grid_rejects_bad_cap():
         Grid(0.5, 1.2)
     with pytest.raises(ValueError):
         Grid(0.0, 1.0)
+
+
+def test_grid_refuses_more_points_than_the_budget():
+    with pytest.raises(BudgetExceededError, match="grid points"):
+        Grid(1e-7, 2.0)
+    assert len(Grid(1.0, ENUMERATION_BUDGET - 1.0)) == ENUMERATION_BUDGET
+
+
+def test_grid_rejects_infinite_cap():
+    with pytest.raises(ValueError, match="finite"):
+        Grid(0.1, float("inf"))
 
 
 def test_grid_index_of_and_floor():
@@ -132,6 +145,62 @@ def test_verify_rejects_off_grid_bids():
         verify_equilibrium(rule, (1.0, 2.0), (1.05, 2.0), g)
 
 
+def test_verify_makes_one_batch_call(monkeypatch):
+    calls = []
+    batch = SingleTaskRule.batch
+
+    def counting(self, B):
+        calls.append(len(B))
+        return batch(self, B)
+
+    monkeypatch.setattr(SingleTaskRule, "batch", counting)
+    g = Grid(0.1, 2.2)
+    res = verify_equilibrium(rule_for(SPA2, 3), (1.0, 2.0, 1.5), (1.0, 1.5, 1.5), g)
+    assert calls == [3 * len(g) + 1]
+    assert res.checked_deviations == 3 * len(g)
+
+
+VERIFY_MECHS = ["fp", "sp", "spa:1.5", "spa:2", "spa:3"]
+VERIFY_GRID = Grid(0.1, 2.0)
+OFF_GRID = (0.0, 0.0, 1e-9, -1e-9, 0.05)
+
+
+@st.composite
+def verify_cases(draw):
+    n = draw(st.integers(1, 4))
+    mid = "fp" if n == 1 else draw(st.sampled_from(VERIFY_MECHS))
+    g = len(VERIFY_GRID)
+    ks = draw(st.lists(st.integers(0, g - 1), min_size=n, max_size=n))
+    bids = tuple(float(VERIFY_GRID.points[k]) for k in ks)
+    truth = []
+    for _ in range(n):
+        t = float(VERIFY_GRID.points[draw(st.integers(0, g - 1))])
+        truth.append(max(0.0, t + draw(st.sampled_from(OFF_GRID))))
+    return MechanismId.parse(mid), n, tuple(truth), bids
+
+
+@given(verify_cases())
+@settings(max_examples=400, deadline=None)
+def test_verify_matches_per_machine_scan(case):
+    """The one-batch scan returns the per-machine oracle's result on every
+    field: verdict, witness machine and bid, gain, deviation count."""
+    mech, n, truth, bids = case
+    rule = rule_for(mech, n)
+    assert verify_equilibrium(rule, truth, bids, VERIFY_GRID) == \
+        per_machine_scan(rule, truth, bids, VERIFY_GRID)
+
+
+def test_verify_witness_ties_go_to_lowest_machine_then_lowest_bid():
+    # machines 0 and 1 (true time 0) each gain 1.5 by bidding anything up to
+    # 1.5: they undercut machine 2 and are paid the second price 1.5
+    rule = rule_for(SP, 3)
+    g = Grid(0.5, 2.0)
+    truth, bids = (0.0, 0.0, 1.0), (2.0, 2.0, 1.5)
+    res = verify_equilibrium(rule, truth, bids, g)
+    assert res == per_machine_scan(rule, truth, bids, g)
+    assert (res.machine, res.deviation, res.gain) == (0, 0.0, 1.5)
+
+
 # ---------------------------------------------------------------- enumerate
 
 def test_enumerate_spa2_matches_bucket():
@@ -171,12 +240,9 @@ def test_enumeration_certificates_reverify():
     rule = rule_for(SPA2, 2)
     g = Grid(0.5, 3.0)
     res = enumerate_equilibria(rule, (1.0, 1.5), g)
-    count = 0
-    for cert in res:
-        col = tuple(cert.profile[i][0] for i in range(2))
+    assert len(res) > 0
+    for col in res.profiles:
         assert verify_equilibrium(rule, (1.0, 1.5), col, g).ok
-        count += 1
-    assert count == len(res)
 
 
 # ---------------------------------------------------------------- buckets
@@ -237,10 +303,12 @@ def test_bucket_equivalence_spot_checks(alpha):
 
 
 # ---------------------------------------------------------------- templates
+# Constructive spa:2 equilibria crowning each member of the bucket
+# {i : t_i <= alpha * t_min}.
 
 def test_template_slow_target():
-    bids = equilibrium_template_spa(2.0, (1.0, 1.9, 5.0), 1, 0.1)
-    assert bids == (1.9, 1.0, 1.9)
+    # the fastest time is bid by the target, everyone else bids its time
+    bids = (1.9, 1.0, 1.9)
     rule = rule_for(SPA2, 3)
     w, pay = rule.outcome(bids)
     assert (w, pay) == (1, 1.9)          # paid its own true time, utility 0
@@ -249,8 +317,8 @@ def test_template_slow_target():
 
 
 def test_template_tied_fastest_target():
-    bids = equilibrium_template_spa(2.0, (1.0, 1.0, 5.0), 0, 0.5)
-    assert bids == (1.0, 1.5, 1.5)
+    # a tied-fastest target bids its time, the rest sit one step above
+    bids = (1.0, 1.5, 1.5)
     rule = rule_for(SPA2, 3)
     w, pay = rule.outcome(bids)
     assert (w, pay) == (0, 1.5)
@@ -259,29 +327,27 @@ def test_template_tied_fastest_target():
 
 
 def test_template_higher_index_tied_target():
-    bids = equilibrium_template_spa(2.0, (1.0, 1.0, 5.0), 1, 0.5)
+    bids = (1.5, 1.0, 1.5)
     rule = rule_for(SPA2, 3)
     w, _ = rule.outcome(bids)
     assert w == 1
-
-
-def test_template_rejects_target_outside_bucket():
-    with pytest.raises(ValueError):
-        equilibrium_template_spa(2.0, (1.0, 3.0, 5.0), 1, 0.1)
-
-
-def test_template_rejects_coarse_eps():
-    # tied-fastest target needs t_min + eps < alpha * t_min
-    with pytest.raises(ValueError):
-        equilibrium_template_spa(1.5, (1.0, 1.0), 0, 0.6)
-
-
-def test_template_needs_alpha_above_one():
-    with pytest.raises(ValueError):
-        equilibrium_template_spa(1.0, (1.0, 2.0), 0, 0.1)
+    assert verify_equilibrium(rule, (1.0, 1.0, 5.0), bids, Grid(0.5, 6.0)).ok
 
 
 # ---------------------------------------------------------------- certificates
+
+def columns_verify(mech, inst, cert, grid=None, true_times=None) -> bool:
+    """Whether every column of a certificate is a grid equilibrium of
+    `true_times` (default: the instance's own times)."""
+    grid = default_grid(inst, mech) if grid is None else grid
+    times = inst.times if true_times is None else true_times
+    rule = rule_for(mech, inst.n)
+    return all(
+        verify_equilibrium(rule, [times[i][j] for i in range(inst.n)],
+                           [cert.profile[i][j] for i in range(inst.n)], grid).ok
+        for j in range(inst.m)
+    )
+
 
 TRADEOFF_CERTS = {
     "fp": ((2.0, 0.5, 0.5), (2.0, 0.5, 0.5), (2.0, 0.5, 0.5)),
@@ -296,7 +362,7 @@ def test_canonical_certificate_on_tradeoff(mid):
     cert = canonical_certificate(MechanismId.parse(mid), inst)
     assert cert.profile == TRADEOFF_CERTS[mid]
     assert cert.winner == (0, 0, 0)
-    assert cert.scope == "grid"
+    assert cert.checked_deviations == 3 * 3 * len(default_grid(inst, MechanismId.parse(mid)))
 
 
 @pytest.mark.parametrize("mid", ["fp", "sp", "spa:2"])
@@ -306,7 +372,7 @@ def test_canonical_certificate_handles_off_grid_times(mid):
     mech = MechanismId.parse(mid)
     cert = canonical_certificate(mech, inst)
     assert cert.winner == (0, 0, 0)
-    assert verify_certificate(mech, inst, cert).ok
+    assert columns_verify(mech, inst, cert)
 
 
 def test_canonical_certificate_rejects_greedy():
@@ -323,7 +389,7 @@ def test_canonical_certificate_losers_bid_grid_points(mid):
     mech = MechanismId.parse(mid)
     grid = default_grid(inst, mech)
     cert = canonical_certificate(mech, inst, grid)
-    assert verify_certificate(mech, inst, cert, grid).ok
+    assert columns_verify(mech, inst, cert, grid)
     points = set(grid.points.tolist())
     assert all(bid in points for row in cert.profile for bid in row)
 
@@ -340,11 +406,11 @@ def test_verify_certificate_with_modified_truth():
     # shrink a won time: still an equilibrium
     easier = [list(r) for r in inst.times]
     easier[0][0] = 1.0
-    assert verify_certificate(FP, inst, cert, true_times=easier).ok
+    assert columns_verify(FP, inst, cert, true_times=easier)
     # grow a won time past the payment: the winner now loses money and walks
     harder = [list(r) for r in inst.times]
     harder[0][1] = 3.0
-    assert not verify_certificate(FP, inst, cert, true_times=harder).ok
+    assert not columns_verify(FP, inst, cert, true_times=harder)
 
 
 # ---------------------------------------------------------------- composition

@@ -37,6 +37,11 @@ def test_instance_rejects_empty():
         Instance(())
 
 
+def test_instance_rejects_zero_tasks():
+    with pytest.raises(ValueError, match="need at least one column"):
+        Instance(((), ()))
+
+
 def test_sentinel_dominance_guard():
     # big must dominate any feasible makespan: > 2*(n+m)*max_finite
     with pytest.raises(ValueError):
@@ -72,6 +77,14 @@ def test_mechanism_id_spa_alpha():
 def test_mechanism_id_rejects_garbage(bad):
     with pytest.raises(ValueError):
         MechanismId.parse(bad)
+
+
+@pytest.mark.parametrize("alpha", [float("inf"), float("nan")])
+def test_mechanism_id_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="finite alpha"):
+        MechanismId.spa(alpha)
+    with pytest.raises(ValueError, match="finite alpha"):
+        MechanismId.parse(f"spa:{alpha}")
 
 
 def test_strategy_profile_shape():

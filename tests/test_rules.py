@@ -3,46 +3,68 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mechfront.model import MechanismId, StrategyProfile
-from mechfront.rules import fp_rule, payload_greedy, rule_for, sp_rule, spa_rule
+from mechfront.model import MechanismId, StrategyProfile, apply
+from mechfront.rules import payload_greedy, rule_for
+from oracles import scalar_outcome, sp_rule, spa_rule
+
+FP = MechanismId.parse("fp")
+SP = MechanismId.parse("sp")
+SPA2 = MechanismId.parse("spa:2")
 
 
 def test_fp_rule():
-    w, pay = fp_rule((2.0, 1.0, 3.0))
-    assert w == 1
-    assert pay == (0.0, 1.0, 0.0)
+    assert rule_for(FP, 3).outcome((2.0, 1.0, 3.0)) == (1, 1.0)
 
 
 def test_sp_rule():
-    w, pay = sp_rule((2.0, 1.0, 3.0))
-    assert w == 1
-    assert pay == (0.0, 2.0, 0.0)
+    assert rule_for(SP, 3).outcome((2.0, 1.0, 3.0)) == (1, 2.0)
 
 
 def test_spa_rule_second_price_branch():
-    w, pay = spa_rule(2.0, (1.0, 1.5, 3.0))
-    assert (w, pay[w]) == (0, 1.5)
+    assert rule_for(SPA2, 3).outcome((1.0, 1.5, 3.0)) == (0, 1.5)
 
 
 def test_spa_rule_reserve_branch():
-    w, pay = spa_rule(2.0, (1.0, 3.0, 4.0))
-    assert (w, pay[w]) == (0, 2.0)
+    assert rule_for(SPA2, 3).outcome((1.0, 3.0, 4.0)) == (0, 2.0)
 
 
 def test_spa_alpha_one_is_first_price():
+    spa1 = MechanismId.parse("spa:1")
     for bids in [(1.0, 2.0), (2.0, 2.0), (0.5, 0.4, 0.4)]:
-        assert spa_rule(1.0, bids) == fp_rule(bids)
+        n = len(bids)
+        assert rule_for(spa1, n).outcome(bids) == rule_for(FP, n).outcome(bids)
 
 
 def test_ties_break_to_lowest_index():
-    assert fp_rule((1.0, 1.0))[0] == 0
-    assert sp_rule((2.0, 2.0, 2.0))[0] == 0
-    assert spa_rule(2.0, (0.5, 0.5))[0] == 0
+    assert rule_for(FP, 2).outcome((1.0, 1.0))[0] == 0
+    assert rule_for(SP, 3).outcome((2.0, 2.0, 2.0))[0] == 0
+    assert rule_for(SPA2, 2).outcome((0.5, 0.5))[0] == 0
 
 
 def test_losers_paid_nothing():
-    for w, pay in (fp_rule((1.0, 2.0)), sp_rule((1.0, 2.0)), spa_rule(3.0, (1.0, 2.0))):
-        assert all(p == 0.0 for i, p in enumerate(pay) if i != w)
+    profile = StrategyProfile(((1.0, 3.0), (2.0, 1.0)))
+    for mid in ("fp", "sp", "spa:3"):
+        out = apply(MechanismId.parse(mid), profile)
+        assert out.winner == (0, 1)
+        assert all(p > 0 for p in out.payments)
+    # a machine that wins nothing is paid nothing
+    out = apply(SP, StrategyProfile(((1.0, 1.0), (2.0, 2.0))))
+    assert out.winner == (0, 0)
+    assert out.payments == (4.0, 0.0)
+
+
+def test_outcome_validates_bids():
+    rule = rule_for(SP, 2)
+    with pytest.raises(ValueError, match="expected 2 bids"):
+        rule.outcome((1.0, 2.0, 3.0))
+    with pytest.raises(ValueError, match=">= 0"):
+        rule.outcome((1.0, -0.5))
+
+
+def test_outcome_returns_python_scalars():
+    w, pay = rule_for(SPA2, 3).outcome((1.0, 3.0, 4.0))
+    assert type(w) is int
+    assert type(pay) is float
 
 
 def test_greedy_assigns_in_task_order_to_min_load():
@@ -82,17 +104,22 @@ def test_rule_for_needs_two_machines_for_second_price():
     assert rule.outcome([1.0]) == (0, 1.0)
 
 
-@pytest.mark.parametrize("mid", ["fp", "sp", "spa:1.5", "spa:2", "spa:3"])
+ALL_MECHS = ["fp", "sp", "spa:1.5", "spa:2", "spa:3"]
+
+
+@pytest.mark.parametrize("mid", ALL_MECHS)
 def test_batch_agrees_with_scalar(mid):
-    """The vectorized path must be bit-identical to the scalar rule."""
+    """The batch kernel and `outcome` must be bit-identical to the scalar
+    oracle rules."""
     rng = np.random.default_rng(42)
-    rule = rule_for(MechanismId.parse(mid), 3)
+    mech = MechanismId.parse(mid)
+    rule = rule_for(mech, 3)
     B = np.round(rng.uniform(0, 4, size=(500, 3)), 1)
     winners, pay = rule.batch(B)
     for row, w, p in zip(B, winners, pay):
-        sw, spay = rule.outcome(tuple(row))
-        assert sw == w
-        assert spay == p
+        expected = scalar_outcome(mech, tuple(row))
+        assert (int(w), float(p)) == expected
+        assert rule.outcome(tuple(row)) == expected
 
 
 @given(st.lists(st.integers(0, 40), min_size=2, max_size=5),
@@ -100,8 +127,13 @@ def test_batch_agrees_with_scalar(mid):
 @settings(max_examples=200, deadline=None)
 def test_spa_payment_never_exceeds_reserve(ks, alpha):
     bids = tuple(k * 0.1 for k in ks)
-    w, pay = spa_rule(alpha, bids)
-    assert pay[w] <= alpha * bids[w] + 1e-12
+    rule = rule_for(MechanismId.spa(alpha), len(bids))
+    w, pay = rule.outcome(bids)
+    ow, opay = spa_rule(alpha, bids)
+    assert (w, pay) == (ow, opay[ow])
+    bw, bpay = rule.batch(np.array([bids]))
+    assert (int(bw[0]), float(bpay[0])) == (w, pay)
+    assert pay <= alpha * bids[w] + 1e-12
     assert bids[w] == min(bids)
 
 
@@ -109,6 +141,11 @@ def test_spa_payment_never_exceeds_reserve(ks, alpha):
 @settings(max_examples=200, deadline=None)
 def test_sp_payment_is_second_lowest(ks):
     bids = tuple(k * 0.1 for k in ks)
-    w, pay = sp_rule(bids)
+    rule = rule_for(SP, len(bids))
+    w, pay = rule.outcome(bids)
+    ow, opay = sp_rule(bids)
+    assert (w, pay) == (ow, opay[ow])
+    bw, bpay = rule.batch(np.array([bids]))
+    assert (int(bw[0]), float(bpay[0])) == (w, pay)
     others = [b for i, b in enumerate(bids) if i != w]
-    assert pay[w] == min(others)
+    assert pay == min(others)
