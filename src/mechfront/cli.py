@@ -62,10 +62,7 @@ def _grid_for(inst, mech, spec):
     parts = spec.split(",")
     if len(parts) != 2:
         raise ValueError(f"--grid wants 'eps,H', got {spec!r}")
-    eps, cap = float(parts[0]), float(parts[1])
-    entries = {x for row in inst.times for x in row
-               if x < inst.big and x <= cap and equilibria.on_grid(x, eps)}
-    return equilibria.Grid(eps, cap, anchors=tuple(sorted(entries)))
+    return equilibria.default_grid(inst, mech, float(parts[0]), float(parts[1]))
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -192,6 +189,8 @@ def _dispatch(args) -> int:
         else:
             reach = mech.alpha if mech.kind == "spa" else 1.0
             cap = 2 * reach + 1
+        if not (args.eps > 0 and math.isfinite(cap / args.eps)):
+            raise ValueError(f"need --eps > 0 and a finite --cap/--eps, got {args.eps}, {cap}")
         k = max(2, round(cap / args.eps))
         anchors = (1.0,) if equilibria.on_grid(1.0, args.eps) else ()
         grid = equilibria.Grid(args.eps, k * args.eps, anchors=anchors)

@@ -70,13 +70,14 @@ class Grid:
             raise ValueError("step must be positive")
         if not math.isfinite(self.cap):
             raise ValueError(f"cap must be finite, got {self.cap}")
-        k = round(self.cap / self.step)
+        ratio = self.cap / self.step
+        if ratio >= ENUMERATION_BUDGET - 0.5:  # the point count would round past the budget
+            raise BudgetExceededError(
+                f"{ratio + 1:.0f} grid points exceed the enumeration budget {ENUMERATION_BUDGET}"
+            )
+        k = round(max(ratio, 0.0))
         if k < 1 or abs(k * self.step - self.cap) > 1e-9 * max(1.0, self.cap):
             raise ValueError(f"cap {self.cap} is not a positive multiple of step {self.step}")
-        if k + 1 > ENUMERATION_BUDGET:
-            raise BudgetExceededError(
-                f"{k + 1} grid points exceed the enumeration budget {ENUMERATION_BUDGET}"
-            )
         pts = np.arange(k + 1) * self.step
         for a in self.anchors:
             a = float(a)
@@ -109,15 +110,18 @@ class Grid:
 
 def on_grid(value: float, step: float) -> bool:
     """Whether `value` is (within float dust) an integer multiple of step."""
-    k = round(value / step)
-    return abs(k * step - value) <= 1e-9 * max(1.0, abs(value))
+    q = value / step
+    return math.isfinite(q) and abs(round(q) * step - value) <= 1e-9 * max(1.0, abs(value))
 
 
-def default_grid(inst_or_times, mech: MechanismId, eps: float = 0.1) -> Grid:
-    """Grid sized to the instance: cap = alpha * (largest non-sentinel time)
-    + 2 eps, with alpha = 1 for fp/sp.  Non-sentinel entries that are grid
-    multiples are anchored (replacing the generated float with the entry's
-    exact value); off-grid entries are simply not representable as bids."""
+def default_grid(inst_or_times, mech: MechanismId, eps: float = 0.1,
+                 cap: float | None = None) -> Grid:
+    """Grid {0, eps, ..., cap}; the default cap is alpha * (largest
+    non-sentinel time) + 2 eps rounded up to a multiple of eps (alpha = 1 for
+    fp/sp).  Non-sentinel grid multiples up to the cap are anchored, so the
+    grid holds their exact values; other entries cannot be bid."""
+    if not eps > 0:
+        raise ValueError("step must be positive")
     if isinstance(inst_or_times, Instance):
         entries = [x for row in inst_or_times.times for x in row]
         big = inst_or_times.big
@@ -125,11 +129,12 @@ def default_grid(inst_or_times, mech: MechanismId, eps: float = 0.1) -> Grid:
         entries = [float(x) for x in inst_or_times]
         big = DEFAULT_BIG
     finite = [x for x in entries if x < big]
-    alpha_eff = mech.alpha if mech.kind == "spa" else 1.0
-    max_fin = max(finite) if finite else 0.0
-    k = max(2, math.ceil((alpha_eff * max_fin + 2 * eps) / eps - 1e-9))
-    anchors = tuple(sorted({x for x in finite if on_grid(x, eps)}))
-    return Grid(eps, k * eps, anchors=anchors)
+    if cap is None:
+        alpha_eff = mech.alpha if mech.kind == "spa" else 1.0
+        max_fin = max(finite) if finite else 0.0
+        cap = max(2, math.ceil((alpha_eff * max_fin + 2 * eps) / eps - 1e-9)) * eps
+    anchors = tuple(sorted({x for x in finite if x <= cap and on_grid(x, eps)}))
+    return Grid(eps, cap, anchors=anchors)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ Machine and task indices are 0-based everywhere.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -183,6 +184,8 @@ def gen_random(n: int, m: int, seed: int, lo: float = 0.1, hi: float = 4.0,
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
+    if not (grid_step > 0 and math.isfinite(lo / grid_step) and math.isfinite(hi / grid_step)):
+        raise ValueError("need grid_step > 0 and finite lo/grid_step and hi/grid_step")
     k_lo = math.ceil(lo / grid_step - 1e-9)
     k_hi = math.floor(hi / grid_step + 1e-9)
     if k_lo > k_hi:
@@ -197,6 +200,14 @@ def gen_random(n: int, m: int, seed: int, lo: float = 0.1, hi: float = 4.0,
 # generator specs (CLI / frontier suites)
 # ---------------------------------------------------------------------------
 
+def thm3_hat_image(n: int) -> Instance:
+    """The thm3_hat rewrite of uniform(n) around its everything-on-machine-0
+    worst equilibrium, keeping the first n tasks as the marked set."""
+    base = gen_uniform(n)
+    assignment = (0,) * (n * n)
+    return gen_thm3_hat(base, assignment, 0, tuple(range(n)))
+
+
 _BUILDERS = {
     "uniform": gen_uniform,
     "tradeoff": gen_tradeoff,
@@ -206,6 +217,7 @@ _BUILDERS = {
     "random": gen_random,
     "canonical": gen_canonical,
     "circulant": gen_circulant,
+    "thm3_hat": thm3_hat_image,
 }
 
 _INT_PARAMS = {"n", "m", "seed", "fast", "slow", "k"}
@@ -219,9 +231,7 @@ class GeneratorSpec:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.name == "thm3_hat":
-            pass  # built via its dedicated helper below
-        elif self.name not in _BUILDERS:
+        if self.name not in _BUILDERS:
             raise ValueError(f"unknown generator {self.name!r}")
         object.__setattr__(self, "params", tuple(sorted(dict(self.params).items())))
 
@@ -241,27 +251,22 @@ class GeneratorSpec:
         return GeneratorSpec(name, tuple(params.items()))
 
     def build(self):
+        builder = _BUILDERS[self.name]
         kwargs = dict(self.params)
-        if self.name == "thm3_hat":
-            n = int(kwargs.pop("n"))
-            if kwargs:
-                raise ValueError(f"thm3_hat takes only n, got {sorted(kwargs)}")
-            return thm3_hat_image(n)
-        return _BUILDERS[self.name](**kwargs)
+        try:
+            return builder(**kwargs)
+        except TypeError:
+            try:  # name a missing or unknown parameter; re-raise any other fault
+                inspect.signature(builder).bind(**kwargs)
+            except TypeError as e:
+                raise ValueError(f"generator {self.name!r}: {e}") from None
+            raise
 
     def label(self) -> str:
         if not self.params:
             return self.name
         return self.name + ":" + ",".join(f"{k}={v:g}" if isinstance(v, float)
                                           else f"{k}={v}" for k, v in self.params)
-
-
-def thm3_hat_image(n: int) -> Instance:
-    """The thm3_hat rewrite of uniform(n) around its everything-on-machine-0
-    worst equilibrium, keeping the first n tasks as the marked set."""
-    base = gen_uniform(n)
-    assignment = (0,) * (n * n)
-    return gen_thm3_hat(base, assignment, 0, tuple(range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +279,18 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(data: dict) -> Instance:
-    inst = Instance(tuple(tuple(row) for row in data["times"]), float(data["big"]))
+    """Instance from its JSON form; a missing or malformed field is named."""
+    for key in ("times", "big"):
+        if not isinstance(data, dict) or key not in data:
+            raise ValueError(f"instance has no {key!r} field")
+    times = data["times"]
+    if not isinstance(times, list) or not all(isinstance(row, list) for row in times):
+        raise ValueError("times: must be a list of rows, each a list of numbers")
+    try:
+        big = float(data["big"])
+    except (TypeError, ValueError):
+        raise ValueError(f"big: not a number: {data['big']!r}") from None
+    inst = Instance(tuple(tuple(row) for row in times), big)
     if inst.n != data.get("n", inst.n) or inst.m != data.get("m", inst.m):
         raise ValueError("declared shape does not match the times matrix")
     return inst

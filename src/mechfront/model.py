@@ -33,7 +33,10 @@ def _as_matrix(rows, what: str) -> tuple:
     out = []
     width = None
     for r, row in enumerate(rows):
-        row = tuple(float(x) for x in row)
+        try:
+            row = tuple(float(x) for x in row)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{what}: row {r}: {e}") from None
         if width is None:
             width = len(row)
         elif len(row) != width:

@@ -9,7 +9,7 @@ orders tasks by decreasing best-case time and prunes a node when
 
 already reaches the incumbent beyond float dust.  Candidate values are always
 re-evaluated by accumulating each machine's times in ascending task order --
-the same arithmetic the brute-force oracle and `model.loads` use -- so the two
+`model.loads`, which the brute-force oracle uses too -- so the two
 solvers return bit-identical floats; the pruning comparison allows a 1e-9
 relative margin so a node can never be cut by summation-order noise alone.
 
@@ -18,17 +18,18 @@ lower-index machines with an identical `times` row and the same eligibility
 on every task.  At a node the search skips machine i when giving it the task
 would start a subtree that mirrors, leaf for leaf with i and k swapped, one
 already searched under a twin k < i.  The mirror must be bit-exact: the two
-machines' canonical sums must agree on every completion.  That holds when
-(a) both machines are still empty, whatever their loads read (undoing a
-placement by subtraction can leave float dust), or (b) they hold equal loads
-and every sum of the instance's entries is exact in floats (all entries are
-multiples of one power of two and no load can exceed 2^53 of them), so a sum
-does not depend on which tasks make it up.  Case (b) covers integer and
-dyadic instances such as `uniform`; elsewhere equal loads built from
-different tasks can round apart by an ulp, so only case (a) applies.
-Mirrored leaves come after the originals they copy and the incumbent only
-improves on a strict `<`, so the search returns the same value and the same
-witness as without the rule.
+machines' canonical sums must agree on every completion.  The search undoes
+a placement by restoring the saved load, so its loads are exact search-order
+sums, and the mirror holds when the twins' loads are equal and either
+(a) both are 0.0 -- the machines are empty or hold only zero-time tasks,
+which add nothing to any sum -- or (b) every sum of the instance's entries
+is exact in floats (all entries are multiples of one power of two and no
+load can exceed 2^53 of them), so a sum does not depend on which tasks make
+it up.  Case (b) covers integer and dyadic instances such as `uniform`;
+elsewhere equal loads built from different tasks can round apart by an
+ulp, so only case (a) applies.  Mirrored leaves come after the originals
+they copy and the incumbent only improves on a strict `<`, so the search
+returns the same value and the same witness as without the rule.
 
 The masked variants restrict each task to an
 eligibility set (used to scan the makespans reachable by a mechanism's
@@ -41,7 +42,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .model import BudgetExceededError, Instance
+from .model import BudgetExceededError, Instance, loads
+from .rules import _greedy_placement
 
 BRUTE_FORCE_BUDGET = 10 ** 7
 
@@ -84,18 +86,6 @@ def _check_mask(inst: Instance, mask: EligibilityMask) -> None:
             raise ValueError(f"task {j} allows machine {max(s)}, instance has {inst.n}")
 
 
-def _greedy_assignment(inst: Instance, allowed) -> list:
-    """Cheap feasible incumbent: place each task on the eligible machine whose
-    load stays lowest."""
-    loads = [0.0] * inst.n
-    assign = [0] * inst.m
-    for j in range(inst.m):
-        best = min(allowed[j], key=lambda i: (loads[i] + inst.times[i][j], i))
-        assign[j] = best
-        loads[best] += inst.times[best][j]
-    return assign
-
-
 def opt_makespan_masked(inst: Instance, mask: EligibilityMask, objective: str = "min") -> tuple:
     """Best ("min") or worst ("max") makespan over mask-respecting assignments.
 
@@ -112,9 +102,9 @@ def opt_makespan_masked(inst: Instance, mask: EligibilityMask, objective: str = 
 
     n, m = inst.n, inst.m
     times = inst.times
-    # biggest best-case tasks first tightens the bound early
-    order = sorted(range(m), key=lambda j: (-min(times[i][j] for i in allowed[j]), j))
     min_time = [min(times[i][j] for i in allowed[j]) for j in range(m)]
+    # biggest best-case tasks first tightens the bound early
+    order = sorted(range(m), key=lambda j: (-min_time[j], j))
     suffix_sum = [0.0] * (m + 1)
     suffix_max = [0.0] * (m + 1)
     for d in range(m - 1, -1, -1):
@@ -127,12 +117,10 @@ def opt_makespan_masked(inst: Instance, mask: EligibilityMask, objective: str = 
              for i in range(n)]
     exact = any(twins) and _sums_are_exact(times)
 
-    assign = _greedy_assignment(inst, allowed)
-    best_val = max(_loads_of(inst, assign))
-    best_assign = list(assign)
+    best_assign, greedy_loads = _greedy_placement(times, allowed)
+    best_val = max(greedy_loads)
 
-    loads = [0.0] * n
-    used = [0] * n  # tasks currently placed on each machine
+    load = [0.0] * n
     current = [0] * m
 
     def rec(depth: int, load_sum: float, load_max: float) -> None:
@@ -144,25 +132,23 @@ def opt_makespan_masked(inst: Instance, mask: EligibilityMask, objective: str = 
         if depth == m:
             # canonical re-evaluation: the search accumulated loads in `order`,
             # which can differ from ascending-task sums by an ulp
-            val = max(_loads_of(inst, current))
+            val = max(loads(inst, current))
             if val < best_val:
                 best_val = val
                 best_assign = list(current)
             return
         j = order[depth]
         for i in allowed[j]:
-            if twins[i] and any(used[k] == used[i] == 0 or (exact and loads[k] == loads[i])
-                                for k in twins[i]):
+            old = load[i]
+            if twins[i] and any(load[k] == old and (exact or old == 0.0) for k in twins[i]):
                 continue  # mirrors the subtree already searched under twin k
             t = times[i][j]
-            if max(load_max, loads[i] + t) >= cut:
+            if max(load_max, old + t) >= cut:
                 continue
-            loads[i] += t
-            used[i] += 1
+            load[i] = old + t
             current[j] = i
-            rec(depth + 1, load_sum + t, max(load_max, loads[i]))
-            loads[i] -= t
-            used[i] -= 1
+            rec(depth + 1, load_sum + t, max(load_max, load[i]))
+            load[i] = old
         current[j] = 0
 
     rec(0, 0.0, 0.0)
@@ -187,7 +173,7 @@ def _masked_max(inst: Instance, allowed) -> tuple:
         else:
             assign.append(allowed[j][0])
     # a parked machine could in principle exceed the full-set machine
-    val = max(_loads_of(inst, assign))
+    val = max(loads(inst, assign))
     return val, tuple(assign)
 
 
@@ -204,13 +190,6 @@ def _sums_are_exact(times) -> bool:
         num, den = max(col).as_integer_ratio()
         top += num * (scale // den)
     return top <= 2 ** 53
-
-
-def _loads_of(inst: Instance, assign) -> list:
-    loads = [0.0] * inst.n
-    for j, i in enumerate(assign):
-        loads[i] += inst.times[i][j]
-    return loads
 
 
 def opt_makespan(inst: Instance) -> tuple:
@@ -235,7 +214,7 @@ def brute_force_makespan(inst: Instance, mask: EligibilityMask | None = None,
     best_val = None
     best_assign = None
     for assign in itertools.product(*allowed):
-        val = max(_loads_of(inst, assign))
+        val = max(loads(inst, assign))
         if best_val is None or better(val, best_val):
             best_val = val
             best_assign = assign

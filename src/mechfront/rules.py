@@ -16,6 +16,7 @@ on a single profile.
 assigns tasks in index order to the machine whose reported load would stay
 lowest and pays each machine the sum of its winning reports.  It is not
 task-independent, so none of the per-task equilibrium machinery applies.
+Its placement over true times is the branch-and-bound solver's first incumbent.
 """
 from __future__ import annotations
 
@@ -26,29 +27,24 @@ import numpy as np
 from .model import MechanismId, Outcome, StrategyProfile, UnsupportedMechanismError
 
 
-def _argmin(bids) -> int:
-    # min() on the pairs would compare second elements; do it explicitly.
-    w = 0
-    for i in range(1, len(bids)):
-        if bids[i] < bids[w]:
-            w = i
-    return w
+def _greedy_placement(times, allowed) -> tuple:
+    """Place tasks in index order, each on the machine of `allowed[j]`
+    (ascending) whose load stays lowest, the first on ties.  `times` has one
+    row per machine; returns the winners and the loads, summed in task order."""
+    load = [0.0] * len(times)
+    winner = []
+    for j, machines in enumerate(allowed):
+        w = min(machines, key=lambda i: load[i] + times[i][j])
+        load[w] += times[w][j]
+        winner.append(w)
+    return winner, load
 
 
 def payload_greedy(profile: StrategyProfile) -> Outcome:
     """Assign tasks in index order to the machine with the lowest reported load
-    so far (lowest index on ties); pay every machine its winning reports."""
-    n, m = profile.n, profile.m
-    rep_load = [0.0] * n
-    winner = []
-    payments = [0.0] * n
-    for j in range(m):
-        col = profile.column(j)
-        w = _argmin([rep_load[i] + col[i] for i in range(n)])
-        rep_load[w] += col[w]
-        payments[w] += col[w]
-        winner.append(w)
-    return Outcome(tuple(winner), tuple(payments))
+    so far (lowest index on ties); pay every machine its winning reports,
+    which add up to its reported load."""
+    return Outcome(*_greedy_placement(profile.reports, [range(profile.n)] * profile.m))
 
 
 @dataclass(frozen=True)

@@ -372,6 +372,55 @@ def test_gen_requires_output(capsys):
     assert code == 2                    # argparse: missing -o
 
 
+# ---------------------------------------------------------------- bad input exits 2
+
+@pytest.mark.parametrize("argv, names", [
+    (["gen", "uniform"], ("'uniform'", "'n'")),
+    (["gen", "uniform", "n=3", "foo=2"], ("'uniform'", "'foo'")),
+    (["frontier", "-n", "3", "--alphas", "2", "--suite", "uniform"], ("'uniform'", "'n'")),
+    (["frontier", "-n", "3", "--alphas", "2", "--suite", "hat:n=3,alpha=2,variant=x"],
+     ("'hat'", "'variant'")),
+])
+def test_generator_parameter_errors_exit_two(capsys, tmp_path, argv, names):
+    if argv[0] == "gen":
+        argv = argv + ["-o", str(tmp_path / "x.json")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and all(name in err for name in names)
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"times": 5, "big": 1e6}, "times"),
+    ([1, 2], "times"),
+    ({"times": [[1.0]]}, "'big'"),
+])
+def test_malformed_instance_file_exits_two(capsys, tmp_path, data, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "opt", "-i", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("extra", [["--eps", "0"], ["--eps", "1e-320"], ["--cap", "inf"]])
+def test_probe_bad_eps_or_cap_exits_two(capsys, extra):
+    code, out, err = run_cli(capsys, "probe", "--mech", "sp", "-n", "2", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("grid, code", [("0,4", 2), ("1e-320,4", 3), ("1e-320,-1", 2)])
+def test_degenerate_grid_step_refused(capsys, tradeoff_file, grid, code):
+    got, out, err = run_cli(capsys, "equilibria", "-i", tradeoff_file, "--mech", "fp",
+                            "--grid", grid)
+    assert got == code
+    assert out == ""
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------- entry point
 
 def test_installed_entry_point_runs():

@@ -100,6 +100,24 @@ def test_default_grid_skips_off_grid_entries():
     assert 1.01 not in set(g.points)
 
 
+def test_default_grid_with_a_cap_anchors_only_entries_up_to_it():
+    inst = gen_tradeoff(3, 1.5)  # entries 2.0 and 0.5 below the sentinel
+    g = default_grid(inst, FP, 0.5, 1.0)
+    assert g.points.tolist() == [0.0, 0.5, 1.0]
+    assert g.anchors == (0.5,)
+    assert default_grid(inst, FP, 0.5, 3.0).anchors == (0.5, 2.0)
+
+
+def test_degenerate_steps_are_refused_without_overflow():
+    assert not on_grid(1.0, 1e-320)
+    with pytest.raises(ValueError):
+        default_grid(gen_tradeoff(3, 1.5), FP, 0.0, 1.0)
+    with pytest.raises(BudgetExceededError):
+        Grid(1e-320, 4.0)
+    with pytest.raises(ValueError):
+        Grid(1e-320, -1.0)
+
+
 def test_default_grid_accepts_plain_vectors():
     g = default_grid((1.0, 1.9, 1000000.0), SPA2)
     assert float(g.points[-1]) == pytest.approx(4.0)  # 2 * 1.9 + 0.2

@@ -191,6 +191,32 @@ def test_generator_spec_unknown_name():
         GeneratorSpec.parse("nosuch:n=2").build()
 
 
+def test_generator_spec_thm3_hat():
+    spec = GeneratorSpec.parse("thm3_hat:n=3")
+    assert spec.label() == "thm3_hat:n=3"
+    assert spec.build() == thm3_hat_image(3)
+
+
+@pytest.mark.parametrize("text, names", [
+    ("uniform", ("'uniform'", "'n'")),
+    ("uniform:n=3,foo=2", ("'uniform'", "'foo'")),
+    ("hat:n=3,alpha=2,variant=x", ("'hat'", "'variant'")),
+    ("thm3_hat:n=2,k=1", ("'thm3_hat'", "'k'")),
+    ("random:n=2,seed=1", ("'random'", "'m'")),
+])
+def test_generator_spec_names_a_missing_or_unknown_parameter(text, names):
+    with pytest.raises(ValueError) as err:
+        GeneratorSpec.parse(text).build()
+    assert all(name in str(err.value) for name in names)
+
+
+@pytest.mark.parametrize("kwargs", [{"hi": math.inf}, {"lo": -math.inf}, {"lo": math.nan},
+                                    {"grid_step": 0.0}, {"grid_step": 1e-320}])
+def test_gen_random_rejects_unbounded_ranges(kwargs):
+    with pytest.raises(ValueError):
+        gen_random(2, 2, seed=0, **kwargs)
+
+
 def test_generator_spec_circulant_builds_plain_matrix():
     a = GeneratorSpec.parse("circulant:n=3,alpha=2,delta=0.6").build()
     assert a == gen_circulant(3, 2.0, 0.6)
@@ -230,6 +256,21 @@ def test_text_format_shape(tmp_path):
     lines = p.read_text().strip().split("\n")
     assert lines[0].split() == ["3", "3", "1000000"]
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("data, field", [
+    ([1, 2], "'times'"),
+    ({"times": 5, "big": 1e6}, "times:"),
+    ({"times": [1.0, 2.0], "big": 1e6}, "times:"),
+    ({"times": [[1.0, None]], "big": 1e6}, "times: row 0"),
+    ({"times": [[1.0]]}, "'big'"),
+    ({"big": 1e6}, "'times'"),
+    ({"times": [[1.0]], "big": [1]}, "big:"),
+])
+def test_instance_from_dict_names_the_bad_field(data, field):
+    with pytest.raises(ValueError) as err:
+        instance_from_dict(data)
+    assert field in str(err.value)
 
 
 def test_dict_roundtrip():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mechfront import optsolver
+from mechfront import optsolver, rules
 from mechfront.instances import gen_random, gen_tradeoff, gen_uniform
 from mechfront.model import BudgetExceededError, Instance, makespan
 from mechfront.optsolver import (
@@ -129,7 +129,7 @@ def search_order_optimum(inst, mask):
     decreasing best eligible time, machines ascending)."""
     value, _ = brute_force_makespan(inst, mask)
     allowed = [sorted(s) for s in mask.allowed]
-    greedy = optsolver._greedy_assignment(inst, allowed)
+    greedy, _ = rules._greedy_placement(inst.times, allowed)
     if makespan(inst, greedy) == value:
         return value, tuple(greedy)
     order = sorted(range(inst.m),
@@ -146,11 +146,12 @@ def search_order_optimum(inst, mask):
 @st.composite
 def instances_with_twins(draw):
     """2-4 machines whose rows repeat a few distinct rows, with float entries
-    whose sums round (0.1 steps) or stay exact (dyadic), and a random mask."""
+    whose sums round (0.1 steps) or stay exact (dyadic), zeros among them so
+    that twins can hold load 0.0 while not empty, and a random mask."""
     n = draw(st.integers(2, 4))
     m = draw(st.integers(1, {2: 8, 3: 6, 4: 5}[n]))
-    values = draw(st.sampled_from([(0.1, 0.2, 0.3, 0.6, 0.7, 1 / 3),
-                                   (0.25, 0.5, 1.0, 1.5, 2.0)]))
+    values = draw(st.sampled_from([(0.0, 0.1, 0.2, 0.3, 0.6, 0.7, 1 / 3),
+                                   (0.0, 0.25, 0.5, 1.0, 1.5, 2.0)]))
     rows = draw(st.lists(st.tuples(*[st.sampled_from(values)] * m), min_size=1, max_size=n))
     times = tuple(draw(st.sampled_from(rows)) for _ in range(n))
     if draw(st.booleans()):
