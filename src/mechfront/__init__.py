@@ -8,18 +8,12 @@ from .model import (
     BudgetExceededError,
     Instance,
     MechanismId,
-    Outcome,
-    StrategyProfile,
-    UnsupportedMechanismError,
-    apply,
     loads,
     makespan,
-    utility,
 )
-from .rules import SingleTaskRule, payload_greedy, rule_for
+from .rules import SingleTaskRule, rule_for
 from .optsolver import (
     EligibilityMask,
-    brute_force_makespan,
     full_mask,
     opt_makespan,
     opt_makespan_masked,

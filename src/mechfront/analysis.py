@@ -137,6 +137,8 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
     alphas = [float(a) for a in alphas]
     if any(a < 1 for a in alphas):
         raise ValueError("alphas must be >= 1")
+    if suite is not None and not suite:
+        raise ValueError("the frontier suite is empty")
     built = {}  # GeneratorSpec -> Instance
     optima = {}  # Instance -> opt_makespan's (value, witness)
     points = []

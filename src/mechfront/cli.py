@@ -22,7 +22,7 @@ import math
 import sys
 
 from . import analysis, equilibria, instances
-from .model import BudgetExceededError, MechanismId, UnsupportedMechanismError
+from .model import BudgetExceededError, MechanismId
 from .optsolver import opt_makespan, opt_makespan_masked
 from .rules import rule_for
 
@@ -145,8 +145,6 @@ def _dispatch(args) -> int:
     if args.verb == "equilibria":
         inst = _load_instance(args.instance)
         mech = MechanismId.parse(args.mech)
-        if mech.kind == "greedy":
-            raise UnsupportedMechanismError("greedy has no per-task equilibria")
         rule = rule_for(mech, inst.n)
         grid = _grid_for(inst, mech, args.grid)
         tasks = [args.task] if args.task is not None else list(range(inst.m))

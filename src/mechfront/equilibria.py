@@ -41,13 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    DEFAULT_BIG,
-    BudgetExceededError,
-    Instance,
-    MechanismId,
-    UnsupportedMechanismError,
-)
+from .model import DEFAULT_BIG, BudgetExceededError, Instance, MechanismId
 from .optsolver import EligibilityMask
 from .rules import SingleTaskRule, rule_for
 
@@ -279,10 +273,6 @@ def _column_winners(mech: MechanismId, col, big: float) -> frozenset:
 def achievable_winners(mech: MechanismId, inst: Instance) -> EligibilityMask:
     """Per-task equilibrium winner sets, by closed form (no enumeration):
     allowed[j] = machines that win task j in some equilibrium."""
-    if mech.kind == "greedy":
-        raise UnsupportedMechanismError(
-            "payload_greedy is not task-independent; no winner-set analysis"
-        )
     if mech.kind in ("sp", "spa") and inst.n < 2:
         raise ValueError(f"{mech} needs n >= 2")
     return EligibilityMask(
@@ -321,8 +311,6 @@ def canonical_certificate(mech: MechanismId, inst: Instance,
     re-verified against the grid before the certificate is returned;
     construction failures raise ValueError.
     """
-    if mech.kind == "greedy":
-        raise UnsupportedMechanismError("no canonical equilibrium for payload_greedy")
     if grid is None:
         grid = default_grid(inst, mech)
     rule = rule_for(mech, inst.n)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -246,8 +246,12 @@ class GeneratorSpec:
                 if not _:
                     raise ValueError(f"bad generator parameter {part!r}")
                 key = key.strip()
-                params[key] = int(val) if key in _INT_PARAMS else (
-                    val if key == "variant" else float(val))
+                kind = str if key == "variant" else int if key in _INT_PARAMS else float
+                try:
+                    params[key] = kind(val)
+                except ValueError:
+                    raise ValueError(f"generator {name!r}: parameter {key!r} wants "
+                                     f"{kind.__name__}, got {val!r}") from None
         return GeneratorSpec(name, tuple(params.items()))
 
     def build(self):

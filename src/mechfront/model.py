@@ -1,10 +1,11 @@
 """Core objects for strategic scheduling on unrelated machines.
 
 An instance has n machines and m tasks; entry times[i][j] is the true time
-machine i needs for task j.  Machines report a time for every task, a
-mechanism picks one winner per task and pays each machine, and a machine's
-utility is its total payment minus the true time it spends on the tasks it
-won.  The makespan of an outcome is the largest total true load.
+machine i needs for task j.  Machines report a time for every task, and a
+mechanism awards each task on its own: one winner per task, paid by a
+single-task rule (see `rules`).  A machine's utility is its total payment
+minus the true time it spends on the tasks it won.  The makespan of a winner
+vector is the largest total true load.
 
 Entries at or above ``big`` are sentinels: "this machine effectively cannot
 run this task".  The constructor enforces that the sentinel dominates any
@@ -13,20 +14,15 @@ conceivable finite schedule so that optimal assignments never touch it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DEFAULT_BIG = 10 ** 6
 
-MECHANISM_KINDS = ("fp", "sp", "spa", "greedy")
+MECHANISM_KINDS = ("fp", "sp", "spa")
 
 
 class BudgetExceededError(RuntimeError):
     """An exhaustive computation would scan more states than its budget allows."""
-
-
-class UnsupportedMechanismError(ValueError):
-    """The requested analysis is not defined for this mechanism (e.g. the
-    load-greedy baseline has no per-task equilibrium structure)."""
 
 
 def _as_matrix(rows, what: str) -> tuple:
@@ -94,48 +90,8 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class StrategyProfile:
-    """Reported times, same shape as the instance's `times`."""
-
-    reports: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "reports", _as_matrix(self.reports, "reports"))
-
-    @property
-    def n(self) -> int:
-        return len(self.reports)
-
-    @property
-    def m(self) -> int:
-        return len(self.reports[0])
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.reports)
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """winner[j] is the machine that runs task j; payments has one entry per machine."""
-
-    winner: tuple
-    payments: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "winner", tuple(int(w) for w in self.winner))
-        object.__setattr__(self, "payments", tuple(float(p) for p in self.payments))
-        n = len(self.payments)
-        for j, w in enumerate(self.winner):
-            if not 0 <= w < n:
-                raise ValueError(f"winner[{j}]={w} out of range for {n} machines")
-        for i, p in enumerate(self.payments):
-            if p < 0 or math.isnan(p):
-                raise ValueError(f"payments[{i}]={p} must be >= 0")
-
-
-@dataclass(frozen=True)
 class MechanismId:
-    """Which mechanism: kind in {fp, sp, spa, greedy}; spa carries its
+    """Which mechanism: kind in {fp, sp, spa}; spa carries its
     multiplier alpha.  Every mechanism breaks ties toward the lowest machine
     index."""
 
@@ -167,14 +123,10 @@ class MechanismId:
         return MechanismId("spa", alpha)
 
     @staticmethod
-    def greedy() -> "MechanismId":
-        return MechanismId("greedy")
-
-    @staticmethod
     def parse(text: str) -> "MechanismId":
-        """Parse 'fp', 'sp', 'greedy', or 'spa:<alpha>'."""
+        """Parse 'fp', 'sp', or 'spa:<alpha>'."""
         text = text.strip().lower()
-        if text in ("fp", "sp", "greedy"):
+        if text in ("fp", "sp"):
             return MechanismId(text)
         if text.startswith("spa:"):
             return MechanismId.spa(float(text.split(":", 1)[1]))
@@ -194,34 +146,8 @@ def loads(inst: Instance, winner) -> list:
     return out
 
 
-def makespan(inst: Instance, out: Outcome | tuple) -> float:
-    """Largest machine load under `out` (an Outcome or a raw winner vector)."""
-    winner = out.winner if isinstance(out, Outcome) else out
+def makespan(inst: Instance, winner) -> float:
+    """Largest machine load under the task->machine assignment `winner`."""
     if len(winner) != inst.m:
         raise ValueError(f"assignment covers {len(winner)} tasks, instance has {inst.m}")
     return max(loads(inst, winner))
-
-
-def apply(mech: MechanismId, profile: StrategyProfile) -> Outcome:
-    """Run the mechanism on reported times and return winners plus payments."""
-    from . import rules  # local import: rules builds on these types
-
-    if mech.kind == "greedy":
-        return rules.payload_greedy(profile)
-    rule = rules.rule_for(mech, profile.n)
-    winner, pay = rule.batch([profile.column(j) for j in range(profile.m)])
-    payments = [0.0] * profile.n
-    for w, p in zip(winner.tolist(), pay.tolist()):
-        payments[w] += p
-    return Outcome(winner, payments)
-
-
-def utility(mech: MechanismId, inst: Instance, profile: StrategyProfile, machine: int) -> float:
-    """Payment received minus true time spent on won tasks, for one machine."""
-    if inst.n != profile.n or inst.m != profile.m:
-        raise ValueError("instance and profile shapes differ")
-    if not 0 <= machine < inst.n:
-        raise ValueError(f"machine {machine} out of range")
-    out = apply(mech, profile)
-    spent = sum(inst.times[machine][j] for j, w in enumerate(out.winner) if w == machine)
-    return out.payments[machine] - spent

@@ -1,4 +1,4 @@
-"""Exact makespan optimization by branch-and-bound, plus brute-force oracles.
+"""Exact makespan optimization by branch-and-bound.
 
 `opt_makespan` minimizes the makespan over all n^m assignments.  The search
 orders tasks by decreasing best-case time and prunes a node when
@@ -9,8 +9,8 @@ orders tasks by decreasing best-case time and prunes a node when
 
 already reaches the incumbent beyond float dust.  Candidate values are always
 re-evaluated by accumulating each machine's times in ascending task order --
-`model.loads`, which the brute-force oracle uses too -- so the two
-solvers return bit-identical floats; the pruning comparison allows a 1e-9
+`model.loads`, which the brute-force oracle in the tests uses too -- so the
+two solvers return bit-identical floats; the pruning comparison allows a 1e-9
 relative margin so a node can never be cut by summation-order noise alone.
 
 Interchangeable machines are searched once.  A machine's *twins* are the
@@ -31,21 +31,19 @@ ulp, so only case (a) applies.  Mirrored leaves come after the originals
 they copy and the incumbent only improves on a strict `<`, so the search
 returns the same value and the same witness as without the rule.
 
+The first incumbent is the load-greedy placement: tasks in index order,
+each on its least-loaded eligible machine.
+
 The masked variants restrict each task to an
 eligibility set (used to scan the makespans reachable by a mechanism's
 equilibrium winner sets); `objective="max"` finds the *worst* reachable
-makespan instead.  A brute-force oracle is kept for cross-checking; it
-refuses anything past `budget` assignments.
+makespan instead.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .model import BudgetExceededError, Instance, loads
-from .rules import _greedy_placement
-
-BRUTE_FORCE_BUDGET = 10 ** 7
+from .model import Instance, loads
 
 
 @dataclass(frozen=True)
@@ -84,6 +82,19 @@ def _check_mask(inst: Instance, mask: EligibilityMask) -> None:
     for j, s in enumerate(mask.allowed):
         if max(s) >= inst.n:
             raise ValueError(f"task {j} allows machine {max(s)}, instance has {inst.n}")
+
+
+def _greedy_placement(times, allowed) -> tuple:
+    """Place tasks in index order, each on the machine of `allowed[j]`
+    (ascending) whose load stays lowest, the first on ties.  `times` has one
+    row per machine; returns the winners and the loads, summed in task order."""
+    load = [0.0] * len(times)
+    winner = []
+    for j, machines in enumerate(allowed):
+        w = min(machines, key=lambda i: load[i] + times[i][j])
+        load[w] += times[w][j]
+        winner.append(w)
+    return winner, load
 
 
 def opt_makespan_masked(inst: Instance, mask: EligibilityMask, objective: str = "min") -> tuple:
@@ -195,27 +206,3 @@ def _sums_are_exact(times) -> bool:
 def opt_makespan(inst: Instance) -> tuple:
     """Minimum makespan over all n^m assignments; returns (value, witness)."""
     return opt_makespan_masked(inst, full_mask(inst), "min")
-
-
-def brute_force_makespan(inst: Instance, mask: EligibilityMask | None = None,
-                         objective: str = "min", budget: int = BRUTE_FORCE_BUDGET) -> tuple:
-    """Exhaustive oracle for the solvers above; refuses more than `budget` assignments."""
-    if objective not in ("min", "max"):
-        raise ValueError("objective must be 'min' or 'max'")
-    mask = full_mask(inst) if mask is None else mask
-    _check_mask(inst, mask)
-    allowed = [sorted(s) for s in mask.allowed]
-    count = 1
-    for s in allowed:
-        count *= len(s)
-        if count > budget:
-            raise BudgetExceededError(f"assignment space exceeds budget {budget}")
-    better = (lambda a, b: a < b) if objective == "min" else (lambda a, b: a > b)
-    best_val = None
-    best_assign = None
-    for assign in itertools.product(*allowed):
-        val = max(loads(inst, assign))
-        if best_val is None or better(val, best_val):
-            best_val = val
-            best_assign = assign
-    return best_val, tuple(best_assign)

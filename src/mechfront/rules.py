@@ -1,7 +1,7 @@
-"""Single-task payment rules and the load-greedy baseline.
+"""Single-task payment rules.
 
-Each single-task rule takes one reported bid per machine, awards the task to
-the lowest bidder (lowest index on ties), and pays only the winner:
+Each rule takes one reported bid per machine, awards the task to the lowest
+bidder (lowest index on ties), and pays only the winner:
 
   fp   -- the winner is paid its own bid.
   sp   -- the winner is paid the lowest bid among the other machines.
@@ -10,13 +10,7 @@ the lowest bidder (lowest index on ties), and pays only the winner:
           alpha = 1 collapses to fp (the cap always binds at the own bid).
 
 `SingleTaskRule.batch` is the one definition of all three; `outcome` runs it
-on a single profile.
-
-`payload_greedy` is a whole-profile mechanism kept around as a foil: it
-assigns tasks in index order to the machine whose reported load would stay
-lowest and pays each machine the sum of its winning reports.  It is not
-task-independent, so none of the per-task equilibrium machinery applies.
-Its placement over true times is the branch-and-bound solver's first incumbent.
+on a single profile.  A mechanism applies its rule to every task on its own.
 """
 from __future__ import annotations
 
@@ -24,27 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MechanismId, Outcome, StrategyProfile, UnsupportedMechanismError
-
-
-def _greedy_placement(times, allowed) -> tuple:
-    """Place tasks in index order, each on the machine of `allowed[j]`
-    (ascending) whose load stays lowest, the first on ties.  `times` has one
-    row per machine; returns the winners and the loads, summed in task order."""
-    load = [0.0] * len(times)
-    winner = []
-    for j, machines in enumerate(allowed):
-        w = min(machines, key=lambda i: load[i] + times[i][j])
-        load[w] += times[w][j]
-        winner.append(w)
-    return winner, load
-
-
-def payload_greedy(profile: StrategyProfile) -> Outcome:
-    """Assign tasks in index order to the machine with the lowest reported load
-    so far (lowest index on ties); pay every machine its winning reports,
-    which add up to its reported load."""
-    return Outcome(*_greedy_placement(profile.reports, [range(profile.n)] * profile.m))
+from .model import MechanismId
 
 
 @dataclass(frozen=True)
@@ -60,8 +34,6 @@ class SingleTaskRule:
     n: int
 
     def __post_init__(self):
-        if self.id.kind == "greedy":
-            raise UnsupportedMechanismError("payload_greedy is not a single-task rule")
         if self.n < 1:
             raise ValueError("need n >= 1")
         if self.id.kind in ("sp", "spa") and self.n < 2:

@@ -2,11 +2,19 @@
 
 The scalar fp/sp/spa rules and the per-machine deviation scan are the
 straightforward versions of `SingleTaskRule.batch` and `verify_equilibrium`;
-the tests compare the production paths against them.
+`apply` and `utility` play the whole game on complete report matrices with
+the scalar rules; `brute_force_makespan` enumerates every assignment.  The
+tests compare the production paths against them.
 """
+import itertools
+
 import numpy as np
 
 from mechfront.equilibria import VerifyResult
+from mechfront.model import BudgetExceededError, loads
+from mechfront.optsolver import _check_mask, full_mask
+
+BRUTE_FORCE_BUDGET = 10 ** 7
 
 
 def _check_bids(bids) -> tuple:
@@ -69,6 +77,52 @@ def scalar_outcome(mech, bids) -> tuple:
     else:
         w, pay = spa_rule(mech.alpha, bids)
     return w, pay[w]
+
+
+def apply(mech, reports) -> tuple:
+    """Whole-game outcome of a report matrix (one row per machine): each
+    column goes to the scalar rule; returns the winner of every task and
+    every machine's total payment."""
+    winner = []
+    payments = [0.0] * len(reports)
+    for col in zip(*reports):
+        w, pay = scalar_outcome(mech, col)
+        winner.append(w)
+        payments[w] += pay
+    return tuple(winner), tuple(payments)
+
+
+def utility(mech, inst, reports, machine: int) -> float:
+    """Total payment minus true time spent on won tasks, for one machine."""
+    winner, payments = apply(mech, reports)
+    spent = sum(inst.times[machine][j] for j, w in enumerate(winner) if w == machine)
+    return payments[machine] - spent
+
+
+def brute_force_makespan(inst, mask=None, objective: str = "min",
+                         budget: int = BRUTE_FORCE_BUDGET) -> tuple:
+    """Best ("min") or worst ("max") makespan over every mask-respecting
+    assignment, the first in product order on ties; refuses more than
+    `budget` assignments."""
+    if objective not in ("min", "max"):
+        raise ValueError("objective must be 'min' or 'max'")
+    mask = full_mask(inst) if mask is None else mask
+    _check_mask(inst, mask)
+    allowed = [sorted(s) for s in mask.allowed]
+    count = 1
+    for s in allowed:
+        count *= len(s)
+        if count > budget:
+            raise BudgetExceededError(f"assignment space exceeds budget {budget}")
+    better = (lambda a, b: a < b) if objective == "min" else (lambda a, b: a > b)
+    best_val = None
+    best_assign = None
+    for assign in itertools.product(*allowed):
+        val = max(loads(inst, assign))
+        if best_val is None or better(val, best_val):
+            best_val = val
+            best_assign = assign
+    return best_val, tuple(best_assign)
 
 
 def per_machine_scan(rule, true_times, bids, grid) -> VerifyResult:

@@ -29,13 +29,9 @@ from mechfront.instances import (
     thm3_hat_image,
 )
 from mechfront.model import Instance, MechanismId
-from mechfront.optsolver import (
-    EligibilityMask,
-    brute_force_makespan,
-    opt_makespan,
-    opt_makespan_masked,
-)
+from mechfront.optsolver import EligibilityMask, opt_makespan, opt_makespan_masked
 from mechfront.rules import rule_for
+from oracles import brute_force_makespan
 
 FP = MechanismId.parse("fp")
 SP = MechanismId.parse("sp")

@@ -27,7 +27,7 @@ from mechfront.instances import (
     regression_suite,
     thm3_hat_image,
 )
-from mechfront.model import Instance, MechanismId, UnsupportedMechanismError
+from mechfront.model import Instance, MechanismId
 from mechfront.rules import rule_for
 
 FP = MechanismId.parse("fp")
@@ -122,11 +122,6 @@ def test_ratio_zero_over_zero_is_one():
     assert r.pos_ratio == 1.0
 
 
-def test_inefficiency_rejects_greedy():
-    with pytest.raises(UnsupportedMechanismError):
-        inefficiency(MechanismId.parse("greedy"), gen_uniform(2))
-
-
 def test_report_dict_shape():
     d = inefficiency(FP, gen_tradeoff(3, 1.5)).to_dict()
     assert d["mech"] == "fp"
@@ -171,6 +166,11 @@ def test_frontier_rejects_bad_args():
         frontier_sweep(1, [2.0])
     with pytest.raises(ValueError):
         frontier_sweep(3, [0.5])
+
+
+def test_frontier_rejects_empty_suite():
+    with pytest.raises(ValueError, match="suite is empty"):
+        frontier_sweep(3, [2.0], [])
 
 
 def test_default_frontier_suite_shape():

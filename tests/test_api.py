@@ -1,22 +1,27 @@
-"""The public API of the package, pinned so that it only grows on purpose."""
+"""The public API of the package and its module layering, pinned so that
+they only change on purpose."""
+import ast
 import dataclasses
+import pathlib
 import types
 
 import mechfront
+
+PACKAGE_DIR = pathlib.Path(mechfront.__file__).parent
 
 PUBLIC_NAMES = [
     "AnonymityResult", "BudgetExceededError", "CombiPremiseError", "DEFAULT_BIG",
     "EligibilityMask", "EnumerationResult", "EquilibriumCertificate", "FrontierPoint",
     "GeneratorSpec", "Grid", "InefficiencyReport", "Instance", "MechanismId",
-    "MonotonicityResult", "Outcome", "ProbeMatrix", "SingleTaskRule", "StrategyProfile",
-    "UnsupportedMechanismError", "VerifyResult", "achievable_winners", "anonymity_check",
-    "apply", "brute_force_makespan", "canonical_certificate", "check_combi", "check_tech1",
-    "combi_row_best", "default_grid", "enumerate_equilibria", "frontier_sweep", "full_mask",
-    "gen_canonical", "gen_circulant", "gen_fp_pos", "gen_hat", "gen_random", "gen_thm3_hat",
-    "gen_tradeoff", "gen_uniform", "inefficiency", "load_instance", "load_text", "loads",
-    "makespan", "monotonicity_check", "opt_makespan", "opt_makespan_masked",
-    "payload_greedy", "probe_matrix", "regression_suite", "rule_for", "save_instance",
-    "save_text", "thm3_hat_image", "utility", "verify_equilibrium",
+    "MonotonicityResult", "ProbeMatrix", "SingleTaskRule", "VerifyResult",
+    "achievable_winners", "anonymity_check", "canonical_certificate", "check_combi",
+    "check_tech1", "combi_row_best", "default_grid", "enumerate_equilibria",
+    "frontier_sweep", "full_mask", "gen_canonical", "gen_circulant", "gen_fp_pos",
+    "gen_hat", "gen_random", "gen_thm3_hat", "gen_tradeoff", "gen_uniform",
+    "inefficiency", "load_instance", "load_text", "loads", "makespan",
+    "monotonicity_check", "opt_makespan", "opt_makespan_masked", "probe_matrix",
+    "regression_suite", "rule_for", "save_instance", "save_text", "thm3_hat_image",
+    "verify_equilibrium",
 ]
 
 
@@ -35,3 +40,34 @@ def test_record_fields():
         ["profile", "winner", "checked_deviations"]
     assert fields(mechfront.EnumerationResult) == ["profiles", "winners", "scanned"]
     assert fields(mechfront.ProbeMatrix) == ["a", "eps", "rule"]
+
+
+def package_imports(tree) -> set:
+    """Package modules a module imports, by name ("model" for `from .model
+    import ...` or `from mechfront.model import ...`)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                out.update([node.module] if node.module else
+                           [alias.name for alias in node.names])
+            elif node.module and node.module.split(".")[0] == "mechfront":
+                out.add(node.module.partition(".")[2] or "__init__")
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.partition(".")[2] for alias in node.names
+                       if alias.name.split(".")[0] == "mechfront")
+    return out
+
+
+def test_module_layering():
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE_DIR.glob("*.py")}
+    assert {"model", "rules", "optsolver", "cli"} <= set(trees)
+    assert package_imports(trees["model"]) == set()
+    assert package_imports(trees["rules"]) == {"model"}
+    assert package_imports(trees["optsolver"]) == {"model"}
+    # every package import sits at module level: no function-local cycles
+    for name, tree in trees.items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local = package_imports(func)
+                assert not local, f"{name}.{func.name} imports {sorted(local)} locally"

@@ -281,6 +281,14 @@ def test_frontier_bad_alpha(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("suite", [";", " ; ;"])
+def test_frontier_empty_suite(capsys, suite):
+    code, out, err = run_cli(capsys, "frontier", "-n", "3", "--alphas", "2", "--suite", suite)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the frontier suite is empty\n"
+
+
 # ---------------------------------------------------------------- probe
 
 def test_probe_spa2(capsys):
@@ -380,6 +388,8 @@ def test_gen_requires_output(capsys):
     (["frontier", "-n", "3", "--alphas", "2", "--suite", "uniform"], ("'uniform'", "'n'")),
     (["frontier", "-n", "3", "--alphas", "2", "--suite", "hat:n=3,alpha=2,variant=x"],
      ("'hat'", "'variant'")),
+    (["gen", "uniform", "n=1.5"], ("'uniform'", "'n'", "'1.5'")),
+    (["gen", "hat", "n=3", "alpha=zz"], ("'hat'", "'alpha'", "'zz'")),
 ])
 def test_generator_parameter_errors_exit_two(capsys, tmp_path, argv, names):
     if argv[0] == "gen":

@@ -16,16 +16,9 @@ from mechfront.equilibria import (
     verify_equilibrium,
 )
 from mechfront.instances import gen_fp_pos, gen_hat, gen_random, gen_tradeoff
-from mechfront.model import (
-    BudgetExceededError,
-    Instance,
-    MechanismId,
-    StrategyProfile,
-    UnsupportedMechanismError,
-    apply,
-)
+from mechfront.model import BudgetExceededError, Instance, MechanismId
 from mechfront.rules import SingleTaskRule, rule_for
-from oracles import per_machine_scan
+from oracles import per_machine_scan, utility
 
 FP = MechanismId.parse("fp")
 SP = MechanismId.parse("sp")
@@ -289,12 +282,6 @@ def test_achievable_winners_sp_excludes_sentinels():
     assert ws.allowed[1] == {0, 1}
 
 
-def test_achievable_winners_rejects_greedy():
-    inst = Instance(((1.0,), (2.0,)))
-    with pytest.raises(UnsupportedMechanismError):
-        achievable_winners(MechanismId.parse("greedy"), inst)
-
-
 def test_bucket_boundary_machine_is_achievable():
     """A machine sitting exactly at alpha * t_min belongs to the winner set:
     cross-check the closed form against exhaustive enumeration."""
@@ -393,11 +380,6 @@ def test_canonical_certificate_handles_off_grid_times(mid):
     assert columns_verify(mech, inst, cert)
 
 
-def test_canonical_certificate_rejects_greedy():
-    with pytest.raises(UnsupportedMechanismError):
-        canonical_certificate(MechanismId.parse("greedy"), gen_tradeoff(3, 1.5))
-
-
 @pytest.mark.parametrize("mid", ["fp", "sp", "spa:2"])
 def test_canonical_certificate_losers_bid_grid_points(mid):
     # task 3's fastest time is 1.7000000000000002, and adding the step to it
@@ -446,9 +428,7 @@ def test_per_task_equilibria_compose_and_decompose():
     pts = [float(x) for x in g.points]
 
     def game_utility(rows, i):
-        out = apply(mech, StrategyProfile(tuple(rows)))
-        spent = sum(inst.times[i][j] for j in range(inst.m) if out.winner[j] == i)
-        return out.payments[i] - spent
+        return utility(mech, inst, rows, i)
 
     def is_whole_game_eq(rows):
         for i in range(inst.n):

@@ -210,6 +210,16 @@ def test_generator_spec_names_a_missing_or_unknown_parameter(text, names):
     assert all(name in str(err.value) for name in names)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("uniform:n=1.5", "generator 'uniform': parameter 'n' wants int, got '1.5'"),
+    ("hat:n=3,alpha=zz", "generator 'hat': parameter 'alpha' wants float, got 'zz'"),
+])
+def test_generator_spec_names_a_value_that_does_not_convert(text, message):
+    with pytest.raises(ValueError) as err:
+        GeneratorSpec.parse(text)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("kwargs", [{"hi": math.inf}, {"lo": -math.inf}, {"lo": math.nan},
                                     {"grid_step": 0.0}, {"grid_step": 1e-320}])
 def test_gen_random_rejects_unbounded_ranges(kwargs):

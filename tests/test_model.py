@@ -1,17 +1,7 @@
 import pytest
 
-from mechfront.model import (
-    DEFAULT_BIG,
-    Instance,
-    MechanismId,
-    Outcome,
-    StrategyProfile,
-    UnsupportedMechanismError,
-    apply,
-    loads,
-    makespan,
-    utility,
-)
+from mechfront.model import DEFAULT_BIG, Instance, MechanismId, loads, makespan
+from oracles import apply, utility
 
 
 def test_instance_basic_shape():
@@ -59,7 +49,7 @@ def test_is_sentinel():
 
 
 def test_mechanism_id_parse_roundtrip():
-    for s in ("fp", "sp", "greedy", "spa:2", "spa:1.5"):
+    for s in ("fp", "sp", "spa:2", "spa:1.5"):
         mech = MechanismId.parse(s)
         assert str(mech) == s
         assert MechanismId.parse(str(mech)) == mech
@@ -71,6 +61,15 @@ def test_mechanism_id_spa_alpha():
     assert mech.alpha == 2.0
     # alpha is a spa-only concept
     assert MechanismId.parse("fp").alpha is None
+
+
+def test_mechanism_id_rejects_greedy():
+    """The load-greedy baseline is not a task-independent mechanism and is
+    not a kind: parsing it fails like any other unknown name."""
+    with pytest.raises(ValueError, match="cannot parse mechanism 'greedy'"):
+        MechanismId.parse("greedy")
+    with pytest.raises(ValueError, match="unknown mechanism kind 'greedy'"):
+        MechanismId("greedy")
 
 
 @pytest.mark.parametrize("bad", ["", "spa", "spa:0", "spa:0.5", "third", "fp:2"])
@@ -87,14 +86,6 @@ def test_mechanism_id_rejects_non_finite_alpha(alpha):
         MechanismId.parse(f"spa:{alpha}")
 
 
-def test_strategy_profile_shape():
-    prof = StrategyProfile(((1.0, 2.0), (3.0, 4.0)))
-    assert prof.n == 2
-    assert prof.m == 2
-    with pytest.raises(ValueError):
-        StrategyProfile(((1.0,), (2.0, 3.0)))
-
-
 def test_loads_and_makespan():
     inst = Instance(((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)))
     assignment = (0, 1, 0)  # machine 0 takes tasks 0 and 2
@@ -104,42 +95,42 @@ def test_loads_and_makespan():
 
 def test_makespan_of_outcome():
     inst = Instance(((1.0, 2.0), (3.0, 1.0)))
-    out = Outcome(winner=(0, 1), payments=(1.0, 1.0))
-    assert makespan(inst, out) == 1.0
+    assert makespan(inst, (0, 1)) == 1.0
+    with pytest.raises(ValueError, match="covers 1 tasks"):
+        makespan(inst, (0,))
 
+
+# The whole game, played by the test oracle (tests/oracles.py) that
+# tests/test_equilibria.py checks the per-task equilibria against.
 
 def test_apply_spa_example():
     """One task, three machines bidding 1 / 1.5 / 3 under alpha=2: the
     low bidder wins and is paid min(second-lowest, 2 * own) = 1.5."""
-    prof = StrategyProfile(((1.0,), (1.5,), (3.0,)))
-    out = apply(MechanismId.parse("spa:2"), prof)
-    assert out.winner == (0,)
-    assert out.payments == (1.5, 0.0, 0.0)
+    winner, payments = apply(MechanismId.parse("spa:2"), ((1.0,), (1.5,), (3.0,)))
+    assert winner == (0,)
+    assert payments == (1.5, 0.0, 0.0)
 
 
 def test_apply_spa_reserve_binds():
-    prof = StrategyProfile(((1.0,), (3.0,), (4.0,)))
-    out = apply(MechanismId.parse("spa:2"), prof)
-    assert out.payments[0] == 2.0  # reserve 2*1 < second-lowest 3
+    _, payments = apply(MechanismId.parse("spa:2"), ((1.0,), (3.0,), (4.0,)))
+    assert payments[0] == 2.0  # reserve 2*1 < second-lowest 3
 
 
 def test_apply_fp_pays_own_bid():
-    prof = StrategyProfile(((1.0, 2.0), (1.5, 1.0)))
-    out = apply(MechanismId.parse("fp"), prof)
-    assert out.winner == (0, 1)
-    assert out.payments == (1.0, 1.0)
+    winner, payments = apply(MechanismId.parse("fp"), ((1.0, 2.0), (1.5, 1.0)))
+    assert winner == (0, 1)
+    assert payments == (1.0, 1.0)
 
 
 def test_apply_ties_go_to_lowest_index():
-    prof = StrategyProfile(((2.0,), (2.0,), (2.0,)))
-    for s in ("fp", "sp", "spa:3", "greedy"):
-        out = apply(MechanismId.parse(s), prof)
-        assert out.winner == (0,)
+    for s in ("fp", "sp", "spa:3"):
+        winner, _ = apply(MechanismId.parse(s), ((2.0,), (2.0,), (2.0,)))
+        assert winner == (0,)
 
 
 def test_utility_is_payment_minus_time():
     inst = Instance(((1.0,), (2.0,)))
-    prof = StrategyProfile(((1.0,), (1.5,)))
+    prof = ((1.0,), (1.5,))
     mech = MechanismId.parse("fp")
     assert utility(mech, inst, prof, 0) == pytest.approx(0.0)  # paid 1, spent 1
     assert utility(mech, inst, prof, 1) == 0.0  # wins nothing
@@ -150,7 +141,7 @@ def test_utility_is_payment_minus_time():
 
 def test_utility_spans_tasks():
     inst = Instance(((1.0, 1.0), (2.0, 2.0)))
-    prof = StrategyProfile(((1.0, 1.0), (2.0, 2.0)))
+    prof = ((1.0, 1.0), (2.0, 2.0))
     # fp: wins both, paid 1 each, spends 1 each
     assert utility(MechanismId.parse("fp"), inst, prof, 0) == pytest.approx(0.0)
     # sp: paid 2 each

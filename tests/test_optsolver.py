@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mechfront import optsolver, rules
+from mechfront import optsolver
 from mechfront.instances import gen_random, gen_tradeoff, gen_uniform
 from mechfront.model import BudgetExceededError, Instance, makespan
 from mechfront.optsolver import (
     EligibilityMask,
-    brute_force_makespan,
     full_mask,
     opt_makespan,
     opt_makespan_masked,
 )
+from oracles import brute_force_makespan
 
 
 def test_opt_on_tradeoff_instance():
@@ -129,7 +129,7 @@ def search_order_optimum(inst, mask):
     decreasing best eligible time, machines ascending)."""
     value, _ = brute_force_makespan(inst, mask)
     allowed = [sorted(s) for s in mask.allowed]
-    greedy, _ = rules._greedy_placement(inst.times, allowed)
+    greedy, _ = optsolver._greedy_placement(inst.times, allowed)
     if makespan(inst, greedy) == value:
         return value, tuple(greedy)
     order = sorted(range(inst.m),

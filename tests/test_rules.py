@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mechfront.model import MechanismId, StrategyProfile, apply
-from mechfront.rules import payload_greedy, rule_for
-from oracles import scalar_outcome, sp_rule, spa_rule
+from mechfront.model import MechanismId
+from mechfront.optsolver import _greedy_placement
+from mechfront.rules import rule_for
+from oracles import apply, scalar_outcome, sp_rule, spa_rule
 
 FP = MechanismId.parse("fp")
 SP = MechanismId.parse("sp")
@@ -42,15 +43,19 @@ def test_ties_break_to_lowest_index():
 
 
 def test_losers_paid_nothing():
-    profile = StrategyProfile(((1.0, 3.0), (2.0, 1.0)))
+    """The oracle game pays each machine for the tasks it wins, and `batch`
+    picks the same winners column by column."""
+    profile = ((1.0, 3.0), (2.0, 1.0))
     for mid in ("fp", "sp", "spa:3"):
-        out = apply(MechanismId.parse(mid), profile)
-        assert out.winner == (0, 1)
-        assert all(p > 0 for p in out.payments)
+        mech = MechanismId.parse(mid)
+        winner, payments = apply(mech, profile)
+        assert winner == (0, 1)
+        assert all(p > 0 for p in payments)
+        assert rule_for(mech, 2).batch(np.array(profile).T)[0].tolist() == [0, 1]
     # a machine that wins nothing is paid nothing
-    out = apply(SP, StrategyProfile(((1.0, 1.0), (2.0, 2.0))))
-    assert out.winner == (0, 0)
-    assert out.payments == (4.0, 0.0)
+    winner, payments = apply(SP, ((1.0, 1.0), (2.0, 2.0)))
+    assert winner == (0, 0)
+    assert payments == (4.0, 0.0)
 
 
 def test_outcome_validates_bids():
@@ -67,31 +72,37 @@ def test_outcome_returns_python_scalars():
     assert type(pay) is float
 
 
+# The branch-and-bound's first incumbent, optsolver._greedy_placement.
+
 def test_greedy_assigns_in_task_order_to_min_load():
-    # equal reports: task 0 -> machine 0, then machine 1 is less loaded
-    out = payload_greedy(StrategyProfile(((1.0, 1.0), (1.0, 1.0))))
-    assert out.winner == (0, 1)
-    assert out.payments == (1.0, 1.0)
+    # equal times: task 0 -> machine 0, then machine 1 is less loaded
+    winner, load = _greedy_placement(((1.0, 1.0), (1.0, 1.0)), [range(2)] * 2)
+    assert winner == [0, 1]
+    assert load == [1.0, 1.0]
 
 
 def test_greedy_load_comparison_uses_reports():
-    out = payload_greedy(StrategyProfile(((1.0, 5.0), (2.0, 1.0))))
-    assert out.winner == (0, 1)
-    assert out.payments == (1.0, 1.0)
+    # task 1 would lift machine 0 to 6, machine 1 only to 1
+    winner, load = _greedy_placement(((1.0, 5.0), (2.0, 1.0)), [range(2)] * 2)
+    assert winner == [0, 1]
+    assert load == [1.0, 1.0]
 
 
 def test_greedy_pays_sum_of_winning_reports():
-    out = payload_greedy(StrategyProfile(((1.0, 1.0, 1.0), (4.0, 4.0, 4.0))))
-    # machine 0 stays the least loaded throughout and wins everything
-    assert out.winner == (0, 0, 0)
-    assert out.payments == (3.0, 0.0)
+    winner, load = _greedy_placement(((1.0, 1.0, 1.0), (4.0, 4.0, 4.0)), [range(2)] * 3)
+    # machine 0 stays the least loaded throughout and takes everything
+    assert winner == [0, 0, 0]
+    assert load == [3.0, 0.0]
 
 
-def test_rule_for_rejects_greedy():
-    from mechfront.model import UnsupportedMechanismError
-
-    with pytest.raises(UnsupportedMechanismError):
-        rule_for(MechanismId.parse("greedy"), 2)
+def test_greedy_respects_the_mask():
+    # unmasked, task 1 goes to the empty machine 1 (load 0.5); masked out of
+    # it, task 1 lands on machine 0 (load 1), not machine 2 (load 2.5)
+    times = ((1.0, 1.0, 1.0), (5.0, 0.5, 9.0), (0.5, 2.0, 9.0))
+    assert _greedy_placement(times, [range(3)] * 3)[0] == [2, 1, 0]
+    winner, load = _greedy_placement(times, [[0, 1, 2], [0, 2], [0, 1, 2]])
+    assert winner == [2, 0, 0]
+    assert load == [2.0, 0.0, 0.5]
 
 
 def test_rule_for_needs_two_machines_for_second_price():
