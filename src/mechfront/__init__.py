@@ -14,7 +14,6 @@ from .model import (
 from .rules import SingleTaskRule, rule_for
 from .optsolver import (
     EligibilityMask,
-    full_mask,
     opt_makespan,
     opt_makespan_masked,
 )

@@ -263,10 +263,11 @@ class ProbeMatrix:
     rule: str
 
 
-def probe_matrix(rule: SingleTaskRule, n: int, eps: float, grid: Grid,
+def probe_matrix(rule: SingleTaskRule, grid: Grid,
                  budget: int = ENUMERATION_BUDGET) -> ProbeMatrix:
-    """Climb a*= k*eps ladders per (fast, slow) pair and record the largest a
-    whose canonical single-task vector still lets the slow machine win.
+    """Climb a*= k*eps ladders per (fast, slow) pair of the rule's n machines,
+    with eps the grid's step, and record the largest a whose canonical
+    single-task vector still lets the slow machine win.
 
     The ladder stops after n consecutive failures past the rule's analytic
     reach (alpha for spa, 1 for fp) or at the grid cap; second price has no
@@ -274,10 +275,7 @@ def probe_matrix(rule: SingleTaskRule, n: int, eps: float, grid: Grid,
     step past 1 when the slow machine has the lower index (the tie-break
     protects it), so entries land within one step of the analytic boundary.
     """
-    if rule.n != n:
-        raise ValueError(f"rule is bound to n={rule.n}, not {n}")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    n, eps = rule.n, grid.step
     kind = rule.id.kind
     reach = rule.id.alpha if kind == "spa" else (1.0 if kind == "fp" else None)
     cap = float(grid.points[-1])

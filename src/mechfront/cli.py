@@ -192,7 +192,7 @@ def _dispatch(args) -> int:
         k = max(2, round(cap / args.eps))
         anchors = (1.0,) if equilibria.on_grid(1.0, args.eps) else ()
         grid = equilibria.Grid(args.eps, k * args.eps, anchors=anchors)
-        matrix = analysis.probe_matrix(rule, args.n, args.eps, grid, args.budget)
+        matrix = analysis.probe_matrix(rule, grid, args.budget)
         print(_dump({"mech": str(mech), "eps": matrix.eps,
                      "a": [list(r) for r in matrix.a]}))
         return 0

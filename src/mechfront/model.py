@@ -79,12 +79,6 @@ class Instance:
         """True-time vector of task j across machines."""
         return tuple(row[j] for row in self.times)
 
-    @property
-    def max_finite(self) -> float:
-        """Largest non-sentinel entry (0.0 if every entry is a sentinel)."""
-        vals = [x for row in self.times for x in row if x < self.big]
-        return max(vals) if vals else 0.0
-
     def is_sentinel(self, value: float) -> bool:
         return value >= self.big
 

@@ -34,10 +34,14 @@ returns the same value and the same witness as without the rule.
 The first incumbent is the load-greedy placement: tasks in index order,
 each on its least-loaded eligible machine.
 
-The masked variants restrict each task to an
-eligibility set (used to scan the makespans reachable by a mechanism's
-equilibrium winner sets); `objective="max"` finds the *worst* reachable
-makespan instead.
+`opt_makespan_masked` restricts each task to an eligibility set (used to
+scan the makespans reachable by a mechanism's equilibrium winner sets);
+`objective="max"` finds the *worst* reachable makespan instead.  An
+`EligibilityMask` refuses empty sets and negative indices when it is built;
+`opt_makespan_masked` checks the rest against the instance -- one set per
+task, every index below n -- in the same pass that sorts each set.
+`opt_makespan` builds no mask: it runs the same search with every machine
+allowed on every task.
 """
 from __future__ import annotations
 
@@ -66,22 +70,10 @@ class EligibilityMask:
         return len(self.allowed)
 
 
-def full_mask(inst: Instance) -> EligibilityMask:
-    return EligibilityMask(tuple(frozenset(range(inst.n)) for _ in range(inst.m)))
-
-
 def _dust(v: float) -> float:
     """Pruning margin that dominates summation-order noise but stays far
     below any genuine difference between two distinct assignment values."""
     return 1e-9 * (v if v > 1.0 else 1.0)
-
-
-def _check_mask(inst: Instance, mask: EligibilityMask) -> None:
-    if mask.m != inst.m:
-        raise ValueError(f"mask covers {mask.m} tasks, instance has {inst.m}")
-    for j, s in enumerate(mask.allowed):
-        if max(s) >= inst.n:
-            raise ValueError(f"task {j} allows machine {max(s)}, instance has {inst.n}")
 
 
 def _greedy_placement(times, allowed) -> tuple:
@@ -105,12 +97,22 @@ def opt_makespan_masked(inst: Instance, mask: EligibilityMask, objective: str = 
     """
     if objective not in ("min", "max"):
         raise ValueError("objective must be 'min' or 'max'")
-    _check_mask(inst, mask)
-    allowed = [sorted(s) for s in mask.allowed]
-
+    if mask.m != inst.m:
+        raise ValueError(f"mask covers {mask.m} tasks, instance has {inst.m}")
+    allowed = []
+    for j, s in enumerate(mask.allowed):
+        machines = sorted(s)
+        if machines[-1] >= inst.n:
+            raise ValueError(f"task {j} allows machine {machines[-1]}, instance has {inst.n}")
+        allowed.append(machines)
     if objective == "max":
         return _masked_max(inst, allowed)
+    return _min_search(inst, allowed)
 
+
+def _min_search(inst: Instance, allowed) -> tuple:
+    """Branch-and-bound minimum over assignments with task j on a machine of
+    `allowed[j]`, a nonempty ascending sequence of indices below inst.n."""
     n, m = inst.n, inst.m
     times = inst.times
     min_time = [min(times[i][j] for i in allowed[j]) for j in range(m)]
@@ -124,7 +126,7 @@ def opt_makespan_masked(inst: Instance, mask: EligibilityMask, objective: str = 
         suffix_max[d] = max(suffix_max[d + 1], min_time[j])
 
     twins = [tuple(k for k in range(i) if times[k] == times[i]
-                   and all((k in s) == (i in s) for s in mask.allowed))
+                   and all((k in s) == (i in s) for s in allowed))
              for i in range(n)]
     exact = any(twins) and _sums_are_exact(times)
 
@@ -205,4 +207,4 @@ def _sums_are_exact(times) -> bool:
 
 def opt_makespan(inst: Instance) -> tuple:
     """Minimum makespan over all n^m assignments; returns (value, witness)."""
-    return opt_makespan_masked(inst, full_mask(inst), "min")
+    return _min_search(inst, [range(inst.n)] * inst.m)

@@ -12,7 +12,6 @@ import numpy as np
 
 from mechfront.equilibria import VerifyResult
 from mechfront.model import BudgetExceededError, loads
-from mechfront.optsolver import _check_mask, full_mask
 
 BRUTE_FORCE_BUDGET = 10 ** 7
 
@@ -102,13 +101,13 @@ def utility(mech, inst, reports, machine: int) -> float:
 def brute_force_makespan(inst, mask=None, objective: str = "min",
                          budget: int = BRUTE_FORCE_BUDGET) -> tuple:
     """Best ("min") or worst ("max") makespan over every mask-respecting
-    assignment, the first in product order on ties; refuses more than
-    `budget` assignments."""
+    assignment (every machine for every task when `mask` is None), the first
+    in product order on ties; refuses more than `budget` assignments."""
     if objective not in ("min", "max"):
         raise ValueError("objective must be 'min' or 'max'")
-    mask = full_mask(inst) if mask is None else mask
-    _check_mask(inst, mask)
-    allowed = [sorted(s) for s in mask.allowed]
+    allowed = [range(inst.n)] * inst.m if mask is None else [sorted(s) for s in mask.allowed]
+    if len(allowed) != inst.m or any(i >= inst.n for s in allowed for i in s):
+        raise ValueError(f"mask does not fit a {inst.n}x{inst.m} instance")
     count = 1
     for s in allowed:
         count *= len(s)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mechfront import analysis, cli, equilibria, instances
+from mechfront import cli, equilibria
 from mechfront.analysis import (
     anonymity_check,
     anonymity_suite,
@@ -22,7 +22,6 @@ from mechfront.equilibria import Grid, verify_equilibrium
 from mechfront.instances import (
     gen_circulant,
     gen_fp_pos,
-    gen_hat,
     gen_random,
     gen_uniform,
     regression_suite,

@@ -17,7 +17,7 @@ from mechfront.analysis import (
     anonymity_check,
     probe_matrix,
 )
-from mechfront.equilibria import Grid, canonical_certificate, default_grid
+from mechfront.equilibria import Grid, canonical_certificate
 from mechfront.instances import (
     gen_circulant,
     gen_fp_pos,
@@ -266,7 +266,7 @@ def test_anonymity_suite_smoke():
 def test_probe_matrix_spa2():
     rule = rule_for(SPA2, 3)
     grid = Grid(0.5, 6.0, anchors=(1.0,))
-    pm = probe_matrix(rule, 3, 0.5, grid)
+    pm = probe_matrix(rule, grid)
     assert pm.a == ((0.0, 2.0, 2.0), (2.0, 0.0, 2.0), (2.0, 2.0, 0.0))
     limit = (3 - 1) * 2.0 / math.sqrt(2.0) + 1
     assert all(0 < pm.a[i][j] < limit for i in range(3) for j in range(3) if i != j)
@@ -276,22 +276,14 @@ def test_probe_matrix_fp_tie_break_asymmetry():
     """fp holds exactly at the fast time -- plus one step when the slow
     machine's lower index lets it keep ties."""
     rule = rule_for(FP, 2)
-    pm = probe_matrix(rule, 2, 0.5, Grid(0.5, 3.0, anchors=(1.0,)))
+    pm = probe_matrix(rule, Grid(0.5, 3.0, anchors=(1.0,)))
     assert pm.a == ((0.0, 1.0), (1.5, 0.0))
 
 
 def test_probe_matrix_sp_saturates_the_grid():
     rule = rule_for(SP, 2)
-    pm = probe_matrix(rule, 2, 0.5, Grid(0.5, 2.0))
+    pm = probe_matrix(rule, Grid(0.5, 2.0))
     assert pm.a == ((0.0, 2.0), (2.0, 0.0))
-
-
-def test_probe_matrix_validates():
-    rule = rule_for(SPA2, 3)
-    with pytest.raises(ValueError):
-        probe_matrix(rule, 2, 0.5, Grid(0.5, 2.0))
-    with pytest.raises(ValueError):
-        probe_matrix(rule, 3, -1.0, Grid(0.5, 2.0))
 
 
 # ------------------------------------------------------------ inequality checks

@@ -8,6 +8,7 @@ import types
 import mechfront
 
 PACKAGE_DIR = pathlib.Path(mechfront.__file__).parent
+TESTS_DIR = pathlib.Path(__file__).parent
 
 PUBLIC_NAMES = [
     "AnonymityResult", "BudgetExceededError", "CombiPremiseError", "DEFAULT_BIG",
@@ -16,7 +17,7 @@ PUBLIC_NAMES = [
     "MonotonicityResult", "ProbeMatrix", "SingleTaskRule", "VerifyResult",
     "achievable_winners", "anonymity_check", "canonical_certificate", "check_combi",
     "check_tech1", "combi_row_best", "default_grid", "enumerate_equilibria",
-    "frontier_sweep", "full_mask", "gen_canonical", "gen_circulant", "gen_fp_pos",
+    "frontier_sweep", "gen_canonical", "gen_circulant", "gen_fp_pos",
     "gen_hat", "gen_random", "gen_thm3_hat", "gen_tradeoff", "gen_uniform",
     "inefficiency", "load_instance", "load_text", "loads", "makespan",
     "monotonicity_check", "opt_makespan", "opt_makespan_masked", "probe_matrix",
@@ -71,3 +72,23 @@ def test_module_layering():
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 local = package_imports(func)
                 assert not local, f"{name}.{func.name} imports {sorted(local)} locally"
+
+
+def unused_imports(tree) -> list:
+    """Names bound by module-level imports that the module never reads."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(set(bound) - read)
+
+
+def test_no_unused_imports():
+    # the package's __init__ imports only to re-export: test_public_names pins it
+    paths = [p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py"]
+    paths += TESTS_DIR.glob("*.py")
+    unused = {p.name: unused_imports(ast.parse(p.read_text())) for p in paths}
+    assert {name: names for name, names in unused.items() if names} == {}

@@ -38,14 +38,12 @@ def test_sentinel_dominance_guard():
         Instance(((1.0, 2.0), (3.0, 10.0)), big=20.0)
     inst = Instance(((1.0, 2.0), (3.0, 10.0)), big=100.0)
     assert inst.big == 100.0
-    assert inst.max_finite == 10.0
 
 
 def test_is_sentinel():
     inst = Instance(((1.0, DEFAULT_BIG),))
     assert not inst.is_sentinel(1.0)
     assert inst.is_sentinel(DEFAULT_BIG)
-    assert inst.max_finite == 1.0
 
 
 def test_mechanism_id_parse_roundtrip():

@@ -5,16 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mechfront import optsolver
+from mechfront import analysis, optsolver
 from mechfront.instances import gen_random, gen_tradeoff, gen_uniform
 from mechfront.model import BudgetExceededError, Instance, makespan
 from mechfront.optsolver import (
     EligibilityMask,
-    full_mask,
     opt_makespan,
     opt_makespan_masked,
 )
 from oracles import brute_force_makespan
+
+
+def every_machine(inst):
+    """The mask that lets every machine take every task."""
+    return EligibilityMask(tuple(frozenset(range(inst.n)) for _ in range(inst.m)))
 
 
 def test_opt_on_tradeoff_instance():
@@ -90,16 +94,55 @@ def test_masked_max_matches_masked_brute_force():
         assert makespan(inst, w1) == v1
 
 
-def test_full_mask_equals_unmasked():
+def test_every_machine_mask_equals_unmasked():
     inst = gen_random(3, 6, seed=77)
-    v1, _ = opt_makespan(inst)
-    v2, _ = opt_makespan_masked(inst, full_mask(inst), "min")
-    assert v1 == v2
+    assert opt_makespan_masked(inst, every_machine(inst), "min") == opt_makespan(inst)
 
 
 def test_mask_rejects_empty_set():
     with pytest.raises(ValueError):
         EligibilityMask((frozenset(), frozenset({0})))
+
+
+@pytest.mark.parametrize("objective", ["min", "max"])
+def test_mask_refusals(objective):
+    inst = gen_uniform(2)  # 2 machines, 4 tasks
+    short = EligibilityMask((frozenset({0}),) * 3)
+    with pytest.raises(ValueError, match="^mask covers 3 tasks, instance has 4$"):
+        opt_makespan_masked(inst, short, objective)
+    too_high = EligibilityMask((frozenset({0}),) * 2 + (frozenset({0, 2}), frozenset({1})))
+    with pytest.raises(ValueError, match="^task 2 allows machine 2, instance has 2$"):
+        opt_makespan_masked(inst, too_high, objective)
+    # empty sets and negative indices are refused when the mask is built
+    with pytest.raises(ValueError, match="^task 1 has a negative machine index$"):
+        opt_makespan_masked(inst, EligibilityMask(({0}, {-1, 1}, {0}, {1})), objective)
+    with pytest.raises(ValueError, match="^task 3 has an empty eligibility set$"):
+        opt_makespan_masked(inst, EligibilityMask(({0}, {1}, {0}, set())), objective)
+
+
+def test_opt_makespan_builds_no_mask(monkeypatch):
+    built = []
+    post_init = EligibilityMask.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(EligibilityMask, "__post_init__", counting)
+    assert opt_makespan(gen_uniform(3)) == (3.0, (0, 1, 2) * 3)
+    assert built == []
+
+    calls = []
+    real = analysis.inefficiency
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "inefficiency", counted)
+    analysis.frontier_sweep(3, [1.0, 2.0])
+    # one mask per call: the winner sets from achievable_winners
+    assert len(built) == len(calls) == 48
 
 
 def test_singleton_masks_pin_the_assignment():
@@ -115,7 +158,7 @@ def test_max_with_sentinels_avoids_them_when_it_can():
     # the slow machine is only eligible where it is fast; max still respects
     # eligibility rather than sentinel values
     inst = gen_tradeoff(3, 1.5)
-    mask = full_mask(inst)
+    mask = every_machine(inst)
     v, w = opt_makespan_masked(inst, mask, "max")
     v_bf, _ = brute_force_makespan(inst, mask, "max")
     assert v == v_bf
@@ -155,7 +198,7 @@ def instances_with_twins(draw):
     rows = draw(st.lists(st.tuples(*[st.sampled_from(values)] * m), min_size=1, max_size=n))
     times = tuple(draw(st.sampled_from(rows)) for _ in range(n))
     if draw(st.booleans()):
-        mask = full_mask(Instance(times))
+        mask = every_machine(Instance(times))
     else:
         machines = st.frozensets(st.integers(0, n - 1), min_size=1)
         mask = EligibilityMask(tuple(draw(machines) for _ in range(m)))
@@ -177,7 +220,7 @@ def test_twin_rule_leaves_equal_loads_apart_when_sums_round():
     # their completions differ by an ulp: merging them changes the witness
     row = (0.3, 0.1, 0.5, 0.6, 0.5, 1.1, 0.2)
     inst = Instance((row, row))
-    assert opt_makespan(inst) == search_order_optimum(inst, full_mask(inst))
+    assert opt_makespan(inst) == search_order_optimum(inst, every_machine(inst))
     assert opt_makespan(inst) == (1.7, (1, 1, 0, 1, 1, 0, 1))
 
 
