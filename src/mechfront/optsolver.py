@@ -13,26 +13,19 @@ re-evaluated by accumulating each machine's times in ascending task order --
 two solvers return bit-identical floats; the pruning comparison allows a 1e-9
 relative margin so a node can never be cut by summation-order noise alone.
 
-Interchangeable machines are searched once.  A machine's *twins* are the
-lower-index machines with an identical `times` row and the same eligibility
-on every task.  At a node the search skips machine i when giving it the task
-would start a subtree that mirrors, leaf for leaf with i and k swapped, one
-already searched under a twin k < i.  The mirror must be bit-exact: the two
-machines' canonical sums must agree on every completion.  The search undoes
-a placement by restoring the saved load, so its loads are exact search-order
-sums, and the mirror holds when the twins' loads are equal and either
-(a) both are 0.0 -- the machines are empty or hold only zero-time tasks,
-which add nothing to any sum -- or (b) every sum of the instance's entries
-is exact in floats (all entries are multiples of one power of two and no
-load can exceed 2^53 of them), so a sum does not depend on which tasks make
-it up.  Case (b) covers integer and dyadic instances such as `uniform`;
-elsewhere equal loads built from different tasks can round apart by an
-ulp, so only case (a) applies.  Mirrored leaves come after the originals
-they copy and the incumbent only improves on a strict `<`, so the search
-returns the same value and the same witness as without the rule.
-
 The first incumbent is the load-greedy placement: tasks in index order,
-each on its least-loaded eligible machine.
+each on its least-loaded eligible machine.  It is returned at once when its
+value is at most the largest per-task minimum, or, when `_sums_are_exact`,
+at most the per-task minima's sum over n.  A leaf's value is a float sum of
+non-negative entries, so it is at least each of them and therefore at least
+the largest per-task minimum.  When sums are exact, that sum is exact and
+every leaf value is a float at least the exact average, so it is at least
+the average's rounding.  No leaf is then strictly below the incumbent, which
+the search replaces only on a strict `<`.
+
+The search raises `BudgetExceededError` past `SEARCH_BUDGET` nodes, and,
+naming the depth, when one level per task would pass the interpreter's
+recursion limit.
 
 `opt_makespan_masked` restricts each task to an eligibility set (used to
 scan the makespans reachable by a mechanism's equilibrium winner sets);
@@ -47,7 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Instance, loads
+from .model import BudgetExceededError, Instance, loads
+
+SEARCH_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -125,19 +120,20 @@ def _min_search(inst: Instance, allowed) -> tuple:
         suffix_sum[d] = suffix_sum[d + 1] + min_time[j]
         suffix_max[d] = max(suffix_max[d + 1], min_time[j])
 
-    twins = [tuple(k for k in range(i) if times[k] == times[i]
-                   and all((k in s) == (i in s) for s in allowed))
-             for i in range(n)]
-    exact = any(twins) and _sums_are_exact(times)
-
     best_assign, greedy_loads = _greedy_placement(times, allowed)
     best_val = max(greedy_loads)
+    if best_val <= suffix_max[0] or (best_val <= suffix_sum[0] / n and _sums_are_exact(times)):
+        return best_val, tuple(best_assign)
 
     load = [0.0] * n
     current = [0] * m
+    nodes = 0
 
     def rec(depth: int, load_sum: float, load_max: float) -> None:
-        nonlocal best_val, best_assign
+        nonlocal best_val, best_assign, nodes
+        nodes += 1
+        if nodes > SEARCH_BUDGET:
+            raise BudgetExceededError(f"branch-and-bound passes {SEARCH_BUDGET} nodes")
         cut = best_val + _dust(best_val)
         bound = max(load_max, (load_sum + suffix_sum[depth]) / n, suffix_max[depth])
         if bound >= cut:
@@ -153,8 +149,6 @@ def _min_search(inst: Instance, allowed) -> tuple:
         j = order[depth]
         for i in allowed[j]:
             old = load[i]
-            if twins[i] and any(load[k] == old and (exact or old == 0.0) for k in twins[i]):
-                continue  # mirrors the subtree already searched under twin k
             t = times[i][j]
             if max(load_max, old + t) >= cut:
                 continue
@@ -164,7 +158,11 @@ def _min_search(inst: Instance, allowed) -> tuple:
             load[i] = old
         current[j] = 0
 
-    rec(0, 0.0, 0.0)
+    try:
+        rec(0, 0.0, 0.0)
+    except RecursionError:
+        raise BudgetExceededError(
+            f"branch-and-bound depth {m} exceeds the interpreter's recursion limit") from None
     return best_val, tuple(best_assign)
 
 

@@ -4,9 +4,9 @@ import sys
 
 import pytest
 
-from mechfront import analysis, cli, instances
+from mechfront import analysis, cli, instances, optsolver
 from mechfront.analysis import SuiteReport
-from mechfront.instances import gen_tradeoff, gen_uniform
+from mechfront.instances import gen_random, gen_tradeoff, gen_uniform
 
 FRONTIER_ARGS = ["frontier", "-n", "3", "--alphas", "1,1.5,2,4"]
 
@@ -74,6 +74,35 @@ def test_oversized_grid_refused(capsys, tradeoff_file):
                            "--mech", "fp", "--grid", "1e-7,2")
     assert code == 3
     assert "budget refused" in err
+
+
+def test_opt_deep_search(capsys, tmp_path):
+    # one task per recursion level: the all-ones instance meets the root bound
+    # and never recurses; the rounding one is refused, naming its depth
+    ones = tmp_path / "ones.json"
+    ones.write_text(json.dumps({"times": [[1.0] * 1200], "big": 1e7}))
+    code, out, _ = run_cli(capsys, "opt", "-i", str(ones))
+    assert code == 0
+    assert json.loads(out) == {"opt": 1200.0, "witness": [0] * 1200}
+
+    tenths = tmp_path / "tenths.json"
+    tenths.write_text(json.dumps({"times": [[0.1 * (j % 7 + 1) for j in range(1200)]],
+                                  "big": 1e7}))
+    code, out, err = run_cli(capsys, "opt", "-i", str(tenths))
+    assert code == 3
+    assert out == ""
+    assert err == ("budget refused: branch-and-bound depth 1200 exceeds "
+                   "the interpreter's recursion limit\n")
+
+
+def test_opt_search_budget_refused(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "random.json"
+    instances.save_instance(gen_random(2, 80, seed=0), str(path))
+    monkeypatch.setattr(optsolver, "SEARCH_BUDGET", 10 ** 4)
+    code, out, err = run_cli(capsys, "opt", "-i", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == "budget refused: branch-and-bound passes 10000 nodes\n"
 
 
 def test_opt_missing_file(capsys):
@@ -258,6 +287,18 @@ def test_frontier_csv_exact(capsys):
     code, out, _ = run_cli(capsys, *FRONTIER_ARGS)
     assert code == 0
     assert out == FRONTIER_CSV
+
+
+def test_frontier_n5_csv_exact(capsys):
+    code, out, _ = run_cli(capsys, "frontier", "-n", "5", "--alphas", "1,1.5,2,4")
+    assert code == 0
+    assert out == """\
+alpha,poa_bound,pos_bound,poa_emp,pos_emp
+1,5,5,5,4.63636
+1.5,7,3.66667,7,3.5
+2,9,3,9,2.90476
+4,17,2,17,1.97561
+"""
 
 
 def test_frontier_is_deterministic(capsys):

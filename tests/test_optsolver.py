@@ -1,8 +1,9 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mechfront import analysis, optsolver
@@ -164,15 +165,20 @@ def test_max_with_sentinels_avoids_them_when_it_can():
     assert v == v_bf
 
 
-# ---------------------------------------------------------------- twin rule
+# ---------------------------------------------------------------- search order
 
 def search_order_optimum(inst, mask):
-    """What the search returns with no machine skipped: the greedy incumbent
-    when it is optimal, else the first optimal leaf in search order (tasks by
-    decreasing best eligible time, machines ascending)."""
+    """What the search returns: the load-greedy placement when it is optimal,
+    else the first optimal leaf in search order (tasks by decreasing best
+    eligible time, machines ascending)."""
     value, _ = brute_force_makespan(inst, mask)
     allowed = [sorted(s) for s in mask.allowed]
-    greedy, _ = optsolver._greedy_placement(inst.times, allowed)
+    load = [0.0] * inst.n
+    greedy = []
+    for j in range(inst.m):
+        i = min(allowed[j], key=lambda k: load[k] + inst.times[k][j])
+        load[i] += inst.times[i][j]
+        greedy.append(i)
     if makespan(inst, greedy) == value:
         return value, tuple(greedy)
     order = sorted(range(inst.m),
@@ -186,11 +192,16 @@ def search_order_optimum(inst, mask):
     raise AssertionError("brute force found no optimal leaf")
 
 
+def with_every_machine(times):
+    inst = Instance(times)
+    return inst, every_machine(inst)
+
+
 @st.composite
-def instances_with_twins(draw):
+def instances_with_repeated_rows(draw):
     """2-4 machines whose rows repeat a few distinct rows, with float entries
-    whose sums round (0.1 steps) or stay exact (dyadic), zeros among them so
-    that twins can hold load 0.0 while not empty, and a random mask."""
+    whose sums round (0.1 steps) or stay exact (dyadic), zeros among them,
+    and a random mask."""
     n = draw(st.integers(2, 4))
     m = draw(st.integers(1, {2: 8, 3: 6, 4: 5}[n]))
     values = draw(st.sampled_from([(0.0, 0.1, 0.2, 0.3, 0.6, 0.7, 1 / 3),
@@ -206,8 +217,15 @@ def instances_with_twins(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(instances_with_twins())
-def test_twin_rule_keeps_the_value_and_the_witness(case):
+@given(instances_with_repeated_rows())
+# the root stop: greedy value at the largest task, with sums that round
+@example(with_every_machine(((0.7, 0.1, 0.3), (0.7, 0.3, 0.1))))
+# the root stop: greedy value at the average, with dyadic (exact) sums
+@example(with_every_machine(((0.5, 0.5, 0.5, 0.5), (0.5, 0.5, 0.5, 0.5))))
+# greedy 0.6000000000000001 passes the float average test, but sums round and
+# a leaf reaches 0.6: the stop must not fire
+@example(with_every_machine(((0.2, 0.1, 0.2, 0.1, 0.3, 0.3),) * 2))
+def test_search_order_value_and_witness(case):
     inst, mask = case
     value, witness = opt_makespan_masked(inst, mask, "min")
     assert (value, witness) == search_order_optimum(inst, mask)
@@ -215,19 +233,22 @@ def test_twin_rule_keeps_the_value_and_the_witness(case):
     assert all(witness[j] in mask.allowed[j] for j in range(inst.m))
 
 
-def test_twin_rule_leaves_equal_loads_apart_when_sums_round():
-    # twin machines whose search-order loads tie while the canonical sums of
-    # their completions differ by an ulp: merging them changes the witness
+def test_search_order_witness_when_sums_round():
+    # identical rows whose search-order loads tie while the canonical sums of
+    # their completions differ by an ulp: the witness is the first optimal
+    # leaf in search order
     row = (0.3, 0.1, 0.5, 0.6, 0.5, 1.1, 0.2)
     inst = Instance((row, row))
     assert opt_makespan(inst) == search_order_optimum(inst, every_machine(inst))
     assert opt_makespan(inst) == (1.7, (1, 1, 0, 1, 1, 0, 1))
 
 
-def test_twin_rule_keeps_the_round_robin_witness_on_uniform():
-    value, witness = opt_makespan(gen_uniform(3))
-    assert value == 3.0
-    assert witness == (0, 1, 2) * 3
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_round_robin_witness_on_uniform(n):
+    # the greedy placement meets the root average, so the search stops there
+    start = time.perf_counter()
+    assert opt_makespan(gen_uniform(n)) == (float(n), tuple(range(n)) * n)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sums_are_exact():
