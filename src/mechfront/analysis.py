@@ -185,32 +185,28 @@ def monotonicity_check(mech: MechanismId, inst: Instance, cert: EquilibriumCerti
     non-sentinel entry scaled up (factor U(1,2)) -- the direction in which a
     pure equilibrium provably survives, so any failure is a bug.  reverse
     swaps the directions and is the negative control: it must be able to
-    fail.  Bids never change; sentinel entries are left alone.
+    fail.  Bids never change; sentinel entries are left alone.  One `uniform`
+    call draws every factor, trials first, then entries in row-major order.
     """
     if direction not in ("forward", "reverse"):
         raise ValueError("direction must be 'forward' or 'reverse'")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     if grid is None:
         grid = default_grid(inst, mech)
     rule = rule_for(mech, inst.n)
-    rng = np.random.default_rng(seed)
-    n, m = inst.n, inst.m
+    times = np.asarray(inst.times)
+    live = ~inst.is_sentinel(times)
+    won = np.asarray(cert.winner) == np.arange(inst.n)[:, None]
+    down = won if direction == "forward" else ~won
+    u = np.zeros((trials,) + times.shape)
+    u[:, live] = np.random.default_rng(seed).uniform(size=(trials, int(live.sum())))
+    modified = np.where(live, np.where(down, times * u, times * (1.0 + u)), times)
+    bids = np.asarray(cert.profile)
     failures = []
     for trial in range(trials):
-        # sample one modified truth matrix
-        modified = [list(row) for row in inst.times]
-        for i in range(n):
-            for j in range(m):
-                t = inst.times[i][j]
-                if inst.is_sentinel(t):
-                    continue
-                won = cert.winner[j] == i
-                u = rng.uniform()
-                down = won if direction == "forward" else not won
-                modified[i][j] = t * u if down else t * (1.0 + u)
-        for j in range(m):
-            col = tuple(modified[i][j] for i in range(n))
-            bids = tuple(cert.profile[i][j] for i in range(n))
-            res = verify_equilibrium(rule, col, bids, grid)
+        for j in range(inst.m):
+            res = verify_equilibrium(rule, modified[trial, :, j], bids[:, j], grid)
             if not res:
                 failures.append((trial, j, res.machine, res.deviation, res.gain))
     return MonotonicityResult(not failures, trials, direction, tuple(failures))
@@ -386,8 +382,8 @@ def bucket_equivalence_check(alphas=(1.5, 2.0, 3.0), vectors_per_alpha: int = 50
     """Exhaustive-enumeration ground truth for the spa winner sets.
 
     Draws positive grid-multiple vectors (entries in [0.1, 4.0]) and checks
-    that the enumerated equilibrium winner set equals the closed bucket for
-    every alpha.  Exact set equality, no tolerance.
+    that the enumerated equilibrium winner set equals `achievable_winners`'s
+    closed bucket for every alpha.  Exact set equality, no tolerance.
     """
     rng = np.random.default_rng(seed)
     lines = []
@@ -400,8 +396,7 @@ def bucket_equivalence_check(alphas=(1.5, 2.0, 3.0), vectors_per_alpha: int = 50
             vec = tuple(float(k) * eps for k in ks)
             grid = default_grid(vec, mech, eps)
             enum = enumerate_equilibria(rule, vec, grid, budget).winner_union()
-            t_min = min(vec)
-            bucket = frozenset(i for i, t in enumerate(vec) if t <= alpha * t_min)
+            bucket = achievable_winners(mech, Instance(tuple((t,) for t in vec))).allowed[0]
             if enum != bucket:
                 mismatches += 1
                 lines.append(

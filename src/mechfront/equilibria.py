@@ -172,10 +172,11 @@ def _utility(winners, pay, true_times: np.ndarray, machine):
 def verify_equilibrium(rule: SingleTaskRule, true_times, bids, grid: Grid) -> VerifyResult:
     """Scan every unilateral grid deviation of every machine.
 
-    `bids` must already be grid points.  All n * len(grid) deviation rows,
-    plus the profile itself, go through one `rule.batch` call.  The returned
-    witness is the best improving deviation, ties toward the lowest machine,
-    then the lowest bid.
+    `bids` must already be grid points.  They are tiled into n * len(grid)
+    + 1 rows; viewed as (n, len(grid), n), block i moves machine i's bid over
+    the grid, and the last row is the profile.  One `rule.batch` call scores
+    every row.  The witness is the best improving deviation, ties toward the
+    lowest machine, then the lowest bid.
     """
     true_times = tuple(float(t) for t in true_times)
     bids = tuple(float(b) for b in bids)
@@ -188,14 +189,14 @@ def verify_equilibrium(rule: SingleTaskRule, true_times, bids, grid: Grid) -> Ve
     t = np.asarray(true_times)
     pts = grid.points
     g = len(pts)
-    mover = np.repeat(np.arange(n), g)  # row block i moves machine i's bid
-    B = np.tile(np.asarray(bids), (n * g + 1, 1))  # the last row is the profile
-    B[np.arange(n * g), mover] = np.tile(pts, n)
+    machines = np.arange(n)
+    B = np.tile(np.asarray(bids), (n * g + 1, 1))
+    B[:-1].reshape(n, g, n)[machines, :, machines] = pts
     winners, pay = rule.batch(B)
-    current = _utility(winners[-1], pay[-1], t, np.arange(n))
-    u = _utility(winners[:-1], pay[:-1], t, mover).reshape(n, g)
+    current = _utility(winners[-1], pay[-1], t, machines)
+    u = _utility(winners[:-1].reshape(n, g), pay[:-1].reshape(n, g), t, machines[:, None])
     best = np.argmax(u, axis=1)
-    gains = u[np.arange(n), best] - current
+    gains = u[machines, best] - current
     i = int(np.argmax(gains))
     if gains[i] > 0:
         return VerifyResult(False, i, float(pts[best[i]]), float(gains[i]), n * g)
@@ -204,17 +205,15 @@ def verify_equilibrium(rule: SingleTaskRule, true_times, bids, grid: Grid) -> Ve
 
 @dataclass(frozen=True, eq=False)
 class EnumerationResult:
-    """All grid equilibria of one task: profiles (K x n) and winners (K,).
+    """The grid equilibria of one task: each kept equilibrium's winner
+    (`len()` counts them) and the number of profiles scanned; `winner_union`
+    is the deduplicated set of winners."""
 
-    `winner_union` is the deduplicated set of equilibrium winners.
-    """
-
-    profiles: np.ndarray
     winners: np.ndarray
     scanned: int
 
     def __len__(self) -> int:
-        return len(self.profiles)
+        return len(self.winners)
 
     def winner_union(self) -> frozenset:
         return frozenset(int(w) for w in np.unique(self.winners))
@@ -224,10 +223,12 @@ def enumerate_equilibria(rule: SingleTaskRule, true_times, grid: Grid,
                          budget: int = ENUMERATION_BUDGET) -> EnumerationResult:
     """Exhaustively test all len(grid)^n profiles of one task.
 
-    A profile is kept when, for every machine, its utility equals its best
+    The bid matrix is stacked once from broadcast views of the grid.  A
+    profile is kept when, for every machine, its utility equals its best
     response against the others' bids -- computed as an axis-max over the
-    utility cube, so the whole scan is a handful of vectorized passes.
-    Refuses to start when the profile count exceeds `budget`.
+    utility cube, so the whole scan is a handful of vectorized passes.  Only
+    the kept profiles' winners are returned.  Refuses to start when the
+    profile count exceeds `budget`.
     """
     t = np.asarray([float(x) for x in true_times])
     n = rule.n
@@ -240,15 +241,14 @@ def enumerate_equilibria(rule: SingleTaskRule, true_times, grid: Grid,
         raise BudgetExceededError(
             f"{g}^{n} = {total} profiles exceed the enumeration budget {budget}"
         )
-    mesh = np.meshgrid(*([pts] * n), indexing="ij")
-    B = np.stack([ax.reshape(-1) for ax in mesh], axis=1)
-    winners, pay = rule.batch(B)
+    mesh = np.meshgrid(*([pts] * n), indexing="ij", copy=False)
+    winners, pay = rule.batch(np.stack(mesh, axis=-1).reshape(total, n))
     eq = np.ones(total, dtype=bool)
     shape = (g,) * n
     for i in range(n):
         u = _utility(winners, pay, t, i).reshape(shape)
         eq &= (u == u.max(axis=i, keepdims=True)).reshape(-1)
-    return EnumerationResult(B[eq], winners[eq], total)
+    return EnumerationResult(winners[eq], total)
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +256,17 @@ def enumerate_equilibria(rule: SingleTaskRule, true_times, grid: Grid,
 # ---------------------------------------------------------------------------
 
 def _column_winners(mech: MechanismId, col, big: float) -> frozenset:
-    t_min = min(col)
-    if mech.kind == "fp" or (mech.kind == "spa" and mech.alpha == 1):
-        return frozenset(i for i, t in enumerate(col) if t == t_min)
     if mech.kind == "sp":
         s = frozenset(i for i, t in enumerate(col) if t < big)
         if not s:
             raise ValueError("task has no machine below the sentinel")
         return s
-    # spa, alpha > 1: the closed bucket.  The boundary machine t = alpha*t_min
-    # wins at payment exactly alpha*t_min with utility 0, and no grid deviation
-    # beats that, so <= (not <) is the correct comparison.
-    return frozenset(i for i, t in enumerate(col) if t <= mech.alpha * t_min)
+    # The closed bucket; fp's multiplier 1 keeps exactly t == t_min.  The spa
+    # boundary machine t = alpha*t_min wins at pay alpha*t_min with utility 0
+    # and no grid deviation beats that, so <= (not <) is the right comparison.
+    alpha = mech.alpha if mech.kind == "spa" else 1.0
+    t_min = min(col)
+    return frozenset(i for i, t in enumerate(col) if t <= alpha * t_min)
 
 
 def achievable_winners(mech: MechanismId, inst: Instance) -> EligibilityMask:
@@ -307,9 +306,10 @@ def canonical_certificate(mech: MechanismId, inst: Instance,
 
     Off-grid losing times are floored (a slower machine may shade its report
     down by less than one step, which can only lose it money if it wins), but
-    each column's fastest time itself must be a grid point.  Every column is
-    re-verified against the grid before the certificate is returned;
-    construction failures raise ValueError.
+    each column's fastest time must be a grid point and, under spa with
+    alpha > 1, positive: a zero-time winner is paid alpha * 0 = 0 and gains by
+    raising its bid.  Every column is re-verified against the grid, and a
+    failed construction raises ValueError.
     """
     if grid is None:
         grid = default_grid(inst, mech)

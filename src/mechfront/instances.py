@@ -184,8 +184,8 @@ def gen_random(n: int, m: int, seed: int, lo: float = 0.1, hi: float = 4.0,
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    if not (grid_step > 0 and math.isfinite(lo / grid_step) and math.isfinite(hi / grid_step)):
-        raise ValueError("need grid_step > 0 and finite lo/grid_step and hi/grid_step")
+    if not (grid_step > 0 and abs(lo / grid_step) < 2 ** 62 and abs(hi / grid_step) < 2 ** 62):
+        raise ValueError(f"grid_step {grid_step}: need > 0, and |lo|, |hi| below 2**62 steps")
     k_lo = math.ceil(lo / grid_step - 1e-9)
     k_hi = math.floor(hi / grid_step + 1e-9)
     if k_lo > k_hi:
@@ -220,7 +220,7 @@ _BUILDERS = {
     "thm3_hat": thm3_hat_image,
 }
 
-_INT_PARAMS = {"n", "m", "seed", "fast", "slow", "k"}
+_INT_PARAMS = {"n", "m", "seed", "fast", "slow"}
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,7 @@ class GeneratorSpec:
                 if not _:
                     raise ValueError(f"bad generator parameter {part!r}")
                 key = key.strip()
-                kind = str if key == "variant" else int if key in _INT_PARAMS else float
+                kind = int if key in _INT_PARAMS else float
                 try:
                     params[key] = kind(val)
                 except ValueError:

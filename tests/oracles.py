@@ -3,14 +3,15 @@
 The scalar fp/sp/spa rules and the per-machine deviation scan are the
 straightforward versions of `SingleTaskRule.batch` and `verify_equilibrium`;
 `apply` and `utility` play the whole game on complete report matrices with
-the scalar rules; `brute_force_makespan` enumerates every assignment.  The
+the scalar rules; `enumerate_by_verify` is `enumerate_equilibria` one
+profile at a time; `brute_force_makespan` enumerates every assignment.  The
 tests compare the production paths against them.
 """
 import itertools
 
 import numpy as np
 
-from mechfront.equilibria import VerifyResult
+from mechfront.equilibria import VerifyResult, verify_equilibrium
 from mechfront.model import BudgetExceededError, loads
 
 BRUTE_FORCE_BUDGET = 10 ** 7
@@ -151,3 +152,10 @@ def per_machine_scan(rule, true_times, bids, grid) -> VerifyResult:
             best_dev = float(pts[k])
             best_gain = gain
     return VerifyResult(best_machine is None, best_machine, best_dev, best_gain, n * g)
+
+
+def enumerate_by_verify(rule, true_times, grid) -> list:
+    """Every grid profile, in product order, that verify_equilibrium accepts."""
+    pts = [float(p) for p in grid.points]
+    return [bids for bids in itertools.product(pts, repeat=rule.n)
+            if verify_equilibrium(rule, true_times, bids, grid).ok]

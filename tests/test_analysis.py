@@ -210,6 +210,15 @@ def test_monotonicity_rejects_bad_direction():
         monotonicity_check(FP, inst, cert, trials=1, seed=0, direction="sideways")
 
 
+def test_monotonicity_rejects_negative_trials():
+    inst = gen_uniform(2)
+    cert = canonical_certificate(FP, inst)
+    with pytest.raises(ValueError, match="trials must be >= 0, got -1"):
+        monotonicity_check(FP, inst, cert, trials=-1, seed=0)
+    assert monotonicity_check(FP, inst, cert, trials=0, seed=0) == \
+        analysis.MonotonicityResult(True, 0, "forward", ())
+
+
 def test_monotonicity_suite_smoke():
     fwd = analysis.monotonicity_suite(seed=7, trials=10)
     assert fwd.passed

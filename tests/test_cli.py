@@ -431,6 +431,7 @@ def test_gen_requires_output(capsys):
      ("'hat'", "'variant'")),
     (["gen", "uniform", "n=1.5"], ("'uniform'", "'n'", "'1.5'")),
     (["gen", "hat", "n=3", "alpha=zz"], ("'hat'", "'alpha'", "'zz'")),
+    (["gen", "random", "n=2", "m=2", "seed=1", "grid_step=1e-300"], ("grid_step 1e-300",)),
 ])
 def test_generator_parameter_errors_exit_two(capsys, tmp_path, argv, names):
     if argv[0] == "gen":

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +16,10 @@ from mechfront.equilibria import (
     on_grid,
     verify_equilibrium,
 )
-from mechfront.instances import gen_fp_pos, gen_hat, gen_random, gen_tradeoff
+from mechfront.instances import gen_fp_pos, gen_hat, gen_random, gen_tradeoff, thm3_hat_image
 from mechfront.model import BudgetExceededError, Instance, MechanismId
 from mechfront.rules import SingleTaskRule, rule_for
-from oracles import per_machine_scan, utility
+from oracles import enumerate_by_verify, per_machine_scan, scalar_outcome, utility
 
 FP = MechanismId.parse("fp")
 SP = MechanismId.parse("sp")
@@ -237,7 +238,7 @@ def test_enumerate_single_machine():
     assert res.winner_union() == {0}
     # fp alone: only the top-of-grid bid is a best response
     assert len(res) == 1
-    assert float(res.profiles[0][0]) == 2.0
+    assert enumerate_by_verify(rule, (1.0,), g) == [(2.0,)]
 
 
 def test_enumerate_budget_refusal():
@@ -247,13 +248,46 @@ def test_enumerate_budget_refusal():
         enumerate_equilibria(rule, (1.0, 2.0, 3.0), g, budget=100)
 
 
-def test_enumeration_certificates_reverify():
-    rule = rule_for(SPA2, 2)
+ORACLE_VECTORS = {
+    1: {"on_grid": (1.0,), "off_grid": (0.7,), "zero": (0.0,)},
+    2: {"on_grid": (1.0, 1.5), "off_grid": (0.7, 1.2), "zero": (0.0, 1.0),
+        "zeros": (0.0, 0.0)},
+    3: {"on_grid": (1.0, 1.5, 2.0), "off_grid": (0.3, 1.1, 0.8),
+        "zero": (0.0, 0.5, 1.0), "runner_up": (1.5, 1.0, 3.0)},
+}
+
+
+@pytest.mark.parametrize("mid, n, kind", [
+    (mid, n, kind) for mid in ("fp", "sp", "spa:2") for n, vecs in ORACLE_VECTORS.items()
+    for kind in vecs if mid == "fp" or n >= 2])
+def test_enumerate_matches_verify_oracle(mid, n, kind):
+    """The vectorized scan keeps exactly the profiles that pass
+    verify_equilibrium one at a time: same count, same winners."""
+    mech = MechanismId.parse(mid)
+    rule = rule_for(mech, n)
+    truth = ORACLE_VECTORS[n][kind]
     g = Grid(0.5, 3.0)
-    res = enumerate_equilibria(rule, (1.0, 1.5), g)
-    assert len(res) > 0
-    for col in res.profiles:
-        assert verify_equilibrium(rule, (1.0, 1.5), col, g).ok
+    res = enumerate_equilibria(rule, truth, g)
+    profiles = enumerate_by_verify(rule, truth, g)
+    assert len(res) == len(profiles) > 0
+    assert res.winner_union() == {scalar_outcome(mech, p)[0] for p in profiles}
+
+
+@pytest.mark.parametrize("mid", ["fp", "sp", "spa:3"])
+def test_enumerate_peak_memory_per_profile(mid):
+    # the scan holds one (g^n, n) bid matrix and the rule's per-row arrays;
+    # a second copy of the bid mesh would push the peak past 88 B
+    rule = rule_for(MechanismId.parse(mid), 3)
+    g = Grid(0.1, 6.2)
+    assert len(g) == 63
+    tracemalloc.start()
+    try:
+        res = enumerate_equilibria(rule, (1.0, 2.0, 3.0), g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.scanned == 63 ** 3
+    assert peak / res.scanned < 88
 
 
 # ---------------------------------------------------------------- buckets
@@ -398,6 +432,14 @@ def test_canonical_certificate_refuses_a_fastest_time_at_the_grid_top():
     inst = Instance(((2.0,), (1.0,)))  # machine 0 must bid above machine 1
     with pytest.raises(ValueError, match="top grid point"):
         canonical_certificate(FP, inst, Grid(0.5, 1.0))
+
+
+def test_canonical_certificate_refuses_spa_on_a_zero_fastest_time():
+    # task 2 of thm3_hat(2) is (0, 1): the spa reserve alpha * 0 pays the
+    # zero-time winner nothing, so it gains by raising its bid to the loser's
+    with pytest.raises(ValueError, match="canonical construction failed for task 2: "
+                                         "machine 0 gains 0.1 at bid 0.1"):
+        canonical_certificate(SPA2, thm3_hat_image(2))
 
 
 def test_verify_certificate_with_modified_truth():

@@ -221,7 +221,8 @@ def test_generator_spec_names_a_value_that_does_not_convert(text, message):
 
 
 @pytest.mark.parametrize("kwargs", [{"hi": math.inf}, {"lo": -math.inf}, {"lo": math.nan},
-                                    {"grid_step": 0.0}, {"grid_step": 1e-320}])
+                                    {"grid_step": 0.0}, {"grid_step": 1e-320},
+                                    {"grid_step": 1e-300}])
 def test_gen_random_rejects_unbounded_ranges(kwargs):
     with pytest.raises(ValueError):
         gen_random(2, 2, seed=0, **kwargs)
