@@ -376,26 +376,32 @@ class SuiteReport:
     lines: tuple
 
 
-def bucket_equivalence_check(alphas=(1.5, 2.0, 3.0), vectors_per_alpha: int = 50,
-                             n: int = 3, seed: int = 2024, eps: float = 0.1,
-                             budget: int = ENUMERATION_BUDGET) -> SuiteReport:
+# fixed sizes of the verify suites
+BUCKET_ALPHAS = (1.5, 2.0, 3.0)
+BUCKET_N = 3
+BUCKET_EPS = 0.1
+TECH1_COUNT = 100_000
+COMBI_COUNT = 1000
+
+
+def bucket_equivalence_check(vectors_per_alpha: int = 50, seed: int = 2024) -> SuiteReport:
     """Exhaustive-enumeration ground truth for the spa winner sets.
 
-    Draws positive grid-multiple vectors (entries in [0.1, 4.0]) and checks
-    that the enumerated equilibrium winner set equals `achievable_winners`'s
-    closed bucket for every alpha.  Exact set equality, no tolerance.
+    Draws positive BUCKET_EPS-multiple vectors (entries in [0.1, 4.0]) and
+    checks that the enumerated equilibrium winner set equals
+    `achievable_winners`'s closed bucket for every alpha.  Exact set equality.
     """
     rng = np.random.default_rng(seed)
     lines = []
     mismatches = 0
-    for alpha in alphas:
+    for alpha in BUCKET_ALPHAS:
         mech = MechanismId.spa(alpha)
-        rule = rule_for(mech, n)
+        rule = rule_for(mech, BUCKET_N)
         for v in range(vectors_per_alpha):
-            ks = rng.integers(1, 41, size=n)
-            vec = tuple(float(k) * eps for k in ks)
-            grid = default_grid(vec, mech, eps)
-            enum = enumerate_equilibria(rule, vec, grid, budget).winner_union()
+            ks = rng.integers(1, 41, size=BUCKET_N)
+            vec = tuple(float(k) * BUCKET_EPS for k in ks)
+            grid = default_grid(vec, mech, BUCKET_EPS)
+            enum = enumerate_equilibria(rule, vec, grid).winner_union()
             bucket = achievable_winners(mech, Instance(tuple((t,) for t in vec))).allowed[0]
             if enum != bucket:
                 mismatches += 1
@@ -459,31 +465,29 @@ def anonymity_suite() -> SuiteReport:
     return SuiteReport("anonymity", ok, tuple(lines))
 
 
-def tech1_fuzz(count: int = 100_000, seed: int = 13) -> SuiteReport:
+def tech1_fuzz(seed: int = 13) -> SuiteReport:
     rng = np.random.default_rng(seed)
-    xs = rng.uniform(0.0, 10.0, size=count)
-    ys = rng.uniform(0.0, 10.0, size=count)
-    betas = rng.uniform(0.1, 10.0, size=count)
-    gammas = rng.uniform(0.1, 10.0, size=count)
-    for k in range(count):
+    xs, ys = rng.uniform(0.0, 10.0, size=(2, TECH1_COUNT))
+    betas, gammas = rng.uniform(0.1, 10.0, size=(2, TECH1_COUNT))
+    for k in range(TECH1_COUNT):
         if xs[k] == 0.0 and ys[k] == 0.0:
             continue
         if not check_tech1(xs[k], ys[k], betas[k], gammas[k]):
             return SuiteReport("tech1", False,
                                (f"  fails at x={xs[k]} y={ys[k]} beta={betas[k]} "
                                 f"gamma={gammas[k]}",))
-    return SuiteReport("tech1", True, (f"  {count} random tuples hold",))
+    return SuiteReport("tech1", True, (f"  {TECH1_COUNT} random tuples hold",))
 
 
 CIRCULANT_CASES = ((2, 2.0, 0.9), (3, 2.0, 0.6), (4, 1.5, 0.5), (5, 3.0, 0.4))
 
 
-def combi_fuzz(count: int = 1000, seed: int = 17) -> SuiteReport:
+def combi_fuzz(seed: int = 17) -> SuiteReport:
     """Random premise-satisfying matrices must all satisfy the bound; the
     circulant family must satisfy it and attain it to 1e-9 at eps = 0."""
     rng = np.random.default_rng(seed)
     lines = []
-    for k in range(count):
+    for k in range(COMBI_COUNT):
         n = int(rng.integers(2, 6))
         alpha = float(rng.uniform(1.0, 4.0))
         raw = rng.uniform(0.05, 1.0, size=(n, n))
@@ -501,7 +505,7 @@ def combi_fuzz(count: int = 1000, seed: int = 17) -> SuiteReport:
             return SuiteReport("combi", False,
                                (f"  bound fails on random matrix #{k} (n={n}, "
                                 f"alpha={alpha})",))
-    lines.append(f"  {count} random premise-satisfying matrices hold")
+    lines.append(f"  {COMBI_COUNT} random premise-satisfying matrices hold")
     for n, alpha, delta in CIRCULANT_CASES:
         a = gen_circulant(n, alpha, delta)
         eps = alpha / ((n - 1) * SQRT2)

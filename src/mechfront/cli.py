@@ -182,16 +182,12 @@ def _dispatch(args) -> int:
     if args.verb == "probe":
         mech = MechanismId.parse(args.mech)
         rule = rule_for(mech, args.n)
-        if args.cap is not None:
-            cap = args.cap
-        else:
-            reach = mech.alpha if mech.kind == "spa" else 1.0
-            cap = 2 * reach + 1
+        reach = mech.alpha if mech.kind == "spa" else 1.0
+        cap = args.cap if args.cap is not None else 2 * reach + 1
         if not (args.eps > 0 and math.isfinite(cap / args.eps)):
             raise ValueError(f"need --eps > 0 and a finite --cap/--eps, got {args.eps}, {cap}")
         k = max(2, round(cap / args.eps))
-        anchors = (1.0,) if equilibria.on_grid(1.0, args.eps) else ()
-        grid = equilibria.Grid(args.eps, k * args.eps, anchors=anchors)
+        grid = equilibria.default_grid((1.0,), mech, args.eps, k * args.eps)
         matrix = analysis.probe_matrix(rule, grid, args.budget)
         print(_dump({"mech": str(mech), "eps": matrix.eps,
                      "a": [list(r) for r in matrix.a]}))

@@ -323,14 +323,12 @@ def save_text(inst: Instance, path: str) -> None:
 def load_text(path: str) -> Instance:
     with open(path) as f:
         head = f.readline().split()
-        if len(head) != 3:
-            raise ValueError("first line must be 'n m big'")
-        n, m, big = int(head[0]), int(head[1]), float(head[2])
-        rows = []
-        for line in f:
-            line = line.strip()
-            if line:
-                rows.append(tuple(float(x) for x in line.split()))
+        try:
+            n, m, big = head
+            n, m, big = int(n), int(m), float(big)
+        except ValueError:
+            raise ValueError(f"first line must be 'n m big', got {' '.join(head)!r}") from None
+        rows = [line.split() for line in f if line.strip()]
     if len(rows) != n or any(len(r) != m for r in rows):
         raise ValueError(f"expected {n} rows of {m} entries")
     return Instance(tuple(rows), big)

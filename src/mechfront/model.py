@@ -25,26 +25,26 @@ class BudgetExceededError(RuntimeError):
     """An exhaustive computation would scan more states than its budget allows."""
 
 
-def _as_matrix(rows, what: str) -> tuple:
+def _as_matrix(rows) -> tuple:
     out = []
     width = None
     for r, row in enumerate(rows):
         try:
             row = tuple(float(x) for x in row)
         except (TypeError, ValueError) as e:
-            raise ValueError(f"{what}: row {r}: {e}") from None
+            raise ValueError(f"times: row {r}: {e}") from None
         if width is None:
             width = len(row)
         elif len(row) != width:
-            raise ValueError(f"{what}: row {r} has {len(row)} entries, expected {width}")
+            raise ValueError(f"times: row {r} has {len(row)} entries, expected {width}")
         for x in row:
             if math.isnan(x) or math.isinf(x) or x < 0:
-                raise ValueError(f"{what}: entries must be finite and >= 0, got {x}")
+                raise ValueError(f"times: entries must be finite and >= 0, got {x}")
         out.append(row)
     if not out:
-        raise ValueError(f"{what}: need at least one row")
+        raise ValueError("times: need at least one row")
     if not width:
-        raise ValueError(f"{what}: need at least one column")
+        raise ValueError("times: need at least one column")
     return tuple(out)
 
 
@@ -56,7 +56,7 @@ class Instance:
     big: float = DEFAULT_BIG
 
     def __post_init__(self):
-        object.__setattr__(self, "times", _as_matrix(self.times, "times"))
+        object.__setattr__(self, "times", _as_matrix(self.times))
         if not (self.big > 0) or math.isinf(self.big):
             raise ValueError("big must be positive and finite")
         finite = [x for row in self.times for x in row if x < self.big]

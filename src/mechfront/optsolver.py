@@ -23,9 +23,8 @@ every leaf value is a float at least the exact average, so it is at least
 the average's rounding.  No leaf is then strictly below the incumbent, which
 the search replaces only on a strict `<`.
 
-The search raises `BudgetExceededError` past `SEARCH_BUDGET` nodes, and,
-naming the depth, when one level per task would pass the interpreter's
-recursion limit.
+The search is depth-first on an explicit stack, so any number of tasks fits;
+it raises `BudgetExceededError` past `SEARCH_BUDGET` nodes.
 
 `opt_makespan_masked` restricts each task to an eligibility set (used to
 scan the makespans reachable by a mechanism's equilibrium winner sets);
@@ -125,19 +124,22 @@ def _min_search(inst: Instance, allowed) -> tuple:
     if best_val <= suffix_max[0] or (best_val <= suffix_sum[0] / n and _sums_are_exact(times)):
         return best_val, tuple(best_assign)
 
-    load = [0.0] * n
+    # depth-first on a stack of (depth, loads, load sum, machine given task
+    # order[depth - 1]): the node popped last at each shallower depth is an
+    # ancestor, so `current` holds the path.  Children pop in machine order.
     current = [0] * m
     nodes = 0
-
-    def rec(depth: int, load_sum: float, load_max: float) -> None:
-        nonlocal best_val, best_assign, nodes
+    stack = [(0, [0.0] * n, 0.0, 0)]
+    while stack:
+        depth, load, load_sum, machine = stack.pop()
         nodes += 1
         if nodes > SEARCH_BUDGET:
             raise BudgetExceededError(f"branch-and-bound passes {SEARCH_BUDGET} nodes")
+        if depth:
+            current[order[depth - 1]] = machine
         cut = best_val + _dust(best_val)
-        bound = max(load_max, (load_sum + suffix_sum[depth]) / n, suffix_max[depth])
-        if bound >= cut:
-            return
+        if max(max(load), (load_sum + suffix_sum[depth]) / n, suffix_max[depth]) >= cut:
+            continue
         if depth == m:
             # canonical re-evaluation: the search accumulated loads in `order`,
             # which can differ from ascending-task sums by an ulp
@@ -145,24 +147,16 @@ def _min_search(inst: Instance, allowed) -> tuple:
             if val < best_val:
                 best_val = val
                 best_assign = list(current)
-            return
+            continue
+        # every load here is below `cut`, so only the grown one can reach it
         j = order[depth]
-        for i in allowed[j]:
-            old = load[i]
+        for i in reversed(allowed[j]):
             t = times[i][j]
-            if max(load_max, old + t) >= cut:
-                continue
-            load[i] = old + t
-            current[j] = i
-            rec(depth + 1, load_sum + t, max(load_max, load[i]))
-            load[i] = old
-        current[j] = 0
-
-    try:
-        rec(0, 0.0, 0.0)
-    except RecursionError:
-        raise BudgetExceededError(
-            f"branch-and-bound depth {m} exceeds the interpreter's recursion limit") from None
+            grown = load[i] + t
+            if grown < cut:
+                child = load.copy()
+                child[i] = grown
+                stack.append((depth + 1, child, load_sum + t, i))
     return best_val, tuple(best_assign)
 
 

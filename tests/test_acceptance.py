@@ -44,8 +44,7 @@ def _report(num: int, tag: str, budget_s: float, started: float) -> None:
 
 def test_criterion_01_bucket_equivalence():
     t0 = time.monotonic()
-    report = bucket_equivalence_check(alphas=(1.5, 2.0, 3.0), vectors_per_alpha=50,
-                                      n=3, seed=2024, eps=0.1)
+    report = bucket_equivalence_check(vectors_per_alpha=50, seed=2024)
     assert report.passed, report.lines
     _report(1, "bucket-equivalence", 120, t0)
 
@@ -142,8 +141,8 @@ def test_criterion_07_opt_oracle():
 
 def test_criterion_08_inequality_checkers():
     t0 = time.monotonic()
-    assert tech1_fuzz(count=100_000, seed=13).passed
-    assert combi_fuzz(count=1000, seed=17).passed
+    assert tech1_fuzz(seed=13).passed
+    assert combi_fuzz(seed=17).passed
     for n, alpha, delta in ((2, 2.0, 0.9), (3, 2.0, 0.6), (4, 1.5, 0.5), (5, 3.0, 0.4)):
         a = gen_circulant(n, alpha, delta)
         want = (n - 1) / (alpha * (math.sqrt(2) - delta))

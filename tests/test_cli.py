@@ -7,6 +7,7 @@ import pytest
 from mechfront import analysis, cli, instances, optsolver
 from mechfront.analysis import SuiteReport
 from mechfront.instances import gen_random, gen_tradeoff, gen_uniform
+from mechfront.model import makespan
 
 FRONTIER_ARGS = ["frontier", "-n", "3", "--alphas", "1,1.5,2,4"]
 
@@ -76,23 +77,27 @@ def test_oversized_grid_refused(capsys, tradeoff_file):
     assert "budget refused" in err
 
 
+def tenths(m):
+    return [0.1 * (j % 7 + 1) for j in range(m)]
+
+
 def test_opt_deep_search(capsys, tmp_path):
-    # one task per recursion level: the all-ones instance meets the root bound
-    # and never recurses; the rounding one is refused, naming its depth
+    # one search level per task: the all-ones instance meets the root bound
+    # and stops there; the 0.1-step ones search every level down to the greedy
+    # value, which no leaf beats, so the greedy witness stays
     ones = tmp_path / "ones.json"
     ones.write_text(json.dumps({"times": [[1.0] * 1200], "big": 1e7}))
     code, out, _ = run_cli(capsys, "opt", "-i", str(ones))
     assert code == 0
     assert json.loads(out) == {"opt": 1200.0, "witness": [0] * 1200}
 
-    tenths = tmp_path / "tenths.json"
-    tenths.write_text(json.dumps({"times": [[0.1 * (j % 7 + 1) for j in range(1200)]],
-                                  "big": 1e7}))
-    code, out, err = run_cli(capsys, "opt", "-i", str(tenths))
-    assert code == 3
-    assert out == ""
-    assert err == ("budget refused: branch-and-bound depth 1200 exceeds "
-                   "the interpreter's recursion limit\n")
+    for times, big in (([tenths(1200)], 1e7), ([tenths(3000), [5000.0] * 3000], 1e8)):
+        path = tmp_path / "tenths.json"
+        path.write_text(json.dumps({"times": times, "big": big}))
+        code, out, err = run_cli(capsys, "opt", "-i", str(path))
+        assert (code, err) == (0, "")
+        greedy = makespan(instances.load_instance(str(path)), [0] * len(times[0]))
+        assert json.loads(out) == {"opt": float(f"{greedy:.6g}"), "witness": [0] * len(times[0])}
 
 
 def test_opt_search_budget_refused(capsys, tmp_path, monkeypatch):
@@ -346,6 +351,14 @@ def test_probe_fp_asymmetry(capsys):
     assert data["a"] == [[0.0, 1.0], [1.5, 0.0]]
 
 
+def test_probe_cap_below_one(capsys):
+    # 1.0 is a grid multiple above the cap: it is not anchored, not refused
+    code, out, err = run_cli(capsys, "probe", "--mech", "fp", "-n", "2", "--eps", "0.1",
+                             "--cap", "0.3")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["eps"] == 0.1
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_tech1(capsys):
@@ -454,6 +467,18 @@ def test_malformed_instance_file_exits_two(capsys, tmp_path, data, field):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 x 1e6\n1 2\n3 4\n", "first line must be 'n m big', got '2 x 1e6'"),
+    ("1 2\n1 2\n", "first line must be 'n m big', got '1 2'"),
+    ("1 2 1e6\n1 a\n", "times: row 0: could not convert string to float: 'a'"),
+])
+def test_malformed_text_instance_file_exits_two(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "opt", "-i", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("extra", [["--eps", "0"], ["--eps", "1e-320"], ["--cap", "inf"]])

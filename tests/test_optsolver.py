@@ -243,6 +243,21 @@ def test_search_order_witness_when_sums_round():
     assert opt_makespan(inst) == (1.7, (1, 1, 0, 1, 1, 0, 1))
 
 
+@pytest.mark.parametrize("n, m, seed, nodes", [
+    (2, 30, 0, 1286), (2, 30, 1, 2330), (3, 12, 2, 450), (4, 8, 1, 106),
+])
+def test_search_node_count(monkeypatch, n, m, seed, nodes):
+    # the smallest budget that lets the search finish is its node count;
+    # value and witness tests cannot see a search that visits extra nodes
+    inst = gen_random(n, m, seed)
+    monkeypatch.setattr(optsolver, "SEARCH_BUDGET", nodes - 1)
+    with pytest.raises(BudgetExceededError):
+        opt_makespan(inst)
+    monkeypatch.setattr(optsolver, "SEARCH_BUDGET", nodes)
+    value, witness = opt_makespan(inst)
+    assert makespan(inst, witness) == value
+
+
 @pytest.mark.parametrize("n", [3, 5, 6])
 def test_round_robin_witness_on_uniform(n):
     # the greedy placement meets the root average, so the search stops there
