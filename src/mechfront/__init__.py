@@ -51,7 +51,6 @@ from .analysis import (
     FrontierPoint,
     InefficiencyReport,
     MonotonicityResult,
-    ProbeMatrix,
     anonymity_check,
     check_combi,
     check_tech1,

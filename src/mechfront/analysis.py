@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import (
-    ENUMERATION_BUDGET,
     EquilibriumCertificate,
     Grid,
     achievable_winners,
@@ -248,22 +247,16 @@ def anonymity_check(rule: SingleTaskRule, true_vectors, grid: Grid) -> Anonymity
 # probe matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProbeMatrix:
-    """a[i][j] = largest probed time at which machine j still wins a task in
-    some equilibrium while machine i is the unit-time fastest (0 on the
-    diagonal and when no probe succeeded)."""
+def probe_matrix(rule: SingleTaskRule, grid: Grid) -> tuple:
+    """The rule's n x n winner-reach matrix, as a tuple of rows: a[i][j] is
+    the largest probed time at which machine j still wins a task in some
+    equilibrium while machine i is the unit-time fastest (0 on the diagonal
+    and when no probe succeeded).
 
-    a: tuple
-    eps: float
-    rule: str
-
-
-def probe_matrix(rule: SingleTaskRule, grid: Grid,
-                 budget: int = ENUMERATION_BUDGET) -> ProbeMatrix:
-    """Climb a*= k*eps ladders per (fast, slow) pair of the rule's n machines,
-    with eps the grid's step, and record the largest a whose canonical
-    single-task vector still lets the slow machine win.
+    Climbs a*= k*eps ladders per (fast, slow) pair, with eps the grid's step,
+    and records the largest a whose canonical single-task vector still lets
+    the slow machine win.  Each probe is one `enumerate_equilibria` call, so
+    a grid past ENUMERATION_BUDGET raises BudgetExceededError.
 
     The ladder stops after n consecutive failures past the rule's analytic
     reach (alpha for spa, 1 for fp) or at the grid cap; second price has no
@@ -289,7 +282,7 @@ def probe_matrix(rule: SingleTaskRule, grid: Grid,
                 if probe > cap + 1e-9:
                     break
                 vec = gen_canonical(n, i, j, probe)
-                hit = j in enumerate_equilibria(rule, vec, grid, budget).winner_union()
+                hit = j in enumerate_equilibria(rule, vec, grid).winner_union()
                 if hit:
                     best = probe
                     fails_past = 0
@@ -298,7 +291,7 @@ def probe_matrix(rule: SingleTaskRule, grid: Grid,
                     if fails_past >= n:
                         break
             a[i][j] = best
-    return ProbeMatrix(tuple(tuple(r) for r in a), eps, str(rule.id))
+    return tuple(tuple(r) for r in a)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +364,6 @@ def check_combi(a, alpha: float, eps: float) -> tuple:
 
 @dataclass(frozen=True)
 class SuiteReport:
-    name: str
     passed: bool
     lines: tuple
 
@@ -380,14 +372,17 @@ class SuiteReport:
 BUCKET_ALPHAS = (1.5, 2.0, 3.0)
 BUCKET_N = 3
 BUCKET_EPS = 0.1
+BUCKET_VECTORS = 50  # per alpha
+MONOTONICITY_TRIALS = 200
 TECH1_COUNT = 100_000
 COMBI_COUNT = 1000
 
 
-def bucket_equivalence_check(vectors_per_alpha: int = 50, seed: int = 2024) -> SuiteReport:
+def bucket_equivalence_check(seed: int = 2024) -> SuiteReport:
     """Exhaustive-enumeration ground truth for the spa winner sets.
 
-    Draws positive BUCKET_EPS-multiple vectors (entries in [0.1, 4.0]) and
+    Draws BUCKET_VECTORS positive BUCKET_EPS-multiple vectors (entries in
+    [0.1, 4.0]) per alpha and
     checks that the enumerated equilibrium winner set equals
     `achievable_winners`'s closed bucket for every alpha.  Exact set equality.
     """
@@ -397,7 +392,7 @@ def bucket_equivalence_check(vectors_per_alpha: int = 50, seed: int = 2024) -> S
     for alpha in BUCKET_ALPHAS:
         mech = MechanismId.spa(alpha)
         rule = rule_for(mech, BUCKET_N)
-        for v in range(vectors_per_alpha):
+        for v in range(BUCKET_VECTORS):
             ks = rng.integers(1, 41, size=BUCKET_N)
             vec = tuple(float(k) * BUCKET_EPS for k in ks)
             grid = default_grid(vec, mech, BUCKET_EPS)
@@ -409,8 +404,8 @@ def bucket_equivalence_check(vectors_per_alpha: int = 50, seed: int = 2024) -> S
                     f"  mismatch alpha={alpha} vec={vec}: enumerated {sorted(enum)}, "
                     f"bucket {sorted(bucket)}"
                 )
-        lines.append(f"  alpha={alpha}: {vectors_per_alpha} vectors checked")
-    return SuiteReport("buckets", mismatches == 0, tuple(lines))
+        lines.append(f"  alpha={alpha}: {BUCKET_VECTORS} vectors checked")
+    return SuiteReport(mismatches == 0, tuple(lines))
 
 
 MONOTONICITY_INSTANCES = (
@@ -420,10 +415,9 @@ MONOTONICITY_INSTANCES = (
 )
 
 
-def monotonicity_suite(trials: int = 200, seed: int = 7,
-                       direction: str = "forward") -> SuiteReport:
+def monotonicity_suite(seed: int = 7, direction: str = "forward") -> SuiteReport:
     """Canonical certificates for fp, sp, spa:2 on ten named instances, each
-    re-verified under `trials` sampled truth modifications.  forward must be
+    re-verified under MONOTONICITY_TRIALS sampled truth modifications.  forward must be
     failure-free; reverse must produce at least one failure overall."""
     chosen = dict(regression_suite())
     mechs = (MechanismId.fp(), MechanismId.sp(), MechanismId.spa(2.0))
@@ -434,16 +428,17 @@ def monotonicity_suite(trials: int = 200, seed: int = 7,
         for mech in mechs:
             grid = default_grid(inst, mech)
             cert = canonical_certificate(mech, inst, grid)
-            res = monotonicity_check(mech, inst, cert, trials, seed, direction, grid)
+            res = monotonicity_check(mech, inst, cert, MONOTONICITY_TRIALS, seed,
+                                     direction, grid)
             total_failures += len(res.failures)
             lines.append(
-                f"  {label} {mech}: {trials} trials, {len(res.failures)} failures"
+                f"  {label} {mech}: {MONOTONICITY_TRIALS} trials, {len(res.failures)} failures"
             )
     if direction == "forward":
         passed = total_failures == 0
     else:
         passed = total_failures >= 1  # the negative control must fire
-    return SuiteReport(f"monotonicity-{direction}", passed, tuple(lines))
+    return SuiteReport(passed, tuple(lines))
 
 
 def anonymity_suite() -> SuiteReport:
@@ -462,7 +457,7 @@ def anonymity_suite() -> SuiteReport:
         ok = ok and res.passed
         lines.append(f"  {mech}: {res.checked} permuted enumerations, "
                      f"{'ok' if res.passed else f'fails at {res.counterexample}'}")
-    return SuiteReport("anonymity", ok, tuple(lines))
+    return SuiteReport(ok, tuple(lines))
 
 
 def tech1_fuzz(seed: int = 13) -> SuiteReport:
@@ -473,10 +468,9 @@ def tech1_fuzz(seed: int = 13) -> SuiteReport:
         if xs[k] == 0.0 and ys[k] == 0.0:
             continue
         if not check_tech1(xs[k], ys[k], betas[k], gammas[k]):
-            return SuiteReport("tech1", False,
-                               (f"  fails at x={xs[k]} y={ys[k]} beta={betas[k]} "
-                                f"gamma={gammas[k]}",))
-    return SuiteReport("tech1", True, (f"  {TECH1_COUNT} random tuples hold",))
+            return SuiteReport(False, (f"  fails at x={xs[k]} y={ys[k]} beta={betas[k]} "
+                                       f"gamma={gammas[k]}",))
+    return SuiteReport(True, (f"  {TECH1_COUNT} random tuples hold",))
 
 
 CIRCULANT_CASES = ((2, 2.0, 0.9), (3, 2.0, 0.6), (4, 1.5, 0.5), (5, 3.0, 0.4))
@@ -502,32 +496,30 @@ def combi_fuzz(seed: int = 17) -> SuiteReport:
         eps = alpha / ((n - 1) * SQRT2) * float(rng.uniform(0.1, 1.0))
         ok, _ = check_combi(a, alpha, eps)
         if not ok:
-            return SuiteReport("combi", False,
-                               (f"  bound fails on random matrix #{k} (n={n}, "
-                                f"alpha={alpha})",))
+            return SuiteReport(False, (f"  bound fails on random matrix #{k} (n={n}, "
+                                       f"alpha={alpha})",))
     lines.append(f"  {COMBI_COUNT} random premise-satisfying matrices hold")
     for n, alpha, delta in CIRCULANT_CASES:
         a = gen_circulant(n, alpha, delta)
         eps = alpha / ((n - 1) * SQRT2)
         ok, _ = check_combi(a, alpha, eps)
         if not ok:
-            return SuiteReport("combi", False,
-                               (f"  circulant n={n} alpha={alpha} delta={delta} fails",))
+            return SuiteReport(False, (f"  circulant n={n} alpha={alpha} delta={delta} fails",))
         attained = max(combi_row_best(a, i, 0.0) for i in range(n))
         target = (n - 1) / (alpha * (SQRT2 - delta))
         if abs(attained - target) > 1e-9:
-            return SuiteReport("combi", False,
-                               (f"  circulant n={n} tightness off: {attained} vs {target}",))
+            return SuiteReport(False, (f"  circulant n={n} tightness off: "
+                                       f"{attained} vs {target}",))
         lines.append(f"  circulant n={n} alpha={alpha} delta={delta}: bound holds, "
                      f"eps=0 value within 1e-9 of {target:.6g}")
-    return SuiteReport("combi", True, tuple(lines))
+    return SuiteReport(True, tuple(lines))
 
 
 VERIFY_SUITES = {
-    "buckets": lambda seed: bucket_equivalence_check(seed=seed),
-    "monotonicity": lambda seed: monotonicity_suite(seed=seed),
-    "monotonicity-reverse": lambda seed: monotonicity_suite(seed=seed, direction="reverse"),
+    "buckets": bucket_equivalence_check,
+    "monotonicity": monotonicity_suite,
+    "monotonicity-reverse": lambda seed: monotonicity_suite(seed, "reverse"),
     "anonymity": lambda seed: anonymity_suite(),
-    "tech1": lambda seed: tech1_fuzz(seed=seed),
-    "combi": lambda seed: combi_fuzz(seed=seed),
+    "tech1": tech1_fuzz,
+    "combi": combi_fuzz,
 }

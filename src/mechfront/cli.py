@@ -17,6 +17,7 @@ are printed with 6 significant digits, instance files are written lossless.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -65,6 +66,7 @@ def _grid_for(inst, mech, spec):
     return equilibria.default_grid(inst, mech, float(parts[0]), float(parts[1]))
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mechfront", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="verb", required=True)
@@ -72,7 +74,8 @@ def _parser() -> argparse.ArgumentParser:
     q = sub.add_parser("opt", help="optimal makespan, optionally masked")
     q.add_argument("-i", "--instance", required=True)
     q.add_argument("--mech", help="mask by this mechanism's winner sets (fp, sp, spa:A)")
-    q.add_argument("--objective", choices=("min", "max"), default="min")
+    q.add_argument("--objective", choices=("min", "max"),
+                   help="with --mech: min (default) or max over the winner sets")
 
     q = sub.add_parser("equilibria", help="enumerate grid equilibria per task")
     q.add_argument("-i", "--instance", required=True)
@@ -80,7 +83,6 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--task", type=int, help="single task index (default: all)")
     q.add_argument("--grid", metavar="EPS,H",
                    help="bid grid step and top (default: 0.1, alpha*max_finite + 0.2)")
-    q.add_argument("--budget", type=int, default=equilibria.ENUMERATION_BUDGET)
 
     q = sub.add_parser("analyze", help="inefficiency report")
     q.add_argument("-i", "--instance", required=True)
@@ -97,7 +99,6 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("-n", type=int, required=True)
     q.add_argument("--eps", type=float, default=0.5)
     q.add_argument("--cap", type=float, help="grid top (default: 2*reach + 1)")
-    q.add_argument("--budget", type=int, default=equilibria.ENUMERATION_BUDGET)
 
     q = sub.add_parser("verify", help="run a property suite")
     q.add_argument("--suite", default="all",
@@ -130,12 +131,15 @@ def run(argv) -> int:
 
 def _dispatch(args) -> int:
     if args.verb == "opt":
+        if args.objective and not args.mech:
+            raise ValueError("--objective needs --mech")
         inst = _load_instance(args.instance)
         if args.mech:
             mech = MechanismId.parse(args.mech)
             mask = equilibria.achievable_winners(mech, inst)
-            value, witness = opt_makespan_masked(inst, mask, args.objective)
-            print(_dump({"mech": str(mech), "objective": args.objective,
+            objective = args.objective or "min"
+            value, witness = opt_makespan_masked(inst, mask, objective)
+            print(_dump({"mech": str(mech), "objective": objective,
                          "value": value, "witness": list(witness)}))
         else:
             value, witness = opt_makespan(inst)
@@ -152,7 +156,7 @@ def _dispatch(args) -> int:
         for j in tasks:
             if not 0 <= j < inst.m:
                 raise ValueError(f"task {j} out of range")
-            res = equilibria.enumerate_equilibria(rule, inst.column(j), grid, args.budget)
+            res = equilibria.enumerate_equilibria(rule, inst.column(j), grid)
             rows.append({"task": j, "profiles": len(res),
                          "winners": sorted(res.winner_union())})
         print(_dump({"mech": str(mech), "eps": grid.step,
@@ -188,9 +192,8 @@ def _dispatch(args) -> int:
             raise ValueError(f"need --eps > 0 and a finite --cap/--eps, got {args.eps}, {cap}")
         k = max(2, round(cap / args.eps))
         grid = equilibria.default_grid((1.0,), mech, args.eps, k * args.eps)
-        matrix = analysis.probe_matrix(rule, grid, args.budget)
-        print(_dump({"mech": str(mech), "eps": matrix.eps,
-                     "a": [list(r) for r in matrix.a]}))
+        matrix = analysis.probe_matrix(rule, grid)
+        print(_dump({"mech": str(mech), "eps": grid.step, "a": [list(r) for r in matrix]}))
         return 0
 
     if args.verb == "verify":
@@ -216,6 +219,9 @@ def _dispatch(args) -> int:
                 instances.save_text(built, args.out)
             else:
                 instances.save_instance(built, args.out)
+        elif args.text:
+            raise ValueError(f"--text writes instances only; generator {spec.name!r} "
+                             f"does not build one")
         elif spec.name == "circulant":
             with open(args.out, "w") as f:
                 json.dump({"name": spec.label(), "a": [list(r) for r in built]}, f, indent=1)

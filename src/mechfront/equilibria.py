@@ -219,16 +219,16 @@ class EnumerationResult:
         return frozenset(int(w) for w in np.unique(self.winners))
 
 
-def enumerate_equilibria(rule: SingleTaskRule, true_times, grid: Grid,
-                         budget: int = ENUMERATION_BUDGET) -> EnumerationResult:
+def enumerate_equilibria(rule: SingleTaskRule, true_times, grid: Grid) -> EnumerationResult:
     """Exhaustively test all len(grid)^n profiles of one task.
 
     The bid matrix is stacked once from broadcast views of the grid.  A
     profile is kept when, for every machine, its utility equals its best
     response against the others' bids -- computed as an axis-max over the
     utility cube, so the whole scan is a handful of vectorized passes.  Only
-    the kept profiles' winners are returned.  Refuses to start when the
-    profile count exceeds `budget`.
+    the kept profiles' winners are returned.  Raises BudgetExceededError
+    before allocating anything when the profile count exceeds
+    ENUMERATION_BUDGET.
     """
     t = np.asarray([float(x) for x in true_times])
     n = rule.n
@@ -237,9 +237,9 @@ def enumerate_equilibria(rule: SingleTaskRule, true_times, grid: Grid,
     pts = grid.points
     g = len(pts)
     total = g ** n
-    if total > budget:
+    if total > ENUMERATION_BUDGET:
         raise BudgetExceededError(
-            f"{g}^{n} = {total} profiles exceed the enumeration budget {budget}"
+            f"{g}^{n} = {total} profiles exceed the enumeration budget {ENUMERATION_BUDGET}"
         )
     mesh = np.meshgrid(*([pts] * n), indexing="ij", copy=False)
     winners, pay = rule.batch(np.stack(mesh, axis=-1).reshape(total, n))

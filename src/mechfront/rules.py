@@ -53,13 +53,12 @@ class SingleTaskRule:
         if B.ndim != 2 or B.shape[1] != self.n:
             raise ValueError(f"batch expects shape (K, {self.n})")
         w = np.argmin(B, axis=1)  # argmin takes the first minimum: lowest index
-        own = B[np.arange(len(B)), w]
         if self.id.kind == "fp":
-            return w, own
-        second = np.partition(B, 1, axis=1)[:, 1]
+            return w, B.min(axis=1)
+        lowest = np.partition(B, 1, axis=1)  # columns 0 and 1: lowest and second-lowest bid
         if self.id.kind == "sp":
-            return w, second
-        return w, np.minimum(second, self.id.alpha * own)
+            return w, lowest[:, 1]
+        return w, np.minimum(lowest[:, 1], self.id.alpha * lowest[:, 0])
 
 
 def rule_for(mech: MechanismId, n: int) -> SingleTaskRule:

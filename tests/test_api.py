@@ -6,6 +6,7 @@ import pathlib
 import types
 
 import mechfront
+from mechfront import analysis
 
 PACKAGE_DIR = pathlib.Path(mechfront.__file__).parent
 TESTS_DIR = pathlib.Path(__file__).parent
@@ -14,7 +15,7 @@ PUBLIC_NAMES = [
     "AnonymityResult", "BudgetExceededError", "CombiPremiseError", "DEFAULT_BIG",
     "EligibilityMask", "EnumerationResult", "EquilibriumCertificate", "FrontierPoint",
     "GeneratorSpec", "Grid", "InefficiencyReport", "Instance", "MechanismId",
-    "MonotonicityResult", "ProbeMatrix", "SingleTaskRule", "VerifyResult",
+    "MonotonicityResult", "SingleTaskRule", "VerifyResult",
     "achievable_winners", "anonymity_check", "canonical_certificate", "check_combi",
     "check_tech1", "combi_row_best", "default_grid", "enumerate_equilibria",
     "frontier_sweep", "gen_canonical", "gen_circulant", "gen_fp_pos",
@@ -40,7 +41,7 @@ def test_record_fields():
     assert fields(mechfront.EquilibriumCertificate) == \
         ["profile", "winner", "checked_deviations"]
     assert fields(mechfront.EnumerationResult) == ["winners", "scanned"]
-    assert fields(mechfront.ProbeMatrix) == ["a", "eps", "rule"]
+    assert fields(analysis.SuiteReport) == ["passed", "lines"]
 
 
 def package_imports(tree) -> set:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from mechfront import analysis, cli, instances, optsolver
+from mechfront import analysis, cli, equilibria, instances, optsolver
 from mechfront.analysis import SuiteReport
 from mechfront.instances import gen_random, gen_tradeoff, gen_uniform
 from mechfront.model import makespan
@@ -110,6 +110,12 @@ def test_opt_search_budget_refused(capsys, tmp_path, monkeypatch):
     assert err == "budget refused: branch-and-bound passes 10000 nodes\n"
 
 
+@pytest.mark.parametrize("objective", ["min", "max"])
+def test_opt_objective_needs_mech(capsys, tradeoff_file, objective):
+    code, out, err = run_cli(capsys, "opt", "-i", tradeoff_file, "--objective", objective)
+    assert (code, out, err) == (2, "", "error: --objective needs --mech\n")
+
+
 def test_opt_missing_file(capsys):
     code, _, err = run_cli(capsys, "opt", "-i", "/no/such/file.json")
     assert code == 2
@@ -161,13 +167,25 @@ def test_equilibria_greedy_refused(capsys, tradeoff_file):
     assert "greedy" in err
 
 
-def test_equilibria_budget_refused(capsys, tmp_path):
+def test_equilibria_budget_refused(capsys, tmp_path, monkeypatch):
     path = tmp_path / "u.json"
     instances.save_instance(gen_uniform(3), str(path))
-    code, _, err = run_cli(capsys, "equilibria", "-i", str(path),
-                           "--mech", "fp", "--budget", "10")
-    assert code == 3
-    assert "budget refused" in err
+    monkeypatch.setattr(equilibria, "ENUMERATION_BUDGET", 100)
+    code, out, err = run_cli(capsys, "equilibria", "-i", str(path), "--mech", "fp")
+    assert (code, out) == (3, "")
+    assert err == "budget refused: 13^3 = 2197 profiles exceed the enumeration budget 100\n"
+    code, out, err = run_cli(capsys, "probe", "--mech", "fp", "-n", "3")
+    assert (code, out) == (3, "")
+    assert err == "budget refused: 7^3 = 343 profiles exceed the enumeration budget 100\n"
+
+
+@pytest.mark.parametrize("verb", ["equilibria", "probe"])
+def test_budget_flag_is_gone(capsys, tradeoff_file, verb):
+    argv = (["equilibria", "-i", tradeoff_file] if verb == "equilibria" else
+            ["probe", "-n", "2"]) + ["--mech", "fp", "--budget", "10"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --budget 10" in err
 
 
 # ---------------------------------------------------------------- analyze
@@ -370,7 +388,7 @@ def test_verify_tech1(capsys):
 def test_verify_failure_exits_one(capsys, monkeypatch):
     monkeypatch.setitem(
         analysis.VERIFY_SUITES, "tech1",
-        lambda seed: SuiteReport("tech1", False, ("forced failure",)))
+        lambda seed: SuiteReport(False, ("forced failure",)))
     code, out, _ = run_cli(capsys, "verify", "--suite", "tech1")
     assert code == 1
     assert "tech1: FAIL" in out
@@ -421,6 +439,16 @@ def test_gen_canonical_vector_file(capsys, tmp_path):
         data = json.load(f)
     assert set(data) == {"name", "vector"}
     assert data["vector"] == [1.0, 2.0, 1000002.0]
+
+
+@pytest.mark.parametrize("argv", [["canonical", "n=3", "fast=0", "slow=1", "a=2"],
+                                  ["circulant", "n=3", "alpha=2", "delta=0.6"]])
+def test_gen_text_refused_for_non_instances(capsys, tmp_path, argv):
+    out_path = tmp_path / "c.txt"
+    code, out, err = run_cli(capsys, "gen", *argv, "-o", str(out_path), "--text")
+    assert (code, out) == (2, "")
+    assert err == f"error: --text writes instances only; generator '{argv[0]}' does not build one\n"
+    assert not out_path.exists()
 
 
 def test_gen_unknown_generator(capsys, tmp_path):
@@ -499,6 +527,13 @@ def test_degenerate_grid_step_refused(capsys, tradeoff_file, grid, code):
 
 
 # ---------------------------------------------------------------- entry point
+
+def test_parser_built_once(capsys):
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert run_cli(capsys, "probe", "--mech", "fp", "-n", "2")[0] == 0
+    assert (cli._parser.cache_info().misses, cli._parser.cache_info().hits) == (1, 1)
+
 
 def test_installed_entry_point_runs():
     proc = subprocess.run(

@@ -2,15 +2,18 @@
 varied instance-file contents.  Each run must exit 0 (done), 2 (usage or bad
 input) or 3 (budget refused) and never print a traceback; exit 1 is kept for
 `verify`'s property violations.  Sizes stay small (at most 3 machines, coarse
-grids, small budgets, `frontier -n` at most 3) so the fuzz takes seconds."""
+grids, the enumeration budget lowered to FUZZ_BUDGET, `frontier -n` at most 3)
+so the fuzz takes seconds.  No verb has a `--budget` flag, so argv that passes
+one must exit 2."""
 import contextlib
 import io
 import json
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mechfront import cli
+from mechfront import cli, equilibria
 from mechfront.instances import save_instance, save_text
 from mechfront.model import Instance
 
@@ -26,6 +29,8 @@ PARAM_KEYS = ["n", "m", "alpha", "rho", "eps", "seed", "variant", "fast", "slow"
 PARAM_VALUES = {"n": st.sampled_from(["-1", "0", "1", "2", "3", "1.5", "x"]),
                 "m": st.sampled_from(["0", "1", "3"]),
                 "seed": st.sampled_from(["-1", "0", "7"])}
+
+FUZZ_BUDGET = 20000  # enumerated profiles per task
 
 ENTRIES = st.sampled_from([0, 0.0, 0.1, 0.5, 1, 1.5, 2, 3.5, 1e6])
 WILD_ENTRIES = st.one_of(ENTRIES, st.sampled_from(
@@ -65,6 +70,11 @@ def numbers(*extra):
     return st.sampled_from(NUMBERS + list(extra))
 
 
+def budget_flag(draw):
+    """Now and then the removed `--budget` flag."""
+    return ["--budget", "10"] if draw(st.integers(0, 4)) == 0 else []
+
+
 VALID_PARAMS = {"uniform": {"n": "3"}, "thm3_hat": {"n": "2"},
                 "tradeoff": {"n": "3", "rho": "1.5"}, "fp_pos": {"n": "3", "eps": "0.5"},
                 "hat": {"n": "3", "alpha": "2"}, "tilde": {"n": "2", "alpha": "1.5"},
@@ -101,8 +111,7 @@ def instance_argv(draw, path):
     elif verb == "analyze":
         argv += ["--mech", draw(MECHS)]
     else:
-        argv += ["--mech", draw(MECHS),
-                 "--budget", draw(st.sampled_from(["-1", "0", "10", "1000", "20000"]))]
+        argv += ["--mech", draw(MECHS), *budget_flag(draw)]
         if draw(st.booleans()):
             argv += ["--task", draw(st.sampled_from(["-1", "0", "1", "3", "x"]))]
         if draw(st.booleans()):
@@ -124,8 +133,7 @@ def other_argv(draw, out_path):
             argv += ["--suite", ";".join(draw(st.lists(generator_spec(","), max_size=3)))]
         return argv
     if verb == "probe":
-        argv = ["probe", "--mech", draw(MECHS), "-n", draw(SMALL_N),
-                "--budget", draw(st.sampled_from(["0", "100", "2000"]))]
+        argv = ["probe", "--mech", draw(MECHS), "-n", draw(SMALL_N), *budget_flag(draw)]
         if draw(st.booleans()):
             argv += ["--eps", draw(numbers("0.25"))]
         if draw(st.booleans()):
@@ -139,14 +147,15 @@ def other_argv(draw, out_path):
 
 def run_quiet(argv):
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with mock.patch.object(equilibria, "ENUMERATION_BUDGET", FUZZ_BUDGET), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.run(argv)
     return code, err.getvalue()
 
 
 def check(argv):
     code, err = run_quiet(argv)
-    assert code in (0, 2, 3), (argv, code, err)
+    assert code in ((2,) if "--budget" in argv else (0, 2, 3)), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
 
 
@@ -178,7 +187,7 @@ def test_fuzz_instance_files(tmp_path_factory, data):
     check(data.draw(st.sampled_from([
         ["opt", "-i", str(path)], ["opt", "-i", str(path), "--mech", "sp"],
         ["analyze", "-i", str(path), "--mech", "spa:2"],
-        ["equilibria", "-i", str(path), "--mech", "fp", "--budget", "1000"]])))
+        ["equilibria", "-i", str(path), "--mech", "fp"]])))
 
 
 @FUZZ

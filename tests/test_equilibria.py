@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mechfront import equilibria
 from mechfront.equilibria import (
     ENUMERATION_BUDGET,
     Grid,
@@ -241,11 +242,14 @@ def test_enumerate_single_machine():
     assert enumerate_by_verify(rule, (1.0,), g) == [(2.0,)]
 
 
-def test_enumerate_budget_refusal():
+def test_enumerate_budget_refusal(monkeypatch):
     rule = rule_for(SPA2, 3)
     g = Grid(0.1, 4.0)
-    with pytest.raises(BudgetExceededError):
-        enumerate_equilibria(rule, (1.0, 2.0, 3.0), g, budget=100)
+    monkeypatch.setattr(equilibria, "ENUMERATION_BUDGET", 41 ** 3 - 1)
+    with pytest.raises(BudgetExceededError, match="41\\^3 = 68921 profiles exceed"):
+        enumerate_equilibria(rule, (1.0, 2.0, 3.0), g)
+    monkeypatch.setattr(equilibria, "ENUMERATION_BUDGET", 41 ** 3)
+    assert enumerate_equilibria(rule, (1.0, 2.0, 3.0), g).scanned == 41 ** 3
 
 
 ORACLE_VECTORS = {
@@ -276,7 +280,8 @@ def test_enumerate_matches_verify_oracle(mid, n, kind):
 @pytest.mark.parametrize("mid", ["fp", "sp", "spa:3"])
 def test_enumerate_peak_memory_per_profile(mid):
     # the scan holds one (g^n, n) bid matrix and the rule's per-row arrays;
-    # a second copy of the bid mesh would push the peak past 88 B
+    # a second copy of the bid mesh, or a gathered index array, would push
+    # the peak past 76 B
     rule = rule_for(MechanismId.parse(mid), 3)
     g = Grid(0.1, 6.2)
     assert len(g) == 63
@@ -287,7 +292,7 @@ def test_enumerate_peak_memory_per_profile(mid):
     finally:
         tracemalloc.stop()
     assert res.scanned == 63 ** 3
-    assert peak / res.scanned < 88
+    assert peak / res.scanned < 76
 
 
 # ---------------------------------------------------------------- buckets
