@@ -256,7 +256,8 @@ def probe_matrix(rule: SingleTaskRule, grid: Grid) -> tuple:
     Climbs a*= k*eps ladders per (fast, slow) pair, with eps the grid's step,
     and records the largest a whose canonical single-task vector still lets
     the slow machine win.  Each probe is one `enumerate_equilibria` call, so
-    a grid past ENUMERATION_BUDGET raises BudgetExceededError.
+    a grid with more than ENUMERATION_BUDGET bid pairs raises
+    BudgetExceededError.
 
     The ladder stops after n consecutive failures past the rule's analytic
     reach (alpha for spa, 1 for fp) or at the grid cap; second price has no
@@ -379,7 +380,7 @@ COMBI_COUNT = 1000
 
 
 def bucket_equivalence_check(seed: int = 2024) -> SuiteReport:
-    """Exhaustive-enumeration ground truth for the spa winner sets.
+    """Grid-enumeration ground truth for the spa winner sets.
 
     Draws BUCKET_VECTORS positive BUCKET_EPS-multiple vectors (entries in
     [0.1, 4.0]) per alpha and
@@ -523,3 +524,4 @@ VERIFY_SUITES = {
     "tech1": tech1_fuzz,
     "combi": combi_fuzz,
 }
+SEEDLESS_SUITES = frozenset({"anonymity"})  # their entries above drop the seed

@@ -103,7 +103,8 @@ def _parser() -> argparse.ArgumentParser:
     q = sub.add_parser("verify", help="run a property suite")
     q.add_argument("--suite", default="all",
                    choices=sorted(analysis.VERIFY_SUITES) + ["all"])
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=int,
+                   help="seed of the seeded suites (default 0); the anonymity suite takes none")
 
     q = sub.add_parser("gen", help="write a generated instance to a file")
     q.add_argument("name", help="uniform | tradeoff | fp_pos | hat | tilde | "
@@ -157,7 +158,7 @@ def _dispatch(args) -> int:
             if not 0 <= j < inst.m:
                 raise ValueError(f"task {j} out of range")
             res = equilibria.enumerate_equilibria(rule, inst.column(j), grid)
-            rows.append({"task": j, "profiles": len(res),
+            rows.append({"task": j, "profiles": sum(res.counts),
                          "winners": sorted(res.winner_union())})
         print(_dump({"mech": str(mech), "eps": grid.step,
                      "cap": float(grid.points[-1]), "tasks": rows}))
@@ -197,10 +198,12 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "verify":
+        if args.seed is not None and args.suite in analysis.SEEDLESS_SUITES:
+            raise ValueError(f"suite {args.suite!r} has fixed fixtures and takes no --seed")
         names = sorted(analysis.VERIFY_SUITES) if args.suite == "all" else [args.suite]
         failed = False
         for name in names:
-            report = analysis.VERIFY_SUITES[name](args.seed)
+            report = analysis.VERIFY_SUITES[name](args.seed or 0)
             status = "pass" if report.passed else "FAIL"
             print(f"{name}: {status}")
             for line in report.lines:

@@ -7,6 +7,12 @@ task-independent, a whole-profile equilibrium is exactly a per-task
 equilibrium column by column, so everything here works on one task's bid
 vector at a time.
 
+`enumerate_equilibria` decides all len(grid)^n profiles of a task without
+building them.  The fp/sp/spa rules pay only the winner, so whether a
+profile is an equilibrium depends on its winner, the winning bid, the
+second-lowest bid and who holds that bid; the profiles sharing those are
+counted in closed form, in O(n * len(grid)^2) work.
+
 `achievable_winners` is the analytic counterpart: without enumerating
 anything it names, per task, the machines that win in *some* equilibrium:
 
@@ -205,50 +211,98 @@ def verify_equilibrium(rule: SingleTaskRule, true_times, bids, grid: Grid) -> Ve
 
 @dataclass(frozen=True, eq=False)
 class EnumerationResult:
-    """The grid equilibria of one task: each kept equilibrium's winner
-    (`len()` counts them) and the number of profiles scanned; `winner_union`
-    is the deduplicated set of winners."""
+    """The grid equilibria of one task, counted per winner: `counts[i]` is
+    the exact number of equilibrium profiles machine i wins (`len()` is
+    their sum), `scanned` the len(grid)^n profiles the count decides, and
+    `winner_union` the machines with a nonzero count."""
 
-    winners: np.ndarray
+    counts: tuple
     scanned: int
 
     def __len__(self) -> int:
-        return len(self.winners)
+        return sum(self.counts)
 
     def winner_union(self) -> frozenset:
-        return frozenset(int(w) for w in np.unique(self.winners))
+        return frozenset(i for i, k in enumerate(self.counts) if k)
 
 
 def enumerate_equilibria(rule: SingleTaskRule, true_times, grid: Grid) -> EnumerationResult:
-    """Exhaustively test all len(grid)^n profiles of one task.
+    """Count, per winner, the equilibria among all len(grid)^n profiles of
+    one task, without building the profiles.
 
-    The bid matrix is stacked once from broadcast views of the grid.  A
-    profile is kept when, for every machine, its utility equals its best
-    response against the others' bids -- computed as an axis-max over the
-    utility cube, so the whole scan is a handful of vectorized passes.  Only
-    the kept profiles' winners are returned.  Raises BudgetExceededError
-    before allocating anything when the profile count exceeds
-    ENUMERATION_BUDGET.
+    Only the winner is paid, and its pay depends on the two lowest bids
+    alone, so one `batch` call over the bid pairs a <= c (winner at pts[a],
+    everyone else at pts[c]) gives the pay table T[a, c].  A profile with
+    winner w, winning index a and second-lowest index c is stable when
+      - every loser i < w gains nothing by tying at pts[a]: T[a,a] <= t[i];
+      - every loser i > w gains nothing one step below: a == 0 or
+        T[a-1,a] <= t[i];
+      - the winner's U = T[a,c] - t[w] is at least its best deviation: if
+        it keeps the tie at pts[c] (no loser below w bids pts[c]), winning
+        at pts[c] and, unless pts[c] is the grid top, losing (utility 0);
+        otherwise winning one step below pts[c], and losing.
+    How many loser profiles share (w, a, c, tie class) depends on c alone
+    once c > a, so the admissible a are counted per c with numpy and
+    weighed by those multiplicities in Python ints: the counts are exact
+    for any n.  Raises TypeError for a rule that is not a SingleTaskRule
+    (the closed form holds for fp, sp and spa only) and
+    BudgetExceededError, before allocating anything, when the g(g+1)/2
+    bid pairs exceed ENUMERATION_BUDGET.
     """
+    if not isinstance(rule, SingleTaskRule):
+        raise TypeError(f"enumerate_equilibria counts fp, sp and spa rules only, "
+                        f"not {type(rule).__name__}")
     t = np.asarray([float(x) for x in true_times])
     n = rule.n
     if len(t) != n:
         raise ValueError(f"expected {n} true times")
     pts = grid.points
     g = len(pts)
-    total = g ** n
-    if total > ENUMERATION_BUDGET:
+    pairs = g * (g + 1) // 2
+    if pairs > ENUMERATION_BUDGET:
         raise BudgetExceededError(
-            f"{g}^{n} = {total} profiles exceed the enumeration budget {ENUMERATION_BUDGET}"
+            f"{pairs} bid pairs of a {g}-point grid exceed the enumeration budget "
+            f"{ENUMERATION_BUDGET}"
         )
-    mesh = np.meshgrid(*([pts] * n), indexing="ij", copy=False)
-    winners, pay = rule.batch(np.stack(mesh, axis=-1).reshape(total, n))
-    eq = np.ones(total, dtype=bool)
-    shape = (g,) * n
-    for i in range(n):
-        u = _utility(winners, pay, t, i).reshape(shape)
-        eq &= (u == u.max(axis=i, keepdims=True)).reshape(-1)
-    return EnumerationResult(winners[eq], total)
+    r = np.arange(g)
+    a_idx, c_idx = np.nonzero(r[:, None] <= r)
+    _, pay = rule_for(rule.id, 2).batch(np.column_stack((pts[a_idx], pts[c_idx])))
+    T = np.full((g, g), np.nan)  # nan below the diagonal: no profile has c < a
+    T[a_idx, c_idx] = pay
+    tie = np.diag(T)  # T[c, c]
+    if n == 1:
+        u = tie - t[0]
+        return EnumerationResult((int(np.count_nonzero(u == u.max())),), g)
+    step_below = np.concatenate(([np.nan], np.diag(T, 1)))  # T[c-1, c]
+    top = r == g - 1
+    strict = r[:, None] < r
+    counts = []
+    for w in range(n):
+        ok = np.ones(g, dtype=bool)  # the losers' conditions, per winning index a
+        if w > 0:
+            ok &= tie <= t[:w].min()
+        if w < n - 1:
+            ok[1:] &= step_below[1:] <= t[w + 1:].min()
+        U = T - t[w]
+        keep = (U >= tie - t[w]) & ((U >= 0) | top)
+        lower = (U >= step_below - t[w]) & (U >= 0) & strict
+        counts.append(_weigh(np.count_nonzero(keep[ok], axis=0),
+                             np.count_nonzero(lower[ok], axis=0), w, n - 1 - w))
+    return EnumerationResult(tuple(counts), g ** n)
+
+
+def _weigh(keep, lower, below: int, above: int) -> int:
+    """Sum over second-lowest indices c of keep[c] times the loser profiles
+    in which no loser below the winner bids pts[c], plus lower[c] times those
+    in which one does; `below` and `above` count the losers on each side of
+    the winner."""
+    g = len(keep)
+    total = 0
+    for c in np.flatnonzero(keep + lower).tolist():
+        at_least, over = g - c, g - c - 1  # bids >= pts[c], bids > pts[c]
+        total += int(keep[c]) * over ** below * (at_least ** above - over ** above) \
+            + int(lower[c]) * (at_least ** below - over ** below) * at_least ** above
+    return total
 
 
 # ---------------------------------------------------------------------------

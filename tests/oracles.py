@@ -3,18 +3,20 @@
 The scalar fp/sp/spa rules and the per-machine deviation scan are the
 straightforward versions of `SingleTaskRule.batch` and `verify_equilibrium`;
 `apply` and `utility` play the whole game on complete report matrices with
-the scalar rules; `enumerate_by_verify` is `enumerate_equilibria` one
-profile at a time; `brute_force_makespan` enumerates every assignment.  The
-tests compare the production paths against them.
+the scalar rules; `enumerate_dense` is `enumerate_equilibria` as a scan of
+every grid profile, and `enumerate_by_verify` the same one profile at a
+time; `brute_force_makespan` enumerates every assignment.  The tests compare
+the production paths against them.
 """
 import itertools
 
 import numpy as np
 
-from mechfront.equilibria import VerifyResult, verify_equilibrium
+from mechfront.equilibria import EnumerationResult, VerifyResult, verify_equilibrium
 from mechfront.model import BudgetExceededError, loads
 
 BRUTE_FORCE_BUDGET = 10 ** 7
+DENSE_BUDGET = 10 ** 7
 
 
 def _check_bids(bids) -> tuple:
@@ -159,3 +161,40 @@ def enumerate_by_verify(rule, true_times, grid) -> list:
     pts = [float(p) for p in grid.points]
     return [bids for bids in itertools.product(pts, repeat=rule.n)
             if verify_equilibrium(rule, true_times, bids, grid).ok]
+
+
+def _utility(winners, pay, true_times, machine):
+    """Utility of `machine` in each row."""
+    return np.where(winners == machine, pay - true_times[machine], 0.0)
+
+
+def enumerate_dense(rule, true_times, grid) -> EnumerationResult:
+    """Exhaustively test all len(grid)^n profiles of one task.
+
+    The bid matrix is stacked once from broadcast views of the grid.  A
+    profile is kept when, for every machine, its utility equals its best
+    response against the others' bids -- computed as an axis-max over the
+    utility cube, so the whole scan is a handful of vectorized passes.  The
+    kept profiles' winners are counted per machine.  Any rule with a
+    `batch` method will do.  Refuses more than DENSE_BUDGET profiles.
+    """
+    t = np.asarray([float(x) for x in true_times])
+    n = rule.n
+    if len(t) != n:
+        raise ValueError(f"expected {n} true times")
+    pts = grid.points
+    g = len(pts)
+    total = g ** n
+    if total > DENSE_BUDGET:
+        raise BudgetExceededError(
+            f"{g}^{n} = {total} profiles exceed the dense budget {DENSE_BUDGET}"
+        )
+    mesh = np.meshgrid(*([pts] * n), indexing="ij", copy=False)
+    winners, pay = rule.batch(np.stack(mesh, axis=-1).reshape(total, n))
+    eq = np.ones(total, dtype=bool)
+    shape = (g,) * n
+    for i in range(n):
+        u = _utility(winners, pay, t, i).reshape(shape)
+        eq &= (u == u.max(axis=i, keepdims=True)).reshape(-1)
+    counts = np.bincount(winners[eq], minlength=n)
+    return EnumerationResult(tuple(int(k) for k in counts), total)

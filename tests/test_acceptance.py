@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mechfront import cli, equilibria
+from mechfront import analysis, cli, equilibria
 from mechfront.analysis import (
     anonymity_check,
     anonymity_suite,
@@ -30,7 +30,7 @@ from mechfront.instances import (
 from mechfront.model import Instance, MechanismId
 from mechfront.optsolver import EligibilityMask, opt_makespan, opt_makespan_masked
 from mechfront.rules import rule_for
-from oracles import brute_force_makespan
+from oracles import brute_force_makespan, enumerate_dense
 
 FP = MechanismId.parse("fp")
 SP = MechanismId.parse("sp")
@@ -165,10 +165,12 @@ class _IndexBiasedRule:
         return w, np.where(w == 0, own, 0.0)
 
 
-def test_criterion_09_anonymity():
+def test_criterion_09_anonymity(monkeypatch):
     t0 = time.monotonic()
     rep = anonymity_suite()                  # fp and spa:2 fixtures, n=2
     assert rep.passed, rep.lines
+    # the negative control's rule is no SingleTaskRule: the dense scan plays it
+    monkeypatch.setattr(analysis, "enumerate_equilibria", enumerate_dense)
     res = anonymity_check(_IndexBiasedRule(2), [(1.0, 2.0)], Grid(0.5, 3.0))
     assert not res.passed
     assert res.counterexample is not None

@@ -29,6 +29,7 @@ from mechfront.instances import (
 )
 from mechfront.model import Instance, MechanismId
 from mechfront.rules import rule_for
+from oracles import enumerate_dense
 
 FP = MechanismId.parse("fp")
 SP = MechanismId.parse("sp")
@@ -259,7 +260,10 @@ class _IndexBiasedRule:
         return w, np.where(w == 0, own, 0.0)
 
 
-def test_anonymity_negative_control():
+def test_anonymity_negative_control(monkeypatch):
+    # the closed-form count refuses a rule it cannot read; the dense scan
+    # plays any rule with a `batch` method
+    monkeypatch.setattr(analysis, "enumerate_equilibria", enumerate_dense)
     rule = _IndexBiasedRule(2)
     res = anonymity_check(rule, [(1.0, 2.0)], Grid(0.5, 3.0))
     assert not res.passed

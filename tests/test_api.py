@@ -40,7 +40,7 @@ def test_record_fields():
     assert fields(mechfront.MechanismId) == ["kind", "alpha"]
     assert fields(mechfront.EquilibriumCertificate) == \
         ["profile", "winner", "checked_deviations"]
-    assert fields(mechfront.EnumerationResult) == ["winners", "scanned"]
+    assert fields(mechfront.EnumerationResult) == ["counts", "scanned"]
     assert fields(analysis.SuiteReport) == ["passed", "lines"]
 
 

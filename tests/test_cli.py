@@ -170,13 +170,56 @@ def test_equilibria_greedy_refused(capsys, tradeoff_file):
 def test_equilibria_budget_refused(capsys, tmp_path, monkeypatch):
     path = tmp_path / "u.json"
     instances.save_instance(gen_uniform(3), str(path))
-    monkeypatch.setattr(equilibria, "ENUMERATION_BUDGET", 100)
+    # the budget bounds a grid's bid pairs: 13 * 14 / 2 = 91 for the
+    # instance's default grid, 7 * 8 / 2 = 28 for probe's
+    monkeypatch.setattr(equilibria, "ENUMERATION_BUDGET", 27)
     code, out, err = run_cli(capsys, "equilibria", "-i", str(path), "--mech", "fp")
     assert (code, out) == (3, "")
-    assert err == "budget refused: 13^3 = 2197 profiles exceed the enumeration budget 100\n"
+    assert err == ("budget refused: 91 bid pairs of a 13-point grid exceed the "
+                   "enumeration budget 27\n")
     code, out, err = run_cli(capsys, "probe", "--mech", "fp", "-n", "3")
     assert (code, out) == (3, "")
-    assert err == "budget refused: 7^3 = 343 profiles exceed the enumeration budget 100\n"
+    assert err == ("budget refused: 28 bid pairs of a 7-point grid exceed the "
+                   "enumeration budget 27\n")
+
+
+EQUILIBRIA_RANDOM_4X2_FP = """\
+{
+ "mech": "fp",
+ "eps": 0.1,
+ "cap": 4.1,
+ "tasks": [
+  {
+   "task": 0,
+   "profiles": 51138,
+   "winners": [
+    2
+   ]
+  },
+  {
+   "task": 1,
+   "profiles": 36880,
+   "winners": [
+    2
+   ]
+  }
+ ]
+}
+"""
+
+
+@pytest.mark.parametrize("n, mech", [(4, "fp"), (4, "spa:2"), (5, "fp"), (5, "sp")])
+def test_equilibria_on_random_files(capsys, tmp_path, n, mech):
+    # 73^4 profiles per task under spa:2 and 38^5 under fp were past the
+    # dense scan's budget; the count answers them
+    path = str(tmp_path / "r.json")
+    assert run_cli(capsys, "gen", "random", f"n={n}", "m=2", "seed=1", "-o", path)[0] == 0
+    code, out, _ = run_cli(capsys, "equilibria", "-i", path, "--mech", mech)
+    assert code == 0
+    if (n, mech) == (4, "fp"):
+        assert out == EQUILIBRIA_RANDOM_4X2_FP
+    else:
+        assert [len(row["winners"]) > 0 for row in json.loads(out)["tasks"]] == [True, True]
 
 
 @pytest.mark.parametrize("verb", ["equilibria", "probe"])
@@ -393,6 +436,30 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert code == 1
     assert "tech1: FAIL" in out
     assert "forced failure" in out
+
+
+def test_verify_seed_reaches_seeded_suites(capsys, monkeypatch):
+    seen = {}
+
+    def recorder(name):
+        def suite(seed):
+            seen[name] = seed
+            return SuiteReport(True, ())
+        return suite
+
+    for name in analysis.VERIFY_SUITES:
+        monkeypatch.setitem(analysis.VERIFY_SUITES, name, recorder(name))
+    assert run_cli(capsys, "verify", "--suite", "tech1")[0] == 0
+    assert seen == {"tech1": 0}
+    seen.clear()
+    assert run_cli(capsys, "verify", "--suite", "all", "--seed", "5")[0] == 0
+    assert seen == dict.fromkeys(analysis.VERIFY_SUITES, 5)
+
+
+def test_verify_seedless_suite_refuses_seed(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "anonymity", "--seed", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: suite 'anonymity' has fixed fixtures and takes no --seed\n"
 
 
 def test_verify_unknown_suite(capsys):

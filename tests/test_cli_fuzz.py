@@ -30,7 +30,7 @@ PARAM_VALUES = {"n": st.sampled_from(["-1", "0", "1", "2", "3", "1.5", "x"]),
                 "m": st.sampled_from(["0", "1", "3"]),
                 "seed": st.sampled_from(["-1", "0", "7"])}
 
-FUZZ_BUDGET = 20000  # enumerated profiles per task
+FUZZ_BUDGET = 20000  # bid pairs of one task's grid (and grid points)
 
 ENTRIES = st.sampled_from([0, 0.0, 0.1, 0.5, 1, 1.5, 2, 3.5, 1e6])
 WILD_ENTRIES = st.one_of(ENTRIES, st.sampled_from(

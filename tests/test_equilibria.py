@@ -20,7 +20,7 @@ from mechfront.equilibria import (
 from mechfront.instances import gen_fp_pos, gen_hat, gen_random, gen_tradeoff, thm3_hat_image
 from mechfront.model import BudgetExceededError, Instance, MechanismId
 from mechfront.rules import SingleTaskRule, rule_for
-from oracles import enumerate_by_verify, per_machine_scan, scalar_outcome, utility
+from oracles import enumerate_by_verify, enumerate_dense, per_machine_scan, scalar_outcome, utility
 
 FP = MechanismId.parse("fp")
 SP = MechanismId.parse("sp")
@@ -243,12 +243,14 @@ def test_enumerate_single_machine():
 
 
 def test_enumerate_budget_refusal(monkeypatch):
+    # the budget bounds the 41 * 42 / 2 = 861 bid pairs of the pay table
     rule = rule_for(SPA2, 3)
     g = Grid(0.1, 4.0)
-    monkeypatch.setattr(equilibria, "ENUMERATION_BUDGET", 41 ** 3 - 1)
-    with pytest.raises(BudgetExceededError, match="41\\^3 = 68921 profiles exceed"):
+    monkeypatch.setattr(equilibria, "ENUMERATION_BUDGET", 860)
+    with pytest.raises(BudgetExceededError,
+                       match="^861 bid pairs of a 41-point grid exceed the enumeration budget 860$"):
         enumerate_equilibria(rule, (1.0, 2.0, 3.0), g)
-    monkeypatch.setattr(equilibria, "ENUMERATION_BUDGET", 41 ** 3)
+    monkeypatch.setattr(equilibria, "ENUMERATION_BUDGET", 861)
     assert enumerate_equilibria(rule, (1.0, 2.0, 3.0), g).scanned == 41 ** 3
 
 
@@ -278,21 +280,94 @@ def test_enumerate_matches_verify_oracle(mid, n, kind):
 
 
 @pytest.mark.parametrize("mid", ["fp", "sp", "spa:3"])
-def test_enumerate_peak_memory_per_profile(mid):
-    # the scan holds one (g^n, n) bid matrix and the rule's per-row arrays;
-    # a second copy of the bid mesh, or a gathered index array, would push
-    # the peak past 76 B
+def test_enumerate_peak_memory(mid):
+    # the count holds a few len(grid)^2 tables, never the 1.86M profiles
+    # that a dense scan of this grid stacks (about 120 MB)
     rule = rule_for(MechanismId.parse(mid), 3)
-    g = Grid(0.1, 6.2)
-    assert len(g) == 63
+    g = Grid(0.1, 12.2)
+    assert len(g) == 123
     tracemalloc.start()
     try:
         res = enumerate_equilibria(rule, (1.0, 2.0, 3.0), g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.scanned == 63 ** 3
-    assert peak / res.scanned < 76
+    assert res.scanned == 123 ** 3
+    assert peak < 2 * 2 ** 20
+
+
+def test_enumerate_refuses_duck_typed_rules():
+    class Duck:
+        n = 2
+        id = FP
+
+        def batch(self, B):
+            return rule_for(FP, 2).batch(B)
+
+    with pytest.raises(TypeError, match="fp, sp and spa rules only, not Duck"):
+        enumerate_equilibria(Duck(), (1.0, 2.0), Grid(0.5, 3.0))
+
+
+def test_enumerate_counts_past_int64():
+    # 5^40 profiles: the per-winner counts are Python ints, exact past 2^63,
+    # where len() would overflow
+    res = enumerate_equilibria(rule_for(SP, 40), (1.0,) * 40, Grid(0.5, 2.0))
+    assert res.scanned == 5 ** 40
+    assert all(type(k) is int for k in res.counts)
+    assert sum(res.counts) > 2 ** 63
+    with pytest.raises(OverflowError):
+        len(res)
+
+
+ENUM_MECHS = ["fp", "sp", "spa:1", "spa:1.5", "spa:2"]
+ENUM_MAX_POINTS = {1: 60, 2: 60, 3: 27, 4: 12}  # len(grid)^n stays near 20k or below
+
+
+@st.composite
+def enumerate_cases(draw):
+    n = draw(st.integers(1, 4))
+    mech = MechanismId.parse("fp" if n == 1 else draw(st.sampled_from(ENUM_MECHS)))
+    step = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+    points = ENUM_MAX_POINTS[n]
+    k_max = (points - 3) // 2  # a default grid (cap about 2 * the largest time) still fits
+    # one dust sign per case: default_grid refuses two entries on either side
+    # of one grid point, within 1e-9 of it
+    dust = draw(st.sampled_from([1e-9, -1e-9]))
+    truth = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["on", "on", "off", "zero", "sentinel"]))
+        k = draw(st.integers(0, k_max))
+        if kind == "on":
+            truth.append(k * step)
+        elif kind == "off":
+            truth.append(max(0.0, k * step + draw(st.sampled_from([dust, 0.3 * step]))))
+        else:
+            truth.append(0.0 if kind == "zero" else 1e6)
+    if n >= 2 and draw(st.booleans()):
+        # machine 0 one step above the fastest of the others: fp's runner-up
+        truth[0] = min(truth[1:]) + step
+    truth = tuple(truth)
+    grid_kind = draw(st.sampled_from(["default", "capped", "bare"]))
+    if grid_kind == "default":
+        grid = default_grid(truth, mech, step)
+    else:
+        # caps this low put the second-lowest bid at the top point
+        cap = draw(st.integers(1, points - 1)) * step
+        grid = default_grid(truth, mech, step, cap) if grid_kind == "capped" else Grid(step, cap)
+    return mech, truth, grid
+
+
+@given(enumerate_cases())
+@settings(max_examples=400, deadline=None)
+def test_enumerate_matches_dense_scan(case):
+    """The closed-form count equals the dense scan's per-machine counts."""
+    mech, truth, grid = case
+    rule = rule_for(mech, len(truth))
+    res = enumerate_equilibria(rule, truth, grid)
+    dense = enumerate_dense(rule, truth, grid)
+    assert res.counts == dense.counts
+    assert res.scanned == dense.scanned
+    assert res.winner_union() == dense.winner_union()
 
 
 # ---------------------------------------------------------------- buckets
