@@ -35,7 +35,6 @@ from .instances import (
     gen_fp_pos,
     gen_hat,
     gen_random,
-    gen_thm3_hat,
     gen_tradeoff,
     gen_uniform,
     load_instance,

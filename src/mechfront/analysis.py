@@ -126,7 +126,8 @@ def default_frontier_suite(n: int, alpha: float) -> list:
 def frontier_sweep(n: int, alphas, suite=None) -> list:
     """One FrontierPoint per alpha (caller order), empirical columns maxed
     over the suite.  `suite` is a list of GeneratorSpec shared by every alpha;
-    by default it is rebuilt per alpha via `default_frontier_suite`.
+    by default it is rebuilt per alpha via `default_frontier_suite`.  Each
+    suite instance must have n machines, since the bounds are n's.
 
     Most suite members do not depend on alpha (21 of the default suite's
     24), so within one call each distinct spec is built once and each
@@ -147,8 +148,9 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
         for spec in default_frontier_suite(n, alpha) if suite is None else suite:
             if spec not in built:
                 built[spec] = spec.build()
-                if not isinstance(built[spec], Instance):
-                    raise ValueError(f"generator {spec.name!r} does not produce an instance")
+                if built[spec].n != n:
+                    raise ValueError(f"suite instance {spec.label()} has {built[spec].n} "
+                                     f"machines, not n = {n}")
             inst = built[spec]
             if inst not in optima:
                 optima[inst] = opt_makespan(inst)

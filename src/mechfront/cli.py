@@ -8,7 +8,8 @@ Verbs:
   frontier   CSV sweep of analytic bounds vs. measured ratios over alpha
   probe      winner-reach matrix of a single-task rule
   verify     run a named property suite (exit 1 when a property fails)
-  gen        write a generated instance (or matrix/vector) to a file
+  gen        write a generated instance to a file (text for a path ending
+             in .txt, JSON for any other, as every verb reads it back)
 
 Exit codes: 0 ok, 1 property violation, 2 usage or bad input, 3 budget
 refused.  Identical argv (plus seed) produce byte-identical stdout; floats
@@ -50,10 +51,17 @@ def _dump(data) -> str:
     return json.dumps(_round6(data), indent=1, default=lambda o: repr(o))
 
 
+def _is_text(path: str) -> bool:
+    """A path ending in .txt holds the text format; any other holds JSON."""
+    return path.endswith(".txt")
+
+
 def _load_instance(path: str):
-    if path.endswith(".txt"):
-        return instances.load_text(path)
-    return instances.load_instance(path)
+    return instances.load_text(path) if _is_text(path) else instances.load_instance(path)
+
+
+def _save_instance(inst, path: str) -> None:
+    (instances.save_text if _is_text(path) else instances.save_instance)(inst, path)
 
 
 def _grid_for(inst, mech, spec):
@@ -108,10 +116,10 @@ def _parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("gen", help="write a generated instance to a file")
     q.add_argument("name", help="uniform | tradeoff | fp_pos | hat | tilde | "
-                                "thm3_hat | random | canonical | circulant")
+                                "thm3_hat | random")
     q.add_argument("params", nargs="*", help="key=value pairs, e.g. n=3 alpha=2")
-    q.add_argument("-o", "--out", required=True)
-    q.add_argument("--text", action="store_true", help="write the text format")
+    q.add_argument("-o", "--out", required=True,
+                   help="a path ending in .txt gets the text format, any other JSON")
     return p
 
 
@@ -216,23 +224,7 @@ def _dispatch(args) -> int:
         if args.params:
             spec_text += ":" + ",".join(args.params)
         spec = instances.GeneratorSpec.parse(spec_text)
-        built = spec.build()
-        if isinstance(built, instances.Instance):
-            if args.text:
-                instances.save_text(built, args.out)
-            else:
-                instances.save_instance(built, args.out)
-        elif args.text:
-            raise ValueError(f"--text writes instances only; generator {spec.name!r} "
-                             f"does not build one")
-        elif spec.name == "circulant":
-            with open(args.out, "w") as f:
-                json.dump({"name": spec.label(), "a": [list(r) for r in built]}, f, indent=1)
-                f.write("\n")
-        else:  # canonical vector
-            with open(args.out, "w") as f:
-                json.dump({"name": spec.label(), "vector": list(built)}, f, indent=1)
-                f.write("\n")
+        _save_instance(spec.build(), args.out)
         print(f"wrote {spec.label()} to {args.out}")
         return 0
 

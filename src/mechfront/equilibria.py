@@ -119,7 +119,8 @@ def default_grid(inst_or_times, mech: MechanismId, eps: float = 0.1,
     """Grid {0, eps, ..., cap}; the default cap is alpha * (largest
     non-sentinel time) + 2 eps rounded up to a multiple of eps (alpha = 1 for
     fp/sp).  Non-sentinel grid multiples up to the cap are anchored, so the
-    grid holds their exact values; other entries cannot be bid."""
+    grid holds their exact values (the largest, where two round to one grid
+    point); other entries cannot be bid."""
     if not eps > 0:
         raise ValueError("step must be positive")
     if isinstance(inst_or_times, Instance):
@@ -133,8 +134,8 @@ def default_grid(inst_or_times, mech: MechanismId, eps: float = 0.1,
         alpha_eff = mech.alpha if mech.kind == "spa" else 1.0
         max_fin = max(finite) if finite else 0.0
         cap = max(2, math.ceil((alpha_eff * max_fin + 2 * eps) / eps - 1e-9)) * eps
-    anchors = tuple(sorted({x for x in finite if x <= cap and on_grid(x, eps)}))
-    return Grid(eps, cap, anchors=anchors)
+    anchors = {round(x / eps): x for x in sorted(finite) if x <= cap and on_grid(x, eps)}
+    return Grid(eps, cap, anchors=tuple(anchors.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,10 @@ on:
 
   uniform     -- n machines, n^2 unit tasks; every mechanism's worst
                  equilibrium parks everything on one machine.
-  thm3_hat    -- rewrites a uniform instance around one of its equilibrium
-                 assignments: the chosen machine keeps unit times on a marked
-                 task set T and gets zeros on the rest of its won tasks, so
-                 the old equilibrium allocation stays achievable while the
-                 optimum collapses to 1.
+  thm3_hat    -- uniform(n) rewritten around its everything-on-machine-0
+                 worst equilibrium: machine 0 keeps unit times on the first n
+                 tasks and gets zeros on the rest, so that allocation stays
+                 an equilibrium while the optimum collapses to 1.
   tradeoff    -- one flexible machine that can cover for everyone at cost
                  rho-1, n-1 specialists; equilibria trade makespan against
                  payments as rho grows.
@@ -22,11 +21,13 @@ on:
                  (worst equilibria pile onto it); hat makes the specialists
                  slower by alpha (bucket membership flips with the
                  mechanism's own alpha).
-  canonical   -- a single task's bid-vector scaffold: time 1 on one machine,
-                 a on another, sentinels elsewhere (probe ladders).
-  circulant   -- a plain matrix (not an Instance) hitting the combinatorial
-                 bound's premises with equality margin delta.
   random      -- seeded grid-multiple entries in [lo, hi].
+
+Every generator builds an Instance.  Two helpers build what the analysis
+checks need and no file holds: `gen_canonical`, a single task's bid-vector
+scaffold (time 1 on one machine, a on another, sentinels elsewhere) for the
+probe ladders, and `gen_circulant`, a plain matrix hitting the combinatorial
+bound's premises with equality margin delta.
 
 Machine and task indices are 0-based everywhere.
 """
@@ -49,32 +50,12 @@ def gen_uniform(n: int, big: float = DEFAULT_BIG) -> Instance:
     return Instance(tuple((1.0,) * (n * n) for _ in range(n)), big)
 
 
-def gen_thm3_hat(inst: Instance, assignment, k: int, T_k) -> Instance:
-    """Zero out machine k's won tasks outside T_k (|T_k| = n, T_k won by k).
-
-    `inst` must be a uniform instance and `assignment` one of its
-    assignments; the image has optimum 1 while the input assignment's
-    allocation survives as an equilibrium allocation.
-    """
-    n, m = inst.n, inst.m
-    if m != n * n or any(x != 1.0 for row in inst.times for x in row):
-        raise ValueError("thm3_hat starts from a uniform instance")
-    assignment = tuple(int(a) for a in assignment)
-    if len(assignment) != m or any(not 0 <= a < n for a in assignment):
-        raise ValueError("assignment must place every task on a machine")
-    if not 0 <= k < n:
-        raise ValueError(f"machine {k} out of range")
-    T_k = frozenset(int(j) for j in T_k)
-    if len(T_k) != n:
-        raise ValueError(f"T_k must contain exactly n = {n} tasks")
-    S_k = {j for j, a in enumerate(assignment) if a == k}
-    if not T_k <= S_k:
-        raise ValueError("T_k must be a subset of the tasks assignment gives machine k")
-    times = [[1.0] * m for _ in range(n)]
-    for j, i in enumerate(assignment):
-        if not (i == k and j in T_k):
-            times[i][j] = 0.0
-    return Instance(tuple(tuple(r) for r in times), inst.big)
+def thm3_hat_image(n: int) -> Instance:
+    """uniform(n) with machine 0's times zeroed past its first n tasks."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    row0 = (1.0,) * n + (0.0,) * (n * n - n)
+    return Instance((row0,) + ((1.0,) * (n * n),) * (n - 1))
 
 
 def gen_tradeoff(n: int, rho: float, big: float = DEFAULT_BIG) -> Instance:
@@ -200,14 +181,6 @@ def gen_random(n: int, m: int, seed: int, lo: float = 0.1, hi: float = 4.0,
 # generator specs (CLI / frontier suites)
 # ---------------------------------------------------------------------------
 
-def thm3_hat_image(n: int) -> Instance:
-    """The thm3_hat rewrite of uniform(n) around its everything-on-machine-0
-    worst equilibrium, keeping the first n tasks as the marked set."""
-    base = gen_uniform(n)
-    assignment = (0,) * (n * n)
-    return gen_thm3_hat(base, assignment, 0, tuple(range(n)))
-
-
 _BUILDERS = {
     "uniform": gen_uniform,
     "tradeoff": gen_tradeoff,
@@ -215,12 +188,10 @@ _BUILDERS = {
     "hat": lambda n, alpha, big=DEFAULT_BIG: gen_hat(n, alpha, "hat", big),
     "tilde": lambda n, alpha, big=DEFAULT_BIG: gen_hat(n, alpha, "tilde", big),
     "random": gen_random,
-    "canonical": gen_canonical,
-    "circulant": gen_circulant,
     "thm3_hat": thm3_hat_image,
 }
 
-_INT_PARAMS = {"n", "m", "seed", "fast", "slow"}
+_INT_PARAMS = {"n", "m", "seed"}
 
 
 @dataclass(frozen=True)
@@ -246,6 +217,8 @@ class GeneratorSpec:
                 if not _:
                     raise ValueError(f"bad generator parameter {part!r}")
                 key = key.strip()
+                if key in params:
+                    raise ValueError(f"generator {name!r}: parameter {key!r} given twice")
                 kind = int if key in _INT_PARAMS else float
                 try:
                     params[key] = kind(val)

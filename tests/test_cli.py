@@ -167,6 +167,15 @@ def test_equilibria_greedy_refused(capsys, tradeoff_file):
     assert "greedy" in err
 
 
+def test_equilibria_anchors_one_of_two_entries_near_a_grid_point(capsys, tmp_path):
+    # both entries are within float dust of the grid point 0.1
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"times": [[0.099999999], [0.100000001]], "big": 1e6}))
+    code, out, err = run_cli(capsys, "equilibria", "-i", str(path), "--mech", "fp")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["tasks"][0]["winners"]
+
+
 def test_equilibria_budget_refused(capsys, tmp_path, monkeypatch):
     path = tmp_path / "u.json"
     instances.save_instance(gen_uniform(3), str(path))
@@ -382,6 +391,13 @@ def test_frontier_custom_suite(capsys):
     assert lines[1] == "2,5,2,5,1"
 
 
+def test_frontier_suite_instance_needs_n_machines(capsys):
+    code, out, err = run_cli(capsys, "frontier", "-n", "2", "--alphas", "1.5",
+                             "--suite", "uniform:n=3")
+    assert (code, out) == (2, "")
+    assert err == "error: suite instance uniform:n=3 has 3 machines, not n = 2\n"
+
+
 def test_frontier_bad_alpha(capsys):
     code, _, err = run_cli(capsys, "frontier", "-n", "3", "--alphas", "0.5")
     assert code == 2
@@ -479,33 +495,49 @@ def test_gen_json_round_trip(capsys, tmp_path):
 
 def test_gen_text_round_trip(capsys, tmp_path):
     out_path = tmp_path / "t.txt"
-    code, _, _ = run_cli(capsys, "gen", "tradeoff", "n=3", "rho=1.5",
-                         "-o", str(out_path), "--text")
+    code, _, _ = run_cli(capsys, "gen", "tradeoff", "n=3", "rho=1.5", "-o", str(out_path))
     assert code == 0
     assert instances.load_text(str(out_path)) == gen_tradeoff(3, 1.5)
 
 
+GEN_PARAMS = {"uniform": ["n=3"], "thm3_hat": ["n=2"], "tradeoff": ["n=3", "rho=1.5"],
+              "fp_pos": ["n=3", "eps=0.5"], "hat": ["n=3", "alpha=2"],
+              "tilde": ["n=2", "alpha=1.5"], "random": ["n=3", "m=3", "seed=7"]}
+
+
+@pytest.mark.parametrize("name", sorted(instances._BUILDERS))
+@pytest.mark.parametrize("filename", ["f.json", "f.txt"])
+def test_gen_file_reads_back(capsys, tmp_path, name, filename):
+    spec = instances.GeneratorSpec.parse(name + ":" + ",".join(GEN_PARAMS[name]))
+    path = str(tmp_path / filename)
+    code, out, _ = run_cli(capsys, "gen", name, *GEN_PARAMS[name], "-o", path)
+    assert (code, out) == (0, f"wrote {spec.label()} to {path}\n")
+    assert run_cli(capsys, "opt", "-i", path)[0] == 0
+    load = instances.load_text if filename.endswith(".txt") else instances.load_instance
+    assert load(path) == spec.build()
+
+
 def test_gen_circulant_file(capsys, tmp_path):
+    # circulant is a helper of combi_fuzz, not a generator: gen refuses it
     out_path = tmp_path / "c.json"
-    code, _, _ = run_cli(capsys, "gen", "circulant", "n=3", "alpha=2", "delta=0.6",
-                         "-o", str(out_path))
-    assert code == 0
-    with open(out_path) as f:
-        data = json.load(f)
-    assert set(data) == {"name", "a"}
-    assert data["a"][0][0] == 0.0
-    assert len(data["a"]) == 3
+    code, out, err = run_cli(capsys, "gen", "circulant", "n=3", "alpha=2", "delta=0.6",
+                             "-o", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == "error: unknown generator 'circulant'\n"
+    assert not out_path.exists()
+    a = instances.gen_circulant(3, 2, 0.6)
+    assert len(a) == 3 and a[0][0] == 0.0
 
 
 def test_gen_canonical_vector_file(capsys, tmp_path):
+    # canonical is a helper of probe_matrix, not a generator: gen refuses it
     out_path = tmp_path / "v.json"
-    code, _, _ = run_cli(capsys, "gen", "canonical", "n=3", "fast=0", "slow=1", "a=2",
-                         "-o", str(out_path))
-    assert code == 0
-    with open(out_path) as f:
-        data = json.load(f)
-    assert set(data) == {"name", "vector"}
-    assert data["vector"] == [1.0, 2.0, 1000002.0]
+    code, out, err = run_cli(capsys, "gen", "canonical", "n=3", "fast=0", "slow=1", "a=2",
+                             "-o", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == "error: unknown generator 'canonical'\n"
+    assert not out_path.exists()
+    assert instances.gen_canonical(3, 0, 1, 2) == (1.0, 2.0, 1000002.0)
 
 
 @pytest.mark.parametrize("argv", [["canonical", "n=3", "fast=0", "slow=1", "a=2"],
@@ -514,7 +546,15 @@ def test_gen_text_refused_for_non_instances(capsys, tmp_path, argv):
     out_path = tmp_path / "c.txt"
     code, out, err = run_cli(capsys, "gen", *argv, "-o", str(out_path), "--text")
     assert (code, out) == (2, "")
-    assert err == f"error: --text writes instances only; generator '{argv[0]}' does not build one\n"
+    assert "unrecognized arguments: --text" in err
+    assert not out_path.exists()
+
+
+def test_gen_text_flag_is_gone(capsys, tmp_path):
+    out_path = tmp_path / "u.txt"
+    code, out, err = run_cli(capsys, "gen", "uniform", "n=2", "-o", str(out_path), "--text")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --text" in err
     assert not out_path.exists()
 
 
@@ -540,6 +580,9 @@ def test_gen_requires_output(capsys):
     (["gen", "uniform", "n=1.5"], ("'uniform'", "'n'", "'1.5'")),
     (["gen", "hat", "n=3", "alpha=zz"], ("'hat'", "'alpha'", "'zz'")),
     (["gen", "random", "n=2", "m=2", "seed=1", "grid_step=1e-300"], ("grid_step 1e-300",)),
+    (["gen", "uniform", "n=2", "n=3"], ("'uniform'", "'n'", "twice")),
+    (["frontier", "-n", "3", "--alphas", "2", "--suite", "uniform:n=2,n=3"],
+     ("'uniform'", "'n'", "twice")),
 ])
 def test_generator_parameter_errors_exit_two(capsys, tmp_path, argv, names):
     if argv[0] == "gen":

@@ -3,8 +3,9 @@ varied instance-file contents.  Each run must exit 0 (done), 2 (usage or bad
 input) or 3 (budget refused) and never print a traceback; exit 1 is kept for
 `verify`'s property violations.  Sizes stay small (at most 3 machines, coarse
 grids, the enumeration budget lowered to FUZZ_BUDGET, `frontier -n` at most 3)
-so the fuzz takes seconds.  No verb has a `--budget` flag, so argv that passes
-one must exit 2."""
+so the fuzz takes seconds.  No verb has a `--budget` flag and `gen` has no
+`--text` flag, so argv that passes either must exit 2.  A file `gen` writes
+must load back through `opt -i`."""
 import contextlib
 import io
 import json
@@ -23,7 +24,7 @@ NUMBERS = ["-1", "0", "0.5", "1", "1.5", "2", "3", "nan", "inf", "-inf", "1e-320
            "1e308", "x", ""]
 SMALL_N = st.sampled_from(["-1", "0", "1", "2", "3", "x"])
 GENERATORS = ["uniform", "thm3_hat", "tradeoff", "fp_pos", "hat", "tilde", "random",
-              "canonical", "circulant", "bogus", ""]
+              "bogus", "canonical", "circulant", ""]
 PARAM_KEYS = ["n", "m", "alpha", "rho", "eps", "seed", "variant", "fast", "slow", "a",
               "delta", "lo", "hi", "grid_step", "big", "k", "foo"]
 PARAM_VALUES = {"n": st.sampled_from(["-1", "0", "1", "2", "3", "1.5", "x"]),
@@ -78,9 +79,7 @@ def budget_flag(draw):
 VALID_PARAMS = {"uniform": {"n": "3"}, "thm3_hat": {"n": "2"},
                 "tradeoff": {"n": "3", "rho": "1.5"}, "fp_pos": {"n": "3", "eps": "0.5"},
                 "hat": {"n": "3", "alpha": "2"}, "tilde": {"n": "2", "alpha": "1.5"},
-                "random": {"n": "3", "m": "3", "seed": "7"},
-                "canonical": {"n": "3", "fast": "0", "slow": "1", "a": "2"},
-                "circulant": {"n": "3", "alpha": "2", "delta": "0.5"}}
+                "random": {"n": "3", "m": "3", "seed": "7"}}
 
 
 @st.composite
@@ -155,8 +154,10 @@ def run_quiet(argv):
 
 def check(argv):
     code, err = run_quiet(argv)
-    assert code in ((2,) if "--budget" in argv else (0, 2, 3)), (argv, code, err)
+    removed_flag = "--budget" in argv or "--text" in argv
+    assert code in ((2,) if removed_flag else (0, 2, 3)), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+    return code
 
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -196,4 +197,6 @@ def test_fuzz_frontier_probe_and_gen(tmp_path_factory, data):
     folder = tmp_path_factory.mktemp("fuzz")
     out = data.draw(st.sampled_from([str(folder / "out.json"), str(folder / "out.txt"),
                                      str(folder)]))
-    check(data.draw(other_argv(out)))
+    argv = data.draw(other_argv(out))
+    if check(argv) == 0 and argv[0] == "gen":
+        assert run_quiet(["opt", "-i", out]) == (0, ""), argv

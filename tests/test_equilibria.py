@@ -330,9 +330,6 @@ def enumerate_cases(draw):
     step = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
     points = ENUM_MAX_POINTS[n]
     k_max = (points - 3) // 2  # a default grid (cap about 2 * the largest time) still fits
-    # one dust sign per case: default_grid refuses two entries on either side
-    # of one grid point, within 1e-9 of it
-    dust = draw(st.sampled_from([1e-9, -1e-9]))
     truth = []
     for _ in range(n):
         kind = draw(st.sampled_from(["on", "on", "off", "zero", "sentinel"]))
@@ -340,7 +337,7 @@ def enumerate_cases(draw):
         if kind == "on":
             truth.append(k * step)
         elif kind == "off":
-            truth.append(max(0.0, k * step + draw(st.sampled_from([dust, 0.3 * step]))))
+            truth.append(max(0.0, k * step + draw(st.sampled_from([1e-9, -1e-9, 0.3 * step]))))
         else:
             truth.append(0.0 if kind == "zero" else 1e6)
     if n >= 2 and draw(st.booleans()):

@@ -9,7 +9,6 @@ from mechfront.instances import (
     gen_fp_pos,
     gen_hat,
     gen_random,
-    gen_thm3_hat,
     gen_tradeoff,
     gen_uniform,
     instance_from_dict,
@@ -85,27 +84,32 @@ def test_gen_hat_variants():
         gen_hat(3, 2.0, "flat")
 
 
+# rows of thm3_hat_image(n), one digit per task
+THM3_HAT_ROWS = {
+    2: ["1100",
+        "1111"],
+    3: ["111000000",
+        "111111111",
+        "111111111"],
+    4: ["1111000000000000",
+        "1111111111111111",
+        "1111111111111111",
+        "1111111111111111"],
+    5: ["1111100000000000000000000",
+        "1111111111111111111111111",
+        "1111111111111111111111111",
+        "1111111111111111111111111",
+        "1111111111111111111111111"],
+}
+
+
 def test_thm3_hat_image():
-    inst = thm3_hat_image(3)
-    assert inst.times[0] == (1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    assert inst.times[1] == (1.0,) * 9
-    assert inst.times[2] == (1.0,) * 9
-
-
-def test_gen_thm3_hat_validates():
-    base = gen_uniform(2)  # 2 machines, 4 tasks
-    assignment = (0, 0, 0, 0)
-    # T must contain exactly n tasks won by machine k
-    out = gen_thm3_hat(base, assignment, 0, (0, 1))
-    assert out.times[0] == (1.0, 1.0, 0.0, 0.0)
-    assert out.times[1] == (1.0,) * 4
+    for n, rows in THM3_HAT_ROWS.items():
+        inst = thm3_hat_image(n)
+        assert inst.times == tuple(tuple(float(c) for c in row) for row in rows)
+        assert inst.big == BIG
     with pytest.raises(ValueError):
-        gen_thm3_hat(base, assignment, 0, (0,))  # wrong size
-    with pytest.raises(ValueError):
-        gen_thm3_hat(base, (1, 1, 1, 1), 0, (0, 1))  # tasks not won by k
-    skewed = Instance(((1.0, 2.0), (1.0, 1.0)))
-    with pytest.raises(ValueError):
-        gen_thm3_hat(skewed, (0, 0), 0, (0, 1))  # base must be uniform
+        thm3_hat_image(1)
 
 
 def test_gen_canonical():
@@ -226,11 +230,6 @@ def test_generator_spec_names_a_value_that_does_not_convert(text, message):
 def test_gen_random_rejects_unbounded_ranges(kwargs):
     with pytest.raises(ValueError):
         gen_random(2, 2, seed=0, **kwargs)
-
-
-def test_generator_spec_circulant_builds_plain_matrix():
-    a = GeneratorSpec.parse("circulant:n=3,alpha=2,delta=0.6").build()
-    assert a == gen_circulant(3, 2.0, 0.6)
 
 
 # ---------------------------------------------------------------- file I/O
