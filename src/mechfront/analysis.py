@@ -29,7 +29,7 @@ from .equilibria import (
     verify_equilibrium,
 )
 from .instances import GeneratorSpec, gen_canonical, gen_circulant, regression_suite
-from .model import Instance, MechanismId
+from .model import GRID_STEP, Instance, MechanismId
 from .optsolver import opt_makespan, opt_makespan_masked
 from .rules import SingleTaskRule, rule_for
 
@@ -374,20 +374,19 @@ class SuiteReport:
 # fixed sizes of the verify suites
 BUCKET_ALPHAS = (1.5, 2.0, 3.0)
 BUCKET_N = 3
-BUCKET_EPS = 0.1
 BUCKET_VECTORS = 50  # per alpha
 MONOTONICITY_TRIALS = 200
 TECH1_COUNT = 100_000
 COMBI_COUNT = 1000
 
 
-def bucket_equivalence_check(seed: int = 2024) -> SuiteReport:
+def bucket_equivalence_check(seed: int) -> SuiteReport:
     """Grid-enumeration ground truth for the spa winner sets.
 
-    Draws BUCKET_VECTORS positive BUCKET_EPS-multiple vectors (entries in
-    [0.1, 4.0]) per alpha and
-    checks that the enumerated equilibrium winner set equals
-    `achievable_winners`'s closed bucket for every alpha.  Exact set equality.
+    Draws BUCKET_VECTORS vectors of GRID_STEP multiples in [0.1, 4.0], the
+    lattice `gen_random` draws from, per alpha and checks that the enumerated
+    equilibrium winner set equals `achievable_winners`'s closed bucket for
+    every alpha.  Exact set equality.
     """
     rng = np.random.default_rng(seed)
     lines = []
@@ -397,8 +396,8 @@ def bucket_equivalence_check(seed: int = 2024) -> SuiteReport:
         rule = rule_for(mech, BUCKET_N)
         for v in range(BUCKET_VECTORS):
             ks = rng.integers(1, 41, size=BUCKET_N)
-            vec = tuple(float(k) * BUCKET_EPS for k in ks)
-            grid = default_grid(vec, mech, BUCKET_EPS)
+            vec = tuple(float(k) * GRID_STEP for k in ks)
+            grid = default_grid(vec, mech)
             enum = enumerate_equilibria(rule, vec, grid).winner_union()
             bucket = achievable_winners(mech, Instance(tuple((t,) for t in vec))).allowed[0]
             if enum != bucket:
@@ -418,7 +417,7 @@ MONOTONICITY_INSTANCES = (
 )
 
 
-def monotonicity_suite(seed: int = 7, direction: str = "forward") -> SuiteReport:
+def monotonicity_suite(seed: int, direction: str = "forward") -> SuiteReport:
     """Canonical certificates for fp, sp, spa:2 on ten named instances, each
     re-verified under MONOTONICITY_TRIALS sampled truth modifications.  forward must be
     failure-free; reverse must produce at least one failure overall."""
@@ -455,7 +454,7 @@ def anonymity_suite() -> SuiteReport:
     for mech, vectors in fixtures:
         rule = rule_for(mech, 2)
         entries = sorted({x for vec in vectors for x in vec})
-        grid = Grid(0.1, max(4.0, 2 * max(entries) + 0.2), anchors=tuple(entries))
+        grid = Grid(GRID_STEP, max(4.0, 2 * max(entries) + 0.2), anchors=tuple(entries))
         res = anonymity_check(rule, vectors, grid)
         ok = ok and res.passed
         lines.append(f"  {mech}: {res.checked} permuted enumerations, "
@@ -463,7 +462,7 @@ def anonymity_suite() -> SuiteReport:
     return SuiteReport(ok, tuple(lines))
 
 
-def tech1_fuzz(seed: int = 13) -> SuiteReport:
+def tech1_fuzz(seed: int) -> SuiteReport:
     rng = np.random.default_rng(seed)
     xs, ys = rng.uniform(0.0, 10.0, size=(2, TECH1_COUNT))
     betas, gammas = rng.uniform(0.1, 10.0, size=(2, TECH1_COUNT))
@@ -479,7 +478,7 @@ def tech1_fuzz(seed: int = 13) -> SuiteReport:
 CIRCULANT_CASES = ((2, 2.0, 0.9), (3, 2.0, 0.6), (4, 1.5, 0.5), (5, 3.0, 0.4))
 
 
-def combi_fuzz(seed: int = 17) -> SuiteReport:
+def combi_fuzz(seed: int) -> SuiteReport:
     """Random premise-satisfying matrices must all satisfy the bound; the
     circulant family must satisfy it and attain it to 1e-9 at eps = 0."""
     rng = np.random.default_rng(seed)

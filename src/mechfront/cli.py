@@ -12,8 +12,11 @@ Verbs:
              in .txt, JSON for any other, as every verb reads it back)
 
 Exit codes: 0 ok, 1 property violation, 2 usage or bad input, 3 budget
-refused.  Identical argv (plus seed) produce byte-identical stdout; floats
-are printed with 6 significant digits, instance files are written lossless.
+refused (an exact engine past its budget, or a generator asked for more than
+instances.GENERATOR_BUDGET entries), 141 stdout closed by its reader (128 +
+SIGPIPE, nothing on stderr).  Identical argv (plus seed) produce
+byte-identical stdout; floats are printed with 6 significant digits, instance
+files are written lossless.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from . import analysis, equilibria, instances
@@ -115,8 +119,9 @@ def _parser() -> argparse.ArgumentParser:
                    help="seed of the seeded suites (default 0); the anonymity suite takes none")
 
     q = sub.add_parser("gen", help="write a generated instance to a file")
-    q.add_argument("name", help="uniform | tradeoff | fp_pos | hat | tilde | "
-                                "thm3_hat | random")
+    q.add_argument("name", help="uniform (n) | tradeoff (n, rho) | fp_pos (n, eps) | "
+                                "hat (n, alpha) | tilde (n, alpha) | thm3_hat (n) | "
+                                "random (n, m, seed; multiples of 0.1 in [0.1, 4.0])")
     q.add_argument("params", nargs="*", help="key=value pairs, e.g. n=3 alpha=2")
     q.add_argument("-o", "--out", required=True,
                    help="a path ending in .txt gets the text format, any other JSON")
@@ -129,7 +134,11 @@ def run(argv) -> int:
     except SystemExit as e:
         return int(e.code) if e.code else 0
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the exit flush
+        return code
+    except BrokenPipeError:  # before OSError: a closed stdout is not bad input
+        return 141
     except BudgetExceededError as e:
         print(f"budget refused: {e}", file=sys.stderr)
         return 3
@@ -232,7 +241,10 @@ def _dispatch(args) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    if code == 141:  # what is left in stdout's buffer would fail the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DEFAULT_BIG, BudgetExceededError, Instance, MechanismId
+from .model import DEFAULT_BIG, GRID_STEP, BudgetExceededError, Instance, MechanismId
 from .optsolver import EligibilityMask
 from .rules import SingleTaskRule, rule_for
 
@@ -114,7 +114,7 @@ def on_grid(value: float, step: float) -> bool:
     return math.isfinite(q) and abs(round(q) * step - value) <= 1e-9 * max(1.0, abs(value))
 
 
-def default_grid(inst_or_times, mech: MechanismId, eps: float = 0.1,
+def default_grid(inst_or_times, mech: MechanismId, eps: float = GRID_STEP,
                  cap: float | None = None) -> Grid:
     """Grid {0, eps, ..., cap}; the default cap is alpha * (largest
     non-sentinel time) + 2 eps rounded up to a multiple of eps (alpha = 1 for
@@ -163,12 +163,11 @@ class EquilibriumCertificate:
 
     `profile` is an n x m report matrix (one column per task) and `winner`
     the per-task winning machine.  Every grid deviation of every machine was
-    scanned in every column; `checked_deviations` counts them.
+    scanned in every column.
     """
 
     profile: tuple
     winner: tuple
-    checked_deviations: int
 
 
 def _utility(winners, pay, true_times: np.ndarray, machine):
@@ -374,7 +373,6 @@ def canonical_certificate(mech: MechanismId, inst: Instance,
     step = grid.step
     columns = []
     winners = []
-    checked = 0
     for j in range(m):
         col = inst.column(j)
         t_min = min(col)
@@ -409,6 +407,5 @@ def canonical_certificate(mech: MechanismId, inst: Instance,
             raise ValueError(f"canonical construction crowned {out_w}, expected {w}")
         columns.append(tuple(bids))
         winners.append(out_w)
-        checked += res.checked_deviations
     profile = tuple(tuple(columns[j][i] for j in range(m)) for i in range(n))
-    return EquilibriumCertificate(profile, tuple(winners), checked)
+    return EquilibriumCertificate(profile, tuple(winners))

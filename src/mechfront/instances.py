@@ -21,7 +21,7 @@ on:
                  (worst equilibria pile onto it); hat makes the specialists
                  slower by alpha (bucket membership flips with the
                  mechanism's own alpha).
-  random      -- seeded grid-multiple entries in [lo, hi].
+  random      -- seeded multiples of the 0.1 lattice step in [0.1, 4.0].
 
 Every generator builds an Instance.  Two helpers build what the analysis
 checks need and no file holds: `gen_canonical`, a single task's bid-vector
@@ -40,77 +40,84 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEFAULT_BIG, Instance
+from .model import DEFAULT_BIG, GRID_STEP, BudgetExceededError, Instance
+
+GENERATOR_BUDGET = 10 ** 7  # entries of one generated instance
 
 
-def gen_uniform(n: int, big: float = DEFAULT_BIG) -> Instance:
+def _check_shape(n: int, m: int, min_n: int = 2) -> None:
+    """Refuse fewer than min_n machines, and an n x m instance of more than
+    GENERATOR_BUDGET entries before any of it is allocated."""
+    if n < min_n:
+        raise ValueError(f"need n >= {min_n}")
+    if n * m > GENERATOR_BUDGET:
+        raise BudgetExceededError(
+            f"{n} x {m} = {n * m} entries exceed the generator budget {GENERATOR_BUDGET}")
+
+
+def gen_uniform(n: int) -> Instance:
     """n machines, n^2 tasks, every true time 1."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return Instance(tuple((1.0,) * (n * n) for _ in range(n)), big)
+    _check_shape(n, n * n)
+    return Instance(tuple((1.0,) * (n * n) for _ in range(n)))
 
 
 def thm3_hat_image(n: int) -> Instance:
     """uniform(n) with machine 0's times zeroed past its first n tasks."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _check_shape(n, n * n)
     row0 = (1.0,) * n + (0.0,) * (n * n - n)
     return Instance((row0,) + ((1.0,) * (n * n),) * (n - 1))
 
 
-def gen_tradeoff(n: int, rho: float, big: float = DEFAULT_BIG) -> Instance:
+def gen_tradeoff(n: int, rho: float) -> Instance:
     """Flexible machine 0 (n-1 on its own task, rho-1 on the others) plus
-    n-1 specialists (n-1 on their task, sentinel elsewhere)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if not rho > 1:
-        raise ValueError("need rho > 1")
-    if big < rho * (n - 1):
-        raise ValueError(f"big={big} must be at least rho*(n-1)={rho * (n - 1)}")
+    n-1 specialists (n-1 on their task, sentinel elsewhere).  Past
+    rho = DEFAULT_BIG machine 0's rho-1 would itself read as a sentinel."""
+    _check_shape(n, n)
+    if not 1 < rho <= DEFAULT_BIG:
+        raise ValueError(f"need 1 < rho <= {DEFAULT_BIG}")
     row0 = [float(n - 1)] + [rho - 1] * (n - 1)
     times = [tuple(row0)]
     for i in range(1, n):
-        row = [big] * n
+        row = [DEFAULT_BIG] * n
         row[i] = float(n - 1)
         times.append(tuple(row))
-    return Instance(tuple(times), big)
+    return Instance(tuple(times))
 
 
-def gen_fp_pos(n: int, eps: float, big: float = DEFAULT_BIG) -> Instance:
+def gen_fp_pos(n: int, eps: float) -> Instance:
     """Machine 0 runs all n tasks at 1; machine i >= 1 runs task i-1 at 1+eps.
 
     First price keeps every task on machine 0 (it is strictly fastest), so
     the best equilibrium makespan is n while the optimum spreads tasks at
     1+eps; the ratio n/(1+eps) climbs to n as eps shrinks.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _check_shape(n, n)
     if not eps > 0:
         raise ValueError("need eps > 0")
     times = [(1.0,) * n]
     for i in range(1, n):
-        row = [big] * n
+        row = [DEFAULT_BIG] * n
         row[i - 1] = 1.0 + eps
         times.append(tuple(row))
-    return Instance(tuple(times), big)
+    return Instance(tuple(times))
 
 
-def gen_canonical(n: int, fast: int, slow: int, a: float, big: float = DEFAULT_BIG) -> tuple:
+def gen_canonical(n: int, fast: int, slow: int, a: float) -> tuple:
     """Single-task true-time vector: 1 at `fast`, `a` at `slow`, sentinels
-    (big + index) elsewhere.  Returns the vector, not an Instance."""
+    (DEFAULT_BIG + index) elsewhere.  Returns the vector, not an Instance."""
     if n < 2:
         raise ValueError("need n >= 2")
     if fast == slow or not (0 <= fast < n and 0 <= slow < n):
         raise ValueError("fast and slow must be distinct machine indices")
     if not a > 0:
         raise ValueError("need a > 0")
-    vec = [big + i for i in range(n)]
+    vec = [DEFAULT_BIG + i for i in range(n)]
     vec[fast] = 1.0
     vec[slow] = float(a)
     return tuple(vec)
 
 
-def gen_hat(n: int, alpha: float, variant: str, big: float = DEFAULT_BIG) -> Instance:
+def gen_hat(n: int, alpha: float, variant: str) -> Instance:
     """The reserve-price stress pair (variant "tilde" or "hat").
 
     Both have n-1 specialist tasks plus one task only machine n-1 can run.
@@ -120,8 +127,7 @@ def gen_hat(n: int, alpha: float, variant: str, big: float = DEFAULT_BIG) -> Ins
     alpha on its own -- whether the specialists stay winnable depends on the
     mechanism's multiplier, which is what pins the best equilibrium.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _check_shape(n, n)
     if not alpha > 1:
         raise ValueError("need alpha > 1")
     if variant not in ("tilde", "hat"):
@@ -129,12 +135,12 @@ def gen_hat(n: int, alpha: float, variant: str, big: float = DEFAULT_BIG) -> Ins
     spec_t, last_t = (1.0, float(alpha)) if variant == "tilde" else (float(alpha), 1.0)
     times = []
     for i in range(n - 1):
-        row = [big] * n
+        row = [DEFAULT_BIG] * n
         row[i] = spec_t
         times.append(tuple(row))
     last = [last_t] * (n - 1) + [float(alpha) if variant == "hat" else 1.0]
     times.append(tuple(last))
-    return Instance(tuple(times), big)
+    return Instance(tuple(times))
 
 
 def gen_circulant(n: int, alpha: float, delta: float):
@@ -155,26 +161,16 @@ def gen_circulant(n: int, alpha: float, delta: float):
     return [[c * ((j - i) % n) for j in range(n)] for i in range(n)]
 
 
-def gen_random(n: int, m: int, seed: int, lo: float = 0.1, hi: float = 4.0,
-               grid_step: float = 0.1, big: float = DEFAULT_BIG) -> Instance:
-    """Seeded instance whose entries are grid multiples in [lo, hi].
-
-    Entries are drawn as integer multiples of grid_step, with the identical
-    float product a Grid of the same step generates, so enumeration and the
-    analytic winner sets stay bit-for-bit comparable.
-    """
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
-    if not (grid_step > 0 and abs(lo / grid_step) < 2 ** 62 and abs(hi / grid_step) < 2 ** 62):
-        raise ValueError(f"grid_step {grid_step}: need > 0, and |lo|, |hi| below 2**62 steps")
-    k_lo = math.ceil(lo / grid_step - 1e-9)
-    k_hi = math.floor(hi / grid_step + 1e-9)
-    if k_lo > k_hi:
-        raise ValueError(f"no grid multiples of {grid_step} inside [{lo}, {hi}]")
-    rng = np.random.default_rng(seed)
-    ks = rng.integers(k_lo, k_hi + 1, size=(n, m))
-    times = ks * grid_step
-    return Instance(tuple(tuple(row) for row in times), big)
+def gen_random(n: int, m: int, seed: int) -> Instance:
+    """Seeded instance whose entries are k * GRID_STEP for k drawn from
+    1..40, i.e. the multiples of 0.1 in [0.1, 4.0]: the very float products
+    a Grid of that step generates, so enumeration and the analytic winner
+    sets stay bit-for-bit comparable."""
+    if m < 1:
+        raise ValueError("need m >= 1")
+    _check_shape(n, m, min_n=1)
+    ks = np.random.default_rng(seed).integers(1, 41, size=(n, m))
+    return Instance(tuple(tuple(row) for row in ks * GRID_STEP))
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +181,8 @@ _BUILDERS = {
     "uniform": gen_uniform,
     "tradeoff": gen_tradeoff,
     "fp_pos": gen_fp_pos,
-    "hat": lambda n, alpha, big=DEFAULT_BIG: gen_hat(n, alpha, "hat", big),
-    "tilde": lambda n, alpha, big=DEFAULT_BIG: gen_hat(n, alpha, "tilde", big),
+    "hat": lambda n, alpha: gen_hat(n, alpha, "hat"),
+    "tilde": lambda n, alpha: gen_hat(n, alpha, "tilde"),
     "random": gen_random,
     "thm3_hat": thm3_hat_image,
 }

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 DEFAULT_BIG = 10 ** 6
+GRID_STEP = 0.1  # the bid lattice's default step; random instances draw its multiples
 
 MECHANISM_KINDS = ("fp", "sp", "spa")
 

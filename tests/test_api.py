@@ -38,8 +38,7 @@ def test_record_fields():
         return [f.name for f in dataclasses.fields(cls)]
 
     assert fields(mechfront.MechanismId) == ["kind", "alpha"]
-    assert fields(mechfront.EquilibriumCertificate) == \
-        ["profile", "winner", "checked_deviations"]
+    assert fields(mechfront.EquilibriumCertificate) == ["profile", "winner"]
     assert fields(mechfront.EnumerationResult) == ["counts", "scanned"]
     assert fields(analysis.SuiteReport) == ["passed", "lines"]
 

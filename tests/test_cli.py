@@ -122,6 +122,12 @@ def test_opt_missing_file(capsys):
     assert "error:" in err
 
 
+def test_unreadable_instance_exits_two(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "analyze", "-i", str(tmp_path), "--mech", "spa:2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 # ---------------------------------------------------------------- equilibria
 
 def test_equilibria_default_grid(capsys, tradeoff_file):
@@ -579,10 +585,22 @@ def test_gen_requires_output(capsys):
      ("'hat'", "'variant'")),
     (["gen", "uniform", "n=1.5"], ("'uniform'", "'n'", "'1.5'")),
     (["gen", "hat", "n=3", "alpha=zz"], ("'hat'", "'alpha'", "'zz'")),
-    (["gen", "random", "n=2", "m=2", "seed=1", "grid_step=1e-300"], ("grid_step 1e-300",)),
+    (["gen", "random", "n=2", "m=2", "seed=1", "grid_step=1e-300"], ("'random'", "'grid_step'")),
     (["gen", "uniform", "n=2", "n=3"], ("'uniform'", "'n'", "twice")),
     (["frontier", "-n", "3", "--alphas", "2", "--suite", "uniform:n=2,n=3"],
      ("'uniform'", "'n'", "twice")),
+    # the sentinel and the random lattice are fixed: no generator takes them
+    (["gen", "uniform", "n=3", "big=1e6"], ("'uniform'", "'big'")),
+    (["gen", "random", "n=2", "m=2", "seed=1", "lo=0.5"], ("'random'", "'lo'")),
+    (["gen", "random", "n=2", "m=2", "seed=1", "hi=2"], ("'random'", "'hi'")),
+    (["frontier", "-n", "3", "--alphas", "2", "--suite", "tradeoff:n=3,rho=1.5,big=1e6"],
+     ("'tradeoff'", "'big'")),
+    (["frontier", "-n", "3", "--alphas", "2", "--suite", "random:n=3,m=4,seed=1,lo=0.5"],
+     ("'random'", "'lo'")),
+    (["frontier", "-n", "3", "--alphas", "2", "--suite", "random:n=3,m=4,seed=1,hi=2"],
+     ("'random'", "'hi'")),
+    (["frontier", "-n", "3", "--alphas", "2", "--suite",
+      "random:n=3,m=4,seed=1,grid_step=0.2"], ("'random'", "'grid_step'")),
 ])
 def test_generator_parameter_errors_exit_two(capsys, tmp_path, argv, names):
     if argv[0] == "gen":
@@ -591,6 +609,20 @@ def test_generator_parameter_errors_exit_two(capsys, tmp_path, argv, names):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and all(name in err for name in names)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "uniform", "n=1000", "-o", "u.json"],
+    ["frontier", "-n", "1000", "--alphas", "2"],
+    ["gen", "random", "n=10000", "m=10000", "seed=1", "-o", "r.txt"],
+])
+def test_oversized_generator_refused_before_allocating(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("budget refused:") and "generator budget" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("data, field", [
@@ -643,6 +675,17 @@ def test_parser_built_once(capsys):
     for _ in range(2):
         assert run_cli(capsys, "probe", "--mech", "fp", "-n", "2")[0] == 0
     assert (cli._parser.cache_info().misses, cli._parser.cache_info().hits) == (1, 1)
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    path = str(tmp_path / "t3.txt")
+    instances.save_text(instances.thm3_hat_image(3), path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mechfront.cli", "analyze", "-i", path, "--mech", "spa:2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader goes away before the child writes
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (141, b"")
 
 
 def test_installed_entry_point_runs():

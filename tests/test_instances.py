@@ -1,8 +1,11 @@
+import inspect
 import math
 
 import pytest
 
 from mechfront.instances import (
+    _BUILDERS,
+    GENERATOR_BUDGET,
     GeneratorSpec,
     gen_canonical,
     gen_circulant,
@@ -20,7 +23,7 @@ from mechfront.instances import (
     save_text,
     thm3_hat_image,
 )
-from mechfront.model import DEFAULT_BIG, Instance
+from mechfront.model import DEFAULT_BIG, BudgetExceededError, Instance
 
 BIG = float(DEFAULT_BIG)
 
@@ -53,7 +56,7 @@ def test_gen_tradeoff_validates():
     with pytest.raises(ValueError):
         gen_tradeoff(3, 0.5)  # needs rho >= 1
     with pytest.raises(ValueError):
-        gen_tradeoff(3, 2.0, big=3.0)  # sentinel must dominate
+        gen_tradeoff(2, DEFAULT_BIG + 2.0)  # rho - 1 would read as a sentinel
 
 
 def test_gen_fp_pos():
@@ -224,12 +227,31 @@ def test_generator_spec_names_a_value_that_does_not_convert(text, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("kwargs", [{"hi": math.inf}, {"lo": -math.inf}, {"lo": math.nan},
-                                    {"grid_step": 0.0}, {"grid_step": 1e-320},
-                                    {"grid_step": 1e-300}])
-def test_gen_random_rejects_unbounded_ranges(kwargs):
-    with pytest.raises(ValueError):
-        gen_random(2, 2, seed=0, **kwargs)
+GENERATOR_PARAMETERS = {
+    "uniform": ["n"], "tradeoff": ["n", "rho"], "fp_pos": ["n", "eps"],
+    "hat": ["n", "alpha"], "tilde": ["n", "alpha"], "random": ["n", "m", "seed"],
+    "thm3_hat": ["n"],
+}
+
+
+def test_generators_take_only_their_family_parameters():
+    assert {name: list(inspect.signature(builder).parameters)
+            for name, builder in _BUILDERS.items()} == GENERATOR_PARAMETERS
+
+
+@pytest.mark.parametrize("build, shape", [
+    (lambda: gen_uniform(216), "216 x 46656"),
+    (lambda: thm3_hat_image(216), "216 x 46656"),
+    (lambda: gen_tradeoff(3163, 2.0), "3163 x 3163"),
+    (lambda: gen_fp_pos(3163, 0.5), "3163 x 3163"),
+    (lambda: gen_hat(3163, 2.0, "tilde"), "3163 x 3163"),
+    (lambda: gen_random(10 ** 5, 101, seed=0), "100000 x 101"),
+])
+def test_generators_refuse_oversized_instances(build, shape):
+    # each shape is the smallest past GENERATOR_BUDGET entries, refused before allocating
+    with pytest.raises(BudgetExceededError, match=shape):
+        build()
+    assert 215 ** 3 <= GENERATOR_BUDGET < 216 ** 3
 
 
 # ---------------------------------------------------------------- file I/O
