@@ -11,7 +11,10 @@ vector at a time.
 building them.  The fp/sp/spa rules pay only the winner, so whether a
 profile is an equilibrium depends on its winner, the winning bid, the
 second-lowest bid and who holds that bid; the profiles sharing those are
-counted in closed form, in O(n * len(grid)^2) work.
+counted in closed form, in O(n * len(grid)^2) work.  `verify_equilibrium`
+decides one profile the same way: each machine faces only the lowest other
+bid and who holds it, so its best deviation takes two bisections on the grid
+instead of scoring all len(grid) of its bids.
 
 `achievable_winners` is the analytic counterpart: without enumerating
 anything it names, per task, the machines that win in *some* equilibrium:
@@ -42,6 +45,7 @@ identically on both routes.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -163,50 +167,66 @@ class EquilibriumCertificate:
 
     `profile` is an n x m report matrix (one column per task) and `winner`
     the per-task winning machine.  Every grid deviation of every machine was
-    scanned in every column.
+    decided in every column.
     """
 
     profile: tuple
     winner: tuple
 
 
-def _utility(winners, pay, true_times: np.ndarray, machine):
-    """Utility of `machine` (an index, or one index per row) in each row."""
-    return np.where(winners == machine, pay - true_times[machine], 0.0)
-
-
 def verify_equilibrium(rule: SingleTaskRule, true_times, bids, grid: Grid) -> VerifyResult:
-    """Scan every unilateral grid deviation of every machine.
+    """Decide every unilateral grid deviation of every machine in closed form.
 
-    `bids` must already be grid points.  They are tiled into n * len(grid)
-    + 1 rows; viewed as (n, len(grid), n), block i moves machine i's bid over
-    the grid, and the last row is the profile.  One `rule.batch` call scores
-    every row.  The witness is the best improving deviation, ties toward the
-    lowest machine, then the lowest bid.
+    `bids` must already be grid points.  Only the winner is paid, and machine
+    i moving its bid faces the others' bids unchanged: with m_i the lowest of
+    them and h_i the lowest index holding it, i wins at grid point p iff
+    p < m_i, or p == m_i and i < h_i.  For a loser m_i is the winning bid;
+    for the winner it is the second-lowest bid.  So i's winning points are a
+    prefix of the grid, found by one bisection, and on it i's utility
+    `rule.pay(p, m_i) - t_i` never decreases.  Its best deviation is the
+    first point reaching the prefix's last value (a second bisection), or
+    the first losing point (utility 0) when that value is negative.  The
+    witness is the best improving deviation, ties toward the lowest machine,
+    then the lowest bid; `checked_deviations` counts the n * len(grid)
+    deviations decided.
     """
-    true_times = tuple(float(t) for t in true_times)
-    bids = tuple(float(b) for b in bids)
+    true_times = tuple(map(float, true_times))
+    bids = tuple(map(float, bids))
     n = rule.n
     if len(true_times) != n or len(bids) != n:
         raise ValueError(f"expected {n} true times and bids")
     for b in bids:
         grid.index_of(b)  # raises when off-grid
 
-    t = np.asarray(true_times)
     pts = grid.points
     g = len(pts)
-    machines = np.arange(n)
-    B = np.tile(np.asarray(bids), (n * g + 1, 1))
-    B[:-1].reshape(n, g, n)[machines, :, machines] = pts
-    winners, pay = rule.batch(B)
-    current = _utility(winners[-1], pay[-1], t, machines)
-    u = _utility(winners[:-1].reshape(n, g), pay[:-1].reshape(n, g), t, machines[:, None])
-    best = np.argmax(u, axis=1)
-    gains = u[machines, best] - current
-    i = int(np.argmax(gains))
-    if gains[i] > 0:
-        return VerifyResult(False, i, float(pts[best[i]]), float(gains[i]), n * g)
-    return VerifyResult(True, None, None, 0.0, n * g)
+    w = min(range(n), key=bids.__getitem__)  # min keeps the lowest index on ties
+    h = min((i for i in range(n) if i != w), key=bids.__getitem__, default=n)
+    second = bids[h] if h < n else math.inf  # a lone machine faces no bid
+    best_gain, witness = 0.0, None
+    for i, t in enumerate(true_times):
+        if i == w:
+            faced, holder, current = second, h, rule.pay(bids[w], second) - t
+        else:
+            faced, holder, current = bids[w], w, 0.0
+        wins = bisect.bisect_right(pts, faced) if i < holder else bisect.bisect_left(pts, faced)
+        u, x = 0.0, wins  # the first losing point
+        top = rule.pay(pts[wins - 1], faced) - t if wins else None
+        if wins and (wins == g or top >= 0.0):
+            u, x = top, 0  # the first winning point worth `top`
+            hi = wins - 1
+            while x < hi:
+                mid = (x + hi) // 2
+                if rule.pay(pts[mid], faced) - t < top:
+                    x = mid + 1
+                else:
+                    hi = mid
+        if u - current > best_gain:
+            best_gain, witness = u - current, (i, x)
+    if witness is None:
+        return VerifyResult(True, None, None, 0.0, n * g)
+    i, x = witness
+    return VerifyResult(False, i, float(pts[x]), float(best_gain), n * g)
 
 
 @dataclass(frozen=True, eq=False)

@@ -89,11 +89,12 @@ def gen_fp_pos(n: int, eps: float) -> Instance:
 
     First price keeps every task on machine 0 (it is strictly fastest), so
     the best equilibrium makespan is n while the optimum spreads tasks at
-    1+eps; the ratio n/(1+eps) climbs to n as eps shrinks.
+    1+eps; the ratio n/(1+eps) climbs to n as eps shrinks.  From 1+eps =
+    DEFAULT_BIG on the specialists' entries would read as sentinels.
     """
     _check_shape(n, n)
-    if not eps > 0:
-        raise ValueError("need eps > 0")
+    if not (eps > 0 and 1.0 + eps < DEFAULT_BIG):
+        raise ValueError(f"need eps > 0 and 1 + eps < {DEFAULT_BIG}")
     times = [(1.0,) * n]
     for i in range(1, n):
         row = [DEFAULT_BIG] * n
@@ -125,11 +126,12 @@ def gen_hat(n: int, alpha: float, variant: str) -> Instance:
     own -- its bucket membership lets worst equilibria pile (n-1)*alpha + 1
     onto it.  hat: specialists at alpha, machine n-1 at 1 on their tasks,
     alpha on its own -- whether the specialists stay winnable depends on the
-    mechanism's multiplier, which is what pins the best equilibrium.
+    mechanism's multiplier, which is what pins the best equilibrium.  From
+    alpha = DEFAULT_BIG on the alpha entries would read as sentinels.
     """
     _check_shape(n, n)
-    if not alpha > 1:
-        raise ValueError("need alpha > 1")
+    if not 1 < alpha < DEFAULT_BIG:
+        raise ValueError(f"need 1 < alpha < {DEFAULT_BIG}")
     if variant not in ("tilde", "hat"):
         raise ValueError("variant must be 'tilde' or 'hat'")
     spec_t, last_t = (1.0, float(alpha)) if variant == "tilde" else (float(alpha), 1.0)

@@ -9,8 +9,10 @@ bidder (lowest index on ties), and pays only the winner:
           pay = min(second lowest bid, alpha * winning bid).  spa with
           alpha = 1 collapses to fp (the cap always binds at the own bid).
 
-`SingleTaskRule.batch` is the one definition of all three; `outcome` runs it
-on a single profile.  A mechanism applies its rule to every task on its own.
+`SingleTaskRule.pay` is the winner's payment of each rule, given the lowest
+and the second-lowest bid; `batch` scores many profiles at once with the same
+float expressions, and `outcome` runs `batch` on a single profile.  A
+mechanism applies its rule to every task on its own.
 """
 from __future__ import annotations
 
@@ -27,7 +29,9 @@ class SingleTaskRule:
 
     `batch(B)` evaluates K profiles at once (B has shape (K, n)) and returns
     the winner index and the winner's payment per row; `outcome(bids)` is
-    `batch` on one profile, returned as (int, float).
+    `batch` on one profile, returned as (int, float).  `pay(low, second)` is
+    the payment of a winner bidding `low` when the lowest other bid is
+    `second`, bit for bit what `batch` pays on such a row.
     """
 
     id: MechanismId
@@ -47,6 +51,13 @@ class SingleTaskRule:
             raise ValueError("bids must be >= 0")
         w, pay = self.batch(row)
         return int(w[0]), float(pay[0])
+
+    def pay(self, low: float, second: float) -> float:
+        if self.id.kind == "fp":
+            return low
+        if self.id.kind == "sp":
+            return second
+        return min(second, self.id.alpha * low)
 
     def batch(self, B: np.ndarray) -> tuple:
         B = np.asarray(B, dtype=float)

@@ -1,12 +1,13 @@
 """Second implementations kept only as test oracles.
 
-The scalar fp/sp/spa rules and the per-machine deviation scan are the
-straightforward versions of `SingleTaskRule.batch` and `verify_equilibrium`;
-`apply` and `utility` play the whole game on complete report matrices with
-the scalar rules; `enumerate_dense` is `enumerate_equilibria` as a scan of
-every grid profile, and `enumerate_by_verify` the same one profile at a
-time; `brute_force_makespan` enumerates every assignment.  The tests compare
-the production paths against them.
+The scalar fp/sp/spa rules are the straightforward versions of
+`SingleTaskRule.batch` and `SingleTaskRule.pay`; `per_machine_scan` is the
+dense twin of the closed-form `verify_equilibrium`, scoring every grid bid of
+every machine; `apply` and `utility` play the whole game on complete report
+matrices with the scalar rules; `enumerate_dense` is `enumerate_equilibria`
+as a scan of every grid profile, and `enumerate_by_verify` the same one
+profile at a time; `brute_force_makespan` enumerates every assignment.  The
+tests compare the production paths against them.
 """
 import itertools
 
@@ -128,7 +129,8 @@ def brute_force_makespan(inst, mask=None, objective: str = "min",
 
 
 def per_machine_scan(rule, true_times, bids, grid) -> VerifyResult:
-    """verify_equilibrium one machine at a time: a tiled batch per machine,
+    """verify_equilibrium by brute force: one tiled batch per machine scores
+    each of its grid bids, and a machine replaces the witness only on a
     strict improvement over the best gain so far."""
     true_times = tuple(float(t) for t in true_times)
     bids = tuple(float(b) for b in bids)

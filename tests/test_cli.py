@@ -7,7 +7,7 @@ import pytest
 from mechfront import analysis, cli, equilibria, instances, optsolver
 from mechfront.analysis import SuiteReport
 from mechfront.instances import gen_random, gen_tradeoff, gen_uniform
-from mechfront.model import makespan
+from mechfront.model import DEFAULT_BIG, makespan
 
 FRONTIER_ARGS = ["frontier", "-n", "3", "--alphas", "1,1.5,2,4"]
 
@@ -610,6 +610,23 @@ def test_generator_parameter_errors_exit_two(capsys, tmp_path, argv, names):
     assert out == ""
     assert err.startswith("error:") and all(name in err for name in names)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "fp_pos", "n=2", "eps=2e6"],
+    ["gen", "fp_pos", "n=2", "eps=999999"],
+    ["gen", "tilde", "n=3", "alpha=2e6"],
+    ["gen", "hat", "n=3", "alpha=1e6"],
+    ["gen", "tradeoff", "n=3", "rho=2e6"],
+])
+def test_generator_entries_stay_below_the_sentinel(capsys, tmp_path, argv):
+    """A parameter that would push a finite entry to the sentinel is refused
+    before anything is written."""
+    path = tmp_path / "x.json"
+    code, out, err = run_cli(capsys, *argv, "-o", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and str(DEFAULT_BIG) in err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,7 +18,7 @@ from mechfront.equilibria import (
     verify_equilibrium,
 )
 from mechfront.instances import gen_fp_pos, gen_hat, gen_random, gen_tradeoff, thm3_hat_image
-from mechfront.model import BudgetExceededError, Instance, MechanismId
+from mechfront.model import DEFAULT_BIG, BudgetExceededError, Instance, MechanismId
 from mechfront.rules import SingleTaskRule, rule_for
 from oracles import enumerate_by_verify, enumerate_dense, per_machine_scan, scalar_outcome, utility
 
@@ -158,49 +158,57 @@ def test_verify_rejects_off_grid_bids():
         verify_equilibrium(rule, (1.0, 2.0), (1.05, 2.0), g)
 
 
-def test_verify_makes_one_batch_call(monkeypatch):
-    calls = []
-    batch = SingleTaskRule.batch
+def test_verify_makes_no_batch_call(monkeypatch):
+    """The closed form scores no bid matrix, yet still decides all n * g
+    deviations."""
+    rule, g = rule_for(SPA2, 3), Grid(0.1, 2.2)
+    truth, bids = (1.0, 2.0, 1.5), (1.0, 1.5, 1.5)
+    expected = per_machine_scan(rule, truth, bids, g)
 
-    def counting(self, B):
-        calls.append(len(B))
-        return batch(self, B)
+    def refuse(self, B):
+        raise AssertionError("verify_equilibrium called rule.batch")
 
-    monkeypatch.setattr(SingleTaskRule, "batch", counting)
-    g = Grid(0.1, 2.2)
-    res = verify_equilibrium(rule_for(SPA2, 3), (1.0, 2.0, 1.5), (1.0, 1.5, 1.5), g)
-    assert calls == [3 * len(g) + 1]
+    monkeypatch.setattr(SingleTaskRule, "batch", refuse)
+    res = verify_equilibrium(rule, truth, bids, g)
+    assert res == expected
     assert res.checked_deviations == 3 * len(g)
 
 
-VERIFY_MECHS = ["fp", "sp", "spa:1.5", "spa:2", "spa:3"]
+VERIFY_MECHS = ["fp", "sp", "spa:1", "spa:1.3", "spa:1.5", "spa:2", "spa:3"]
 VERIFY_GRID = Grid(0.1, 2.0)
 OFF_GRID = (0.0, 0.0, 1e-9, -1e-9, 0.05)
 
 
 @st.composite
 def verify_cases(draw):
+    """(rule, truth, bids, grid) on either the fixed grid, whose points are
+    the float products k * 0.1, or `default_grid` anchored at decimal true
+    times k / 10.  A true time is a grid value, just off it, or the
+    sentinel; under spa:1.3, alpha * x and the plateau's start fall between
+    round values."""
     n = draw(st.integers(1, 4))
-    mid = "fp" if n == 1 else draw(st.sampled_from(VERIFY_MECHS))
-    g = len(VERIFY_GRID)
-    ks = draw(st.lists(st.integers(0, g - 1), min_size=n, max_size=n))
-    bids = tuple(float(VERIFY_GRID.points[k]) for k in ks)
+    mech = MechanismId.parse("fp" if n == 1 else draw(st.sampled_from(VERIFY_MECHS)))
+    anchored = draw(st.booleans())
     truth = []
     for _ in range(n):
-        t = float(VERIFY_GRID.points[draw(st.integers(0, g - 1))])
-        truth.append(max(0.0, t + draw(st.sampled_from(OFF_GRID))))
-    return MechanismId.parse(mid), n, tuple(truth), bids
+        k = draw(st.integers(0, len(VERIFY_GRID) - 1))
+        if draw(st.integers(0, 7)) == 0:
+            truth.append(DEFAULT_BIG)
+        else:
+            t = k / 10 if anchored else float(VERIFY_GRID.points[k])
+            truth.append(max(0.0, t + draw(st.sampled_from(OFF_GRID))))
+    grid = default_grid(truth, mech) if anchored else VERIFY_GRID
+    ks = draw(st.lists(st.integers(0, len(grid) - 1), min_size=n, max_size=n))
+    return rule_for(mech, n), tuple(truth), tuple(float(grid.points[k]) for k in ks), grid
 
 
 @given(verify_cases())
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 def test_verify_matches_per_machine_scan(case):
-    """The one-batch scan returns the per-machine oracle's result on every
-    field: verdict, witness machine and bid, gain, deviation count."""
-    mech, n, truth, bids = case
-    rule = rule_for(mech, n)
-    assert verify_equilibrium(rule, truth, bids, VERIFY_GRID) == \
-        per_machine_scan(rule, truth, bids, VERIFY_GRID)
+    """The closed form returns the dense oracle's result on every field:
+    verdict, witness machine and bid, gain, deviation count."""
+    rule, truth, bids, grid = case
+    assert verify_equilibrium(rule, truth, bids, grid) == per_machine_scan(rule, truth, bids, grid)
 
 
 def test_verify_witness_ties_go_to_lowest_machine_then_lowest_bid():

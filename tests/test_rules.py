@@ -160,3 +160,16 @@ def test_sp_payment_is_second_lowest(ks):
     assert (int(bw[0]), float(bpay[0])) == (w, pay)
     others = [b for i, b in enumerate(bids) if i != w]
     assert pay == min(others)
+
+
+@given(st.lists(st.one_of(st.integers(0, 40).map(lambda k: k * 0.1),
+                          st.floats(0, 10, allow_subnormal=False)), min_size=2, max_size=5),
+       st.sampled_from(["fp", "sp", "spa:1", "spa:1.3", "spa:1.5", "spa:2", "spa:3"]))
+@settings(max_examples=300, deadline=None)
+def test_pay_matches_scalar_rules_bit_for_bit(bids, mid):
+    """`pay(low, second)` is the oracle rules' payment to the winner, to the
+    last bit, given the winning bid and the lowest bid among the others."""
+    mech = MechanismId.parse(mid)
+    w, pay = scalar_outcome(mech, bids)  # fp_rule, sp_rule or spa_rule
+    second = min(b for i, b in enumerate(bids) if i != w)
+    assert repr(rule_for(mech, len(bids)).pay(bids[w], second)) == repr(pay)
