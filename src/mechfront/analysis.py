@@ -203,11 +203,12 @@ def monotonicity_check(mech: MechanismId, inst: Instance, cert: EquilibriumCerti
     u = np.zeros((trials,) + times.shape)
     u[:, live] = np.random.default_rng(seed).uniform(size=(trials, int(live.sum())))
     modified = np.where(live, np.where(down, times * u, times * (1.0 + u)), times)
-    bids = np.asarray(cert.profile)
+    truths = modified.transpose(0, 2, 1).tolist()  # [trial][task] -> true-time column
+    columns = list(zip(*cert.profile))
     failures = []
-    for trial in range(trials):
-        for j in range(inst.m):
-            res = verify_equilibrium(rule, modified[trial, :, j], bids[:, j], grid)
+    for trial, cols in enumerate(truths):
+        for j, (col, bids) in enumerate(zip(cols, columns, strict=True)):
+            res = verify_equilibrium(rule, col, bids, grid)
             if not res:
                 failures.append((trial, j, res.machine, res.deviation, res.gain))
     return MonotonicityResult(not failures, trials, direction, tuple(failures))
@@ -262,15 +263,15 @@ def probe_matrix(rule: SingleTaskRule, grid: Grid) -> tuple:
     BudgetExceededError.
 
     The ladder stops after n consecutive failures past the rule's analytic
-    reach (alpha for spa, 1 for fp) or at the grid cap; second price has no
-    finite reach, so probing it saturates the cap.  Note fp can hold one grid
-    step past 1 when the slow machine has the lower index (the tie-break
-    protects it), so entries land within one step of the analytic boundary.
+    reach (alpha for spa, 1 for fp) or at k = len(grid) - 1, the grid's top;
+    second price has no finite reach, so probing it saturates the cap.  Note
+    fp can hold one grid step past 1 when the slow machine has the lower
+    index (the tie-break protects it), so entries land within one step of
+    the analytic boundary.
     """
     n, eps = rule.n, grid.step
     kind = rule.id.kind
     reach = rule.id.alpha if kind == "spa" else (1.0 if kind == "fp" else None)
-    cap = float(grid.points[-1])
     a = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -278,12 +279,8 @@ def probe_matrix(rule: SingleTaskRule, grid: Grid) -> tuple:
                 continue
             best = 0.0
             fails_past = 0
-            k = 0
-            while True:
-                k += 1
+            for k in range(1, len(grid)):
                 probe = k * eps
-                if probe > cap + 1e-9:
-                    break
                 vec = gen_canonical(n, i, j, probe)
                 hit = j in enumerate_equilibria(rule, vec, grid).winner_union()
                 if hit:

@@ -178,7 +178,7 @@ def _dispatch(args) -> int:
             rows.append({"task": j, "profiles": sum(res.counts),
                          "winners": sorted(res.winner_union())})
         print(_dump({"mech": str(mech), "eps": grid.step,
-                     "cap": float(grid.points[-1]), "tasks": rows}))
+                     "cap": grid.points[-1], "tasks": rows}))
         return 0
 
     if args.verb == "analyze":

@@ -13,8 +13,9 @@ profile is an equilibrium depends on its winner, the winning bid, the
 second-lowest bid and who holds that bid; the profiles sharing those are
 counted in closed form, in O(n * len(grid)^2) work.  `verify_equilibrium`
 decides one profile the same way: each machine faces only the lowest other
-bid and who holds it, so its best deviation takes two bisections on the grid
-instead of scoring all len(grid) of its bids.
+bid and who holds it, so the value of its best deviation takes one bisection
+on the grid instead of scoring all len(grid) of its bids, and the witness's
+bid a second.
 
 `achievable_winners` is the analytic counterpart: without enumerating
 anything it names, per task, the machines that win in *some* equilibrium:
@@ -56,18 +57,21 @@ from .optsolver import EligibilityMask
 from .rules import SingleTaskRule, rule_for
 
 ENUMERATION_BUDGET = 10 ** 7
+GRID_BUDGET = 10 ** 6  # grid points; each costs over 100 bytes of Python objects
 
 
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Bid grid {0, step, ..., cap}; `anchors` are values that must be
-    representable exactly and replace their nearest generated point.  A grid
-    of more than ENUMERATION_BUDGET points is refused before it is built."""
+    representable exactly and replace their nearest generated point.
+    `points` is a tuple of Python floats.  A grid of more than GRID_BUDGET
+    points is refused before it is built."""
 
     step: float
     cap: float
     anchors: tuple = ()
-    points: np.ndarray = field(init=False, repr=False)
+    points: tuple = field(init=False, repr=False)
+    _index: dict = field(init=False, repr=False)  # point -> its index
 
     def __post_init__(self):
         if not self.step > 0:
@@ -75,29 +79,35 @@ class Grid:
         if not math.isfinite(self.cap):
             raise ValueError(f"cap must be finite, got {self.cap}")
         ratio = self.cap / self.step
-        if ratio >= ENUMERATION_BUDGET - 0.5:  # the point count would round past the budget
+        if ratio >= GRID_BUDGET - 0.5:  # the point count would round past the budget
             raise BudgetExceededError(
-                f"{ratio + 1:.0f} grid points exceed the enumeration budget {ENUMERATION_BUDGET}"
+                f"{ratio + 1:.0f} grid points exceed the grid budget {GRID_BUDGET}"
             )
         k = round(max(ratio, 0.0))
         if k < 1 or abs(k * self.step - self.cap) > 1e-9 * max(1.0, self.cap):
             raise ValueError(f"cap {self.cap} is not a positive multiple of step {self.step}")
-        pts = np.arange(k + 1) * self.step
+        pts = (np.arange(k + 1) * self.step).tolist()
         for a in self.anchors:
             a = float(a)
             i = round(a / self.step)
             if not (0 <= i <= k) or abs(pts[i] - a) > 1e-9 * max(1.0, abs(a)):
                 raise ValueError(f"anchor {a} is not on the grid")
             pts[i] = a
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", tuple(pts))
+        object.__setattr__(self, "_index", {p: i for i, p in enumerate(pts)})
 
     def __len__(self) -> int:
         return len(self.points)
 
     def index_of(self, value: float) -> int:
-        """Index of a grid value; rejects off-grid values."""
-        i = round(float(value) / self.step)
+        """Index of a grid value; rejects off-grid values.  A grid point is
+        looked up; any other value resolves to the point within float dust
+        of it."""
+        i = self._index.get(value)
+        if i is not None:
+            return i
+        q = float(value) / self.step
+        i = round(q) if math.isfinite(q) else -1
         if not (0 <= i < len(self.points)) or \
                 abs(self.points[i] - value) > 1e-9 * max(1.0, abs(value)):
             raise ValueError(f"{value} is not on the grid (step {self.step}, cap {self.cap})")
@@ -106,10 +116,10 @@ class Grid:
     def floor(self, value: float) -> float:
         """Largest grid point <= value (tolerating float dust just above)."""
         v = float(value) + 1e-9 * max(1.0, abs(value))
-        i = int(np.searchsorted(self.points, v, side="right")) - 1
+        i = bisect.bisect_right(self.points, v) - 1
         if i < 0:
             raise ValueError(f"{value} is below the grid")
-        return float(self.points[i])
+        return self.points[i]
 
 
 def on_grid(value: float, step: float) -> bool:
@@ -137,7 +147,9 @@ def default_grid(inst_or_times, mech: MechanismId, eps: float = GRID_STEP,
     if cap is None:
         alpha_eff = mech.alpha if mech.kind == "spa" else 1.0
         max_fin = max(finite) if finite else 0.0
-        cap = max(2, math.ceil((alpha_eff * max_fin + 2 * eps) / eps - 1e-9)) * eps
+        steps = (alpha_eff * max_fin + 2 * eps) / eps - 1e-9
+        # an infinite cap is left for Grid to refuse
+        cap = max(2, math.ceil(steps)) * eps if math.isfinite(steps) else steps
     anchors = {round(x / eps): x for x in sorted(finite) if x <= cap and on_grid(x, eps)}
     return Grid(eps, cap, anchors=tuple(anchors.values()))
 
@@ -183,12 +195,12 @@ def verify_equilibrium(rule: SingleTaskRule, true_times, bids, grid: Grid) -> Ve
     p < m_i, or p == m_i and i < h_i.  For a loser m_i is the winning bid;
     for the winner it is the second-lowest bid.  So i's winning points are a
     prefix of the grid, found by one bisection, and on it i's utility
-    `rule.pay(p, m_i) - t_i` never decreases.  Its best deviation is the
-    first point reaching the prefix's last value (a second bisection), or
-    the first losing point (utility 0) when that value is negative.  The
-    witness is the best improving deviation, ties toward the lowest machine,
-    then the lowest bid; `checked_deviations` counts the n * len(grid)
-    deviations decided.
+    `rule.pay(p, m_i) - t_i` never decreases: its best deviation is worth the
+    prefix's last value, or 0 at the first losing point when that value is
+    negative.  The witness is the best improving deviation, ties toward the
+    lowest machine, then the lowest bid; a second bisection, run for the
+    witness alone, finds the first point reaching its value.
+    `checked_deviations` counts the n * len(grid) deviations decided.
     """
     true_times = tuple(map(float, true_times))
     bids = tuple(map(float, bids))
@@ -200,8 +212,9 @@ def verify_equilibrium(rule: SingleTaskRule, true_times, bids, grid: Grid) -> Ve
 
     pts = grid.points
     g = len(pts)
-    w = min(range(n), key=bids.__getitem__)  # min keeps the lowest index on ties
-    h = min((i for i in range(n) if i != w), key=bids.__getitem__, default=n)
+    order = sorted(range(n), key=bids.__getitem__)  # stable: the lowest index first on ties
+    w = order[0]
+    h = order[1] if n > 1 else n
     second = bids[h] if h < n else math.inf  # a lone machine faces no bid
     best_gain, witness = 0.0, None
     for i, t in enumerate(true_times):
@@ -210,23 +223,26 @@ def verify_equilibrium(rule: SingleTaskRule, true_times, bids, grid: Grid) -> Ve
         else:
             faced, holder, current = bids[w], w, 0.0
         wins = bisect.bisect_right(pts, faced) if i < holder else bisect.bisect_left(pts, faced)
-        u, x = 0.0, wins  # the first losing point
-        top = rule.pay(pts[wins - 1], faced) - t if wins else None
-        if wins and (wins == g or top >= 0.0):
-            u, x = top, 0  # the first winning point worth `top`
-            hi = wins - 1
-            while x < hi:
-                mid = (x + hi) // 2
-                if rule.pay(pts[mid], faced) - t < top:
-                    x = mid + 1
-                else:
-                    hi = mid
+        u, top = 0.0, None  # None: the first losing point, pts[wins]
+        if wins:
+            value = rule.pay(pts[wins - 1], faced) - t
+            if wins == g or value >= 0.0:
+                u = top = value
         if u - current > best_gain:
-            best_gain, witness = u - current, (i, x)
+            best_gain, witness = u - current, (i, faced, wins, top)
     if witness is None:
         return VerifyResult(True, None, None, 0.0, n * g)
-    i, x = witness
-    return VerifyResult(False, i, float(pts[x]), float(best_gain), n * g)
+    i, faced, x, top = witness
+    if top is not None:  # the first winning point worth `top`
+        t = true_times[i]
+        x, hi = 0, x - 1
+        while x < hi:
+            mid = (x + hi) // 2
+            if rule.pay(pts[mid], faced) - t < top:
+                x = mid + 1
+            else:
+                hi = mid
+    return VerifyResult(False, i, pts[x], best_gain, n * g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,7 +292,7 @@ def enumerate_equilibria(rule: SingleTaskRule, true_times, grid: Grid) -> Enumer
     n = rule.n
     if len(t) != n:
         raise ValueError(f"expected {n} true times")
-    pts = grid.points
+    pts = np.asarray(grid.points)
     g = len(pts)
     pairs = g * (g + 1) // 2
     if pairs > ENUMERATION_BUDGET:
@@ -363,7 +379,7 @@ def _point_above(grid: Grid, value: float) -> float:
     i = grid.index_of(value) + 1
     if i == len(grid.points):
         raise ValueError(f"{value} is the top grid point; no bid above it")
-    return float(grid.points[i])
+    return grid.points[i]
 
 
 def canonical_certificate(mech: MechanismId, inst: Instance,
@@ -389,7 +405,7 @@ def canonical_certificate(mech: MechanismId, inst: Instance,
         grid = default_grid(inst, mech)
     rule = rule_for(mech, inst.n)
     n, m = inst.n, inst.m
-    cap = float(grid.points[-1])
+    cap = grid.points[-1]
     step = grid.step
     columns = []
     winners = []

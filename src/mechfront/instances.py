@@ -172,7 +172,7 @@ def gen_random(n: int, m: int, seed: int) -> Instance:
         raise ValueError("need m >= 1")
     _check_shape(n, m, min_n=1)
     ks = np.random.default_rng(seed).integers(1, 41, size=(n, m))
-    return Instance(tuple(tuple(row) for row in ks * GRID_STEP))
+    return Instance((ks * GRID_STEP).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ dense twin of the closed-form `verify_equilibrium`, scoring every grid bid of
 every machine; `apply` and `utility` play the whole game on complete report
 matrices with the scalar rules; `enumerate_dense` is `enumerate_equilibria`
 as a scan of every grid profile, and `enumerate_by_verify` the same one
-profile at a time; `brute_force_makespan` enumerates every assignment.  The
-tests compare the production paths against them.
+profile at a time; `index_by_rounding` is `Grid.index_of` without its
+point lookup; `brute_force_makespan` enumerates every assignment.  The tests
+compare the production paths against them.
 """
 import itertools
 
@@ -128,6 +129,16 @@ def brute_force_makespan(inst, mask=None, objective: str = "min",
     return best_val, tuple(best_assign)
 
 
+def index_by_rounding(grid, value) -> int:
+    """Grid.index_of without its point lookup: the nearest multiple of the
+    step, accepted within float dust of the grid point at that index."""
+    i = round(float(value) / grid.step)
+    if not (0 <= i < len(grid.points)) or \
+            abs(grid.points[i] - value) > 1e-9 * max(1.0, abs(value)):
+        raise ValueError(f"{value} is not on the grid")
+    return i
+
+
 def per_machine_scan(rule, true_times, bids, grid) -> VerifyResult:
     """verify_equilibrium by brute force: one tiled batch per machine scores
     each of its grid bids, and a machine replaces the witness only on a
@@ -137,7 +148,7 @@ def per_machine_scan(rule, true_times, bids, grid) -> VerifyResult:
     n = rule.n
     for b in bids:
         grid.index_of(b)
-    pts = grid.points
+    pts = np.asarray(grid.points)
     g = len(pts)
     w0, pay0 = scalar_outcome(rule.id, bids)
     best_machine = None
@@ -160,8 +171,7 @@ def per_machine_scan(rule, true_times, bids, grid) -> VerifyResult:
 
 def enumerate_by_verify(rule, true_times, grid) -> list:
     """Every grid profile, in product order, that verify_equilibrium accepts."""
-    pts = [float(p) for p in grid.points]
-    return [bids for bids in itertools.product(pts, repeat=rule.n)
+    return [bids for bids in itertools.product(grid.points, repeat=rule.n)
             if verify_equilibrium(rule, true_times, bids, grid).ok]
 
 
@@ -184,7 +194,7 @@ def enumerate_dense(rule, true_times, grid) -> EnumerationResult:
     n = rule.n
     if len(t) != n:
         raise ValueError(f"expected {n} true times")
-    pts = grid.points
+    pts = np.asarray(grid.points)
     g = len(pts)
     total = g ** n
     if total > DENSE_BUDGET:

@@ -220,6 +220,28 @@ def test_monotonicity_rejects_negative_trials():
         analysis.MonotonicityResult(True, 0, "forward", ())
 
 
+def test_monotonicity_check_verifies_each_trial_and_column_through_analysis(monkeypatch):
+    """Every (trial, task) pair is one call through the name `analysis`
+    imported, with plain-float columns: the truths of that trial and the
+    certificate's bids."""
+    inst = gen_hat(3, 2.0, "hat")
+    cert = canonical_certificate(SPA2, inst)
+    calls = []
+    real = analysis.verify_equilibrium
+
+    def counting(rule, truth, bids, grid):
+        calls.append((truth, bids))
+        return real(rule, truth, bids, grid)
+
+    monkeypatch.setattr(analysis, "verify_equilibrium", counting)
+    res = monotonicity_check(SPA2, inst, cert, trials=7, seed=1)
+    assert res.passed
+    assert len(calls) == 7 * inst.m
+    columns = list(zip(*cert.profile))
+    assert [bids for _, bids in calls] == columns * 7
+    assert all(type(x) is float for truth, _ in calls for x in truth)
+
+
 def test_monotonicity_suite_smoke(monkeypatch):
     monkeypatch.setattr(analysis, "MONOTONICITY_TRIALS", 10)
     fwd = analysis.monotonicity_suite(seed=7)

@@ -442,6 +442,27 @@ def test_probe_cap_below_one(capsys):
     assert json.loads(out)["eps"] == 0.1
 
 
+@pytest.mark.parametrize("eps, cap", [("1e-12", "1e-11"), ("1e-300", "1e-299")])
+def test_probe_with_a_tiny_step_stays_on_its_grid(capsys, monkeypatch, eps, cap):
+    # every probe is a grid point: an absolute 1e-9 slack on the cap would
+    # take a tiny step thousands of steps past the top, or forever at 1e-300
+    calls = []
+    real = analysis.enumerate_equilibria
+
+    def counting(rule, times, grid):
+        calls.append(times)
+        assert len(calls) <= 2 * (len(grid) - 1), "probe left its grid"
+        return real(rule, times, grid)
+
+    monkeypatch.setattr(analysis, "enumerate_equilibria", counting)
+    code, out, err = run_cli(capsys, "probe", "--mech", "fp", "-n", "2", "--eps", eps,
+                             "--cap", cap)
+    assert (code, err) == (0, "")
+    entries = [x for row in json.loads(out)["a"] for x in row]
+    assert max(entries) > 0
+    assert all(x <= float(cap) for x in entries)
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_tech1(capsys):
@@ -674,6 +695,19 @@ def test_probe_bad_eps_or_cap_exits_two(capsys, extra):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("alpha, code, message", [
+    ("1e308", 2, "error: cap must be finite, got inf\n"),
+    ("1e300", 3, "budget refused: "),
+])
+def test_equilibria_with_a_huge_alpha_is_refused(capsys, tradeoff_file, alpha, code, message):
+    # alpha * 2.0 overflows the default cap to inf, which is bad input, not
+    # a traceback (exit 1); a finite huge cap is past the grid budget
+    got, out, err = run_cli(capsys, "equilibria", "-i", tradeoff_file, "--mech",
+                            f"spa:{alpha}")
+    assert (got, out) == (code, "")
+    assert err.startswith(message)
 
 
 @pytest.mark.parametrize("grid, code", [("0,4", 2), ("1e-320,4", 3), ("1e-320,-1", 2)])

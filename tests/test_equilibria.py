@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from mechfront import equilibria
 from mechfront.equilibria import (
-    ENUMERATION_BUDGET,
+    GRID_BUDGET,
     Grid,
     achievable_winners,
     canonical_certificate,
@@ -20,7 +21,14 @@ from mechfront.equilibria import (
 from mechfront.instances import gen_fp_pos, gen_hat, gen_random, gen_tradeoff, thm3_hat_image
 from mechfront.model import DEFAULT_BIG, BudgetExceededError, Instance, MechanismId
 from mechfront.rules import SingleTaskRule, rule_for
-from oracles import enumerate_by_verify, enumerate_dense, per_machine_scan, scalar_outcome, utility
+from oracles import (
+    enumerate_by_verify,
+    enumerate_dense,
+    index_by_rounding,
+    per_machine_scan,
+    scalar_outcome,
+    utility,
+)
 
 FP = MechanismId.parse("fp")
 SP = MechanismId.parse("sp")
@@ -56,7 +64,7 @@ def test_grid_rejects_bad_cap():
 def test_grid_refuses_more_points_than_the_budget():
     with pytest.raises(BudgetExceededError, match="grid points"):
         Grid(1e-7, 2.0)
-    assert len(Grid(1.0, ENUMERATION_BUDGET - 1.0)) == ENUMERATION_BUDGET
+    assert len(Grid(1.0, GRID_BUDGET - 1.0)) == GRID_BUDGET
 
 
 def test_grid_rejects_infinite_cap():
@@ -67,11 +75,39 @@ def test_grid_rejects_infinite_cap():
 def test_grid_index_of_and_floor():
     g = Grid(0.5, 3.0)
     assert g.index_of(1.5) == 3
-    with pytest.raises(ValueError):
-        g.index_of(1.3)
+    for off in (1.3, -0.5, 3.5, float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="not on the grid"):
+            g.index_of(off)
     assert g.floor(1.3) == 1.0
     assert g.floor(1.5) == 1.5
     assert g.floor(99.0) == 3.0
+
+
+def test_grid_points_are_python_floats():
+    g = Grid(0.1, 1.0, anchors=(0.3,))  # replaces 3 * 0.1 == 0.30000000000000004
+    assert type(g.points) is tuple
+    assert all(type(p) is float for p in g.points)
+    assert g.points == tuple(0.3 if i == 3 else i * 0.1 for i in range(11))
+
+
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=4),
+       st.sampled_from(["fp", "sp", "spa:1.3", "spa:2"]),
+       st.sampled_from([0.1, 0.05, 0.25]))
+@settings(max_examples=200, deadline=None)
+def test_index_of_lookup_matches_rounding(ks, mid, eps):
+    """The point lookup and the tolerant rounding give one index for every
+    point of an anchored default grid and for the floats one ulp either side
+    of it, and both reject a value between two points."""
+    grid = default_grid([k / 10 for k in ks], MechanismId.parse(mid), eps)
+    for i, p in enumerate(grid.points):
+        for v in (p, math.nextafter(p, -math.inf), math.nextafter(p, math.inf)):
+            assert grid.index_of(v) == index_by_rounding(grid, v) == i
+            assert grid.index_of(np.float64(v)) == i
+        if i:
+            mid_point = (grid.points[i - 1] + p) / 2
+            for index_of in (grid.index_of, lambda v: index_by_rounding(grid, v)):
+                with pytest.raises(ValueError):
+                    index_of(mid_point)
 
 
 def test_on_grid():
@@ -98,7 +134,7 @@ def test_default_grid_skips_off_grid_entries():
 def test_default_grid_with_a_cap_anchors_only_entries_up_to_it():
     inst = gen_tradeoff(3, 1.5)  # entries 2.0 and 0.5 below the sentinel
     g = default_grid(inst, FP, 0.5, 1.0)
-    assert g.points.tolist() == [0.0, 0.5, 1.0]
+    assert list(g.points) == [0.0, 0.5, 1.0]
     assert g.anchors == (0.5,)
     assert default_grid(inst, FP, 0.5, 3.0).anchors == (0.5, 2.0)
 
@@ -209,6 +245,17 @@ def test_verify_matches_per_machine_scan(case):
     verdict, witness machine and bid, gain, deviation count."""
     rule, truth, bids, grid = case
     assert verify_equilibrium(rule, truth, bids, grid) == per_machine_scan(rule, truth, bids, grid)
+
+
+@given(verify_cases())
+@settings(max_examples=200, deadline=None)
+def test_verify_takes_arrays_and_lists_alike(case):
+    """numpy arrays, numpy scalars and plain lists give one result, repr and
+    all: no numpy scalar leaks into the witness."""
+    rule, truth, bids, grid = case
+    res = verify_equilibrium(rule, list(truth), list(bids), grid)
+    assert repr(verify_equilibrium(rule, np.asarray(truth), np.asarray(bids), grid)) == repr(res)
+    assert repr(verify_equilibrium(rule, map(np.float64, truth), bids, grid)) == repr(res)
 
 
 def test_verify_witness_ties_go_to_lowest_machine_then_lowest_bid():
@@ -508,7 +555,7 @@ def test_canonical_certificate_losers_bid_grid_points(mid):
     grid = default_grid(inst, mech)
     cert = canonical_certificate(mech, inst, grid)
     assert columns_verify(mech, inst, cert, grid)
-    points = set(grid.points.tolist())
+    points = set(grid.points)
     assert all(bid in points for row in cert.profile for bid in row)
 
 

@@ -1,6 +1,7 @@
 import inspect
 import math
 
+import numpy as np
 import pytest
 
 from mechfront.instances import (
@@ -23,7 +24,7 @@ from mechfront.instances import (
     save_text,
     thm3_hat_image,
 )
-from mechfront.model import DEFAULT_BIG, BudgetExceededError, Instance
+from mechfront.model import DEFAULT_BIG, GRID_STEP, BudgetExceededError, Instance
 
 BIG = float(DEFAULT_BIG)
 
@@ -175,6 +176,19 @@ def test_gen_random_determinism():
     c = gen_random(2, 5, seed=10)
     assert a.times == b.times
     assert a.times != c.times
+
+
+@pytest.mark.parametrize("n, m, seed", [(1, 1, 0), (3, 4, 7), (2, 9, 123), (7, 3, 2 ** 31 - 1)])
+def test_gen_random_matches_numpy_scalar_construction(n, m, seed):
+    """The instance is built from plain floats; every entry is bit-equal to
+    the numpy scalar k * GRID_STEP it was once built from."""
+    ks = np.random.default_rng(seed).integers(1, 41, size=(n, m))
+    old = Instance(tuple(tuple(row) for row in ks * GRID_STEP))
+    new = gen_random(n, m, seed)
+    assert new.times == old.times
+    assert [x.hex() for row in new.times for x in row] == \
+        [float(x).hex() for row in old.times for x in row]
+    assert all(type(x) is float for row in new.times for x in row)
 
 
 # ----------------------------------------------------------- generator specs
