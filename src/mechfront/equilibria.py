@@ -57,21 +57,19 @@ from .optsolver import EligibilityMask
 from .rules import SingleTaskRule, rule_for
 
 ENUMERATION_BUDGET = 10 ** 7
-GRID_BUDGET = 10 ** 6  # grid points; each costs over 100 bytes of Python objects
 
 
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Bid grid {0, step, ..., cap}; `anchors` are values that must be
     representable exactly and replace their nearest generated point.
-    `points` is a tuple of Python floats.  A grid of more than GRID_BUDGET
-    points is refused before it is built."""
+    `points` is a tuple of Python floats.  A grid of more than
+    ENUMERATION_BUDGET points is refused before it is built."""
 
     step: float
     cap: float
     anchors: tuple = ()
     points: tuple = field(init=False, repr=False)
-    _index: dict = field(init=False, repr=False)  # point -> its index
 
     def __post_init__(self):
         if not self.step > 0:
@@ -79,9 +77,9 @@ class Grid:
         if not math.isfinite(self.cap):
             raise ValueError(f"cap must be finite, got {self.cap}")
         ratio = self.cap / self.step
-        if ratio >= GRID_BUDGET - 0.5:  # the point count would round past the budget
+        if ratio >= ENUMERATION_BUDGET - 0.5:  # the point count would round past the budget
             raise BudgetExceededError(
-                f"{ratio + 1:.0f} grid points exceed the grid budget {GRID_BUDGET}"
+                f"{ratio + 1:.0f} grid points exceed the enumeration budget {ENUMERATION_BUDGET}"
             )
         k = round(max(ratio, 0.0))
         if k < 1 or abs(k * self.step - self.cap) > 1e-9 * max(1.0, self.cap):
@@ -94,18 +92,12 @@ class Grid:
                 raise ValueError(f"anchor {a} is not on the grid")
             pts[i] = a
         object.__setattr__(self, "points", tuple(pts))
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(pts)})
 
     def __len__(self) -> int:
         return len(self.points)
 
     def index_of(self, value: float) -> int:
-        """Index of a grid value; rejects off-grid values.  A grid point is
-        looked up; any other value resolves to the point within float dust
-        of it."""
-        i = self._index.get(value)
-        if i is not None:
-            return i
+        """Index of a grid value; rejects off-grid values."""
         q = float(value) / self.step
         i = round(q) if math.isfinite(q) else -1
         if not (0 <= i < len(self.points)) or \
@@ -148,8 +140,9 @@ def default_grid(inst_or_times, mech: MechanismId, eps: float = GRID_STEP,
         alpha_eff = mech.alpha if mech.kind == "spa" else 1.0
         max_fin = max(finite) if finite else 0.0
         steps = (alpha_eff * max_fin + 2 * eps) / eps - 1e-9
-        # an infinite cap is left for Grid to refuse
-        cap = max(2, math.ceil(steps)) * eps if math.isfinite(steps) else steps
+        if not math.isfinite(steps):
+            raise ValueError(f"default cap {alpha_eff} * {max_fin} overflows in steps of {eps}")
+        cap = max(2, math.ceil(steps)) * eps
     anchors = {round(x / eps): x for x in sorted(finite) if x <= cap and on_grid(x, eps)}
     return Grid(eps, cap, anchors=tuple(anchors.values()))
 

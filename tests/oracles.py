@@ -6,9 +6,8 @@ dense twin of the closed-form `verify_equilibrium`, scoring every grid bid of
 every machine; `apply` and `utility` play the whole game on complete report
 matrices with the scalar rules; `enumerate_dense` is `enumerate_equilibria`
 as a scan of every grid profile, and `enumerate_by_verify` the same one
-profile at a time; `index_by_rounding` is `Grid.index_of` without its
-point lookup; `brute_force_makespan` enumerates every assignment.  The tests
-compare the production paths against them.
+profile at a time; `brute_force_makespan` enumerates every assignment.  The
+tests compare the production paths against them.
 """
 import itertools
 
@@ -127,16 +126,6 @@ def brute_force_makespan(inst, mask=None, objective: str = "min",
             best_val = val
             best_assign = assign
     return best_val, tuple(best_assign)
-
-
-def index_by_rounding(grid, value) -> int:
-    """Grid.index_of without its point lookup: the nearest multiple of the
-    step, accepted within float dust of the grid point at that index."""
-    i = round(float(value) / grid.step)
-    if not (0 <= i < len(grid.points)) or \
-            abs(grid.points[i] - value) > 1e-9 * max(1.0, abs(value)):
-        raise ValueError(f"{value} is not on the grid")
-    return i
 
 
 def per_machine_scan(rule, true_times, bids, grid) -> VerifyResult:

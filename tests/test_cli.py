@@ -698,12 +698,12 @@ def test_probe_bad_eps_or_cap_exits_two(capsys, extra):
 
 
 @pytest.mark.parametrize("alpha, code, message", [
-    ("1e308", 2, "error: cap must be finite, got inf\n"),
+    ("1e308", 2, "error: default cap 1e+308 * 2.0 overflows in steps of 0.1\n"),
     ("1e300", 3, "budget refused: "),
 ])
 def test_equilibria_with_a_huge_alpha_is_refused(capsys, tradeoff_file, alpha, code, message):
     # alpha * 2.0 overflows the default cap to inf, which is bad input, not
-    # a traceback (exit 1); a finite huge cap is past the grid budget
+    # a traceback (exit 1); a finite huge cap is past the enumeration budget
     got, out, err = run_cli(capsys, "equilibria", "-i", tradeoff_file, "--mech",
                             f"spa:{alpha}")
     assert (got, out) == (code, "")

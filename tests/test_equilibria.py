@@ -1,5 +1,4 @@
 import itertools
-import math
 import tracemalloc
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 from mechfront import equilibria
 from mechfront.equilibria import (
-    GRID_BUDGET,
+    ENUMERATION_BUDGET,
     Grid,
     achievable_winners,
     canonical_certificate,
@@ -21,14 +20,7 @@ from mechfront.equilibria import (
 from mechfront.instances import gen_fp_pos, gen_hat, gen_random, gen_tradeoff, thm3_hat_image
 from mechfront.model import DEFAULT_BIG, BudgetExceededError, Instance, MechanismId
 from mechfront.rules import SingleTaskRule, rule_for
-from oracles import (
-    enumerate_by_verify,
-    enumerate_dense,
-    index_by_rounding,
-    per_machine_scan,
-    scalar_outcome,
-    utility,
-)
+from oracles import enumerate_by_verify, enumerate_dense, per_machine_scan, scalar_outcome, utility
 
 FP = MechanismId.parse("fp")
 SP = MechanismId.parse("sp")
@@ -64,7 +56,7 @@ def test_grid_rejects_bad_cap():
 def test_grid_refuses_more_points_than_the_budget():
     with pytest.raises(BudgetExceededError, match="grid points"):
         Grid(1e-7, 2.0)
-    assert len(Grid(1.0, GRID_BUDGET - 1.0)) == GRID_BUDGET
+    assert len(Grid(1.0, ENUMERATION_BUDGET - 1.0)) == ENUMERATION_BUDGET
 
 
 def test_grid_rejects_infinite_cap():
@@ -88,26 +80,6 @@ def test_grid_points_are_python_floats():
     assert type(g.points) is tuple
     assert all(type(p) is float for p in g.points)
     assert g.points == tuple(0.3 if i == 3 else i * 0.1 for i in range(11))
-
-
-@given(st.lists(st.integers(0, 40), min_size=1, max_size=4),
-       st.sampled_from(["fp", "sp", "spa:1.3", "spa:2"]),
-       st.sampled_from([0.1, 0.05, 0.25]))
-@settings(max_examples=200, deadline=None)
-def test_index_of_lookup_matches_rounding(ks, mid, eps):
-    """The point lookup and the tolerant rounding give one index for every
-    point of an anchored default grid and for the floats one ulp either side
-    of it, and both reject a value between two points."""
-    grid = default_grid([k / 10 for k in ks], MechanismId.parse(mid), eps)
-    for i, p in enumerate(grid.points):
-        for v in (p, math.nextafter(p, -math.inf), math.nextafter(p, math.inf)):
-            assert grid.index_of(v) == index_by_rounding(grid, v) == i
-            assert grid.index_of(np.float64(v)) == i
-        if i:
-            mid_point = (grid.points[i - 1] + p) / 2
-            for index_of in (grid.index_of, lambda v: index_by_rounding(grid, v)):
-                with pytest.raises(ValueError):
-                    index_of(mid_point)
 
 
 def test_on_grid():
