@@ -30,7 +30,7 @@ from .equilibria import (
 )
 from .instances import GeneratorSpec, gen_canonical, gen_circulant, regression_suite
 from .model import GRID_STEP, Instance, MechanismId
-from .optsolver import opt_makespan, opt_makespan_masked
+from .optsolver import EligibilityMask, opt_makespan, opt_makespan_masked
 from .rules import SingleTaskRule, rule_for
 
 SQRT2 = math.sqrt(2.0)
@@ -64,21 +64,30 @@ class InefficiencyReport:
         }
 
 
-def inefficiency(mech: MechanismId, inst: Instance,
-                 optimum: tuple | None = None) -> InefficiencyReport:
+def inefficiency(mech: MechanismId, inst: Instance, optimum: tuple | None = None,
+                 mask: EligibilityMask | None = None) -> InefficiencyReport:
     """Worst/best equilibrium makespan against the optimum, with witnesses.
 
     Because the rules are task-independent, every combination of per-task
     equilibrium winners is realized by some whole-profile equilibrium, so the
     worst and best equilibrium makespans are masked assignment optimizations
     over the winner sets.  `optimum` is `opt_makespan(inst)`'s (value,
-    witness) when the caller already has it; it is also the best
-    equilibrium when every machine may win every task.
+    witness) and `mask` is `achievable_winners(mech, inst)` when the caller
+    already has them.
+
+    When every task's winner in the optimum's witness is in its winner set,
+    the optimum is also the best equilibrium, value and witness, and no
+    masked search runs: the search returns the float minimum over the
+    assignments the mask admits, the witness is one of them, and the optimum
+    is the float minimum over a superset, so the two values are the same
+    float.  The best witness is then the optimum's, which may differ from the
+    one a masked search would pick among equal-valued assignments.
     """
-    mask = achievable_winners(mech, inst)
+    if mask is None:
+        mask = achievable_winners(mech, inst)
     opt, opt_w = opt_makespan(inst) if optimum is None else optimum
     worst, worst_w = opt_makespan_masked(inst, mask, "max")
-    if all(len(s) == inst.n for s in mask.allowed):
+    if all(i in s for i, s in zip(opt_w, mask.allowed)):
         best, best_w = opt, opt_w
     else:
         best, best_w = opt_makespan_masked(inst, mask, "min")
@@ -130,8 +139,10 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
     suite instance must have n machines, since the bounds are n's.
 
     Most suite members do not depend on alpha (21 of the default suite's
-    24), so within one call each distinct spec is built once and each
-    distinct instance's optimum is solved once."""
+    24), so within one call each distinct spec is built once, each distinct
+    instance's optimum is solved once, and each distinct (instance, winner
+    sets) pair gets one `inefficiency` report: the reports' ratios depend on
+    the mechanism only through its winner sets, and many alphas share them."""
     if n < 2:
         raise ValueError("need n >= 2")
     alphas = [float(a) for a in alphas]
@@ -141,6 +152,7 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
         raise ValueError("the frontier suite is empty")
     built = {}  # GeneratorSpec -> Instance
     optima = {}  # Instance -> opt_makespan's (value, witness)
+    reported = {}  # (Instance, EligibilityMask) -> its InefficiencyReport
     points = []
     for alpha in alphas:
         mech = MechanismId.spa(alpha)
@@ -154,7 +166,10 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
             inst = built[spec]
             if inst not in optima:
                 optima[inst] = opt_makespan(inst)
-            reports.append(inefficiency(mech, inst, optima[inst]))
+            mask = achievable_winners(mech, inst)
+            if (inst, mask) not in reported:
+                reported[inst, mask] = inefficiency(mech, inst, optima[inst], mask)
+            reports.append(reported[inst, mask])
         points.append(FrontierPoint(
             alpha=alpha,
             poa_bound=(n - 1) * alpha + 1,

@@ -212,6 +212,9 @@ def _dispatch(args) -> int:
         grid = equilibria.default_grid((1.0,), mech, args.eps, k * args.eps)
         matrix = analysis.probe_matrix(rule, grid)
         print(_dump({"mech": str(mech), "eps": grid.step, "a": [list(r) for r in matrix]}))
+        if mech.kind != "sp" and cap < reach:  # sp has no finite reach
+            print(f"note: --cap {_fmt(cap)} is below {mech}'s reach {_fmt(reach)}; "
+                  f"an entry at the grid top means the reach lies above it", file=sys.stderr)
         return 0
 
     if args.verb == "verify":

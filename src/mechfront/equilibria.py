@@ -358,7 +358,7 @@ def achievable_winners(mech: MechanismId, inst: Instance) -> EligibilityMask:
     if mech.kind in ("sp", "spa") and inst.n < 2:
         raise ValueError(f"{mech} needs n >= 2")
     return EligibilityMask(
-        tuple(_column_winners(mech, inst.column(j), inst.big) for j in range(inst.m))
+        tuple(_column_winners(mech, col, inst.big) for col in zip(*inst.times))
     )
 
 

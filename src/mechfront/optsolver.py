@@ -29,9 +29,14 @@ it raises `BudgetExceededError` past `SEARCH_BUDGET` nodes.
 `opt_makespan_masked` restricts each task to an eligibility set (used to
 scan the makespans reachable by a mechanism's equilibrium winner sets);
 `objective="max"` finds the *worst* reachable makespan instead.  An
-`EligibilityMask` refuses empty sets and negative indices when it is built;
-`opt_makespan_masked` checks the rest against the instance -- one set per
-task, every index below n -- in the same pass that sorts each set.
+`EligibilityMask` holds one frozenset of machine indices per task; it refuses
+empty sets and negative indices when it is built, and equal masks hash alike,
+so a caller can key reports on them.  `opt_makespan_masked` checks the rest
+against the instance -- one set per task, every index below n -- in the same
+pass that sorts each set.  The masked search's value is the float minimum
+over the assignments the mask admits, so when `opt_makespan`'s witness is
+admitted the masked minimum is `opt_makespan`'s value, bit for bit;
+`analysis.inefficiency` then skips the masked search.
 `opt_makespan` builds no mask: it runs the same search with every machine
 allowed on every task.
 """
@@ -51,12 +56,12 @@ class EligibilityMask:
     allowed: tuple
 
     def __post_init__(self):
-        sets = tuple(frozenset(int(i) for i in s) for s in self.allowed)
+        sets = tuple(frozenset(map(int, s)) for s in self.allowed)
         object.__setattr__(self, "allowed", sets)
         for j, s in enumerate(sets):
             if not s:
                 raise ValueError(f"task {j} has an empty eligibility set")
-            if any(i < 0 for i in s):
+            if min(s) < 0:
                 raise ValueError(f"task {j} has a negative machine index")
 
     @property

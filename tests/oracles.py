@@ -6,15 +6,24 @@ dense twin of the closed-form `verify_equilibrium`, scoring every grid bid of
 every machine; `apply` and `utility` play the whole game on complete report
 matrices with the scalar rules; `enumerate_dense` is `enumerate_equilibria`
 as a scan of every grid profile, and `enumerate_by_verify` the same one
-profile at a time; `brute_force_makespan` enumerates every assignment.  The
-tests compare the production paths against them.
+profile at a time; `brute_force_makespan` enumerates every assignment;
+`frontier_per_alpha` is `frontier_sweep` with nothing shared between alphas
+or instances.  The tests compare the production paths against them.
 """
 import itertools
+import math
 
 import numpy as np
 
-from mechfront.equilibria import EnumerationResult, VerifyResult, verify_equilibrium
-from mechfront.model import BudgetExceededError, loads
+from mechfront.analysis import FrontierPoint, default_frontier_suite
+from mechfront.equilibria import (
+    EnumerationResult,
+    VerifyResult,
+    achievable_winners,
+    verify_equilibrium,
+)
+from mechfront.model import BudgetExceededError, MechanismId, loads
+from mechfront.optsolver import opt_makespan, opt_makespan_masked
 
 BRUTE_FORCE_BUDGET = 10 ** 7
 DENSE_BUDGET = 10 ** 7
@@ -126,6 +135,32 @@ def brute_force_makespan(inst, mask=None, objective: str = "min",
             best_val = val
             best_assign = assign
     return best_val, tuple(best_assign)
+
+
+def _ratio(value: float, opt: float) -> float:
+    if opt > 0:
+        return value / opt
+    return 1.0 if value == 0 else math.inf
+
+
+def frontier_per_alpha(n: int, alphas, suite=None) -> list:
+    """`frontier_sweep` as a plain loop: every (alpha, instance) builds its
+    instance, solves its optimum, computes its winner sets and runs both
+    masked searches afresh, the best one even when the optimum is an
+    equilibrium outcome."""
+    points = []
+    for alpha in map(float, alphas):
+        mech = MechanismId.spa(alpha)
+        poa, pos = [], []
+        for spec in default_frontier_suite(n, alpha) if suite is None else suite:
+            inst = spec.build()
+            opt, _ = opt_makespan(inst)
+            mask = achievable_winners(mech, inst)
+            poa.append(_ratio(opt_makespan_masked(inst, mask, "max")[0], opt))
+            pos.append(_ratio(opt_makespan_masked(inst, mask, "min")[0], opt))
+        points.append(FrontierPoint(alpha, (n - 1) * alpha + 1, (n - 1) / alpha + 1,
+                                    max(poa), max(pos)))
+    return points
 
 
 def per_machine_scan(rule, true_times, bids, grid) -> VerifyResult:

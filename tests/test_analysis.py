@@ -3,6 +3,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from mechfront import analysis
 from mechfront.analysis import (
@@ -17,19 +19,22 @@ from mechfront.analysis import (
     anonymity_check,
     probe_matrix,
 )
-from mechfront.equilibria import Grid, canonical_certificate
+from mechfront.equilibria import Grid, achievable_winners, canonical_certificate
 from mechfront.instances import (
+    GeneratorSpec,
     gen_circulant,
     gen_fp_pos,
     gen_hat,
+    gen_random,
     gen_tradeoff,
     gen_uniform,
     regression_suite,
     thm3_hat_image,
 )
-from mechfront.model import Instance, MechanismId
+from mechfront.model import DEFAULT_BIG, Instance, MechanismId, makespan
+from mechfront.optsolver import opt_makespan, opt_makespan_masked
 from mechfront.rules import rule_for
-from oracles import enumerate_dense
+from oracles import enumerate_dense, frontier_per_alpha
 
 FP = MechanismId.parse("fp")
 SP = MechanismId.parse("sp")
@@ -130,6 +135,38 @@ def test_report_dict_shape():
                       "poa_ratio", "pos_ratio", "witnesses"}
 
 
+# entries whose sums round (0.1 steps, 1/3) or stay exact, zeros and the sentinel
+ENTRIES = (0.0, 0.1, 0.2, 0.3, 0.7, 1 / 3, 1.0, 2.5, DEFAULT_BIG)
+MECHS = tuple(MechanismId.parse(s) for s in ("fp", "sp", "spa:1.3", "spa:1.5", "spa:2", "spa:3"))
+
+
+@st.composite
+def inefficiency_cases(draw):
+    n = draw(st.integers(2, 4))
+    columns = [draw(st.lists(st.sampled_from(ENTRIES), min_size=n, max_size=n))
+               for _ in range(draw(st.integers(1, 5)))]
+    # every task needs a machine below the sentinel under sp
+    assume(all(min(col) < DEFAULT_BIG for col in columns))
+    return draw(st.sampled_from(MECHS)), Instance(tuple(zip(*columns)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(inefficiency_cases())
+# the optimum is an equilibrium outcome, and the masked search would pick
+# another witness of the same value
+@example((SPA2, gen_random(3, 6, 66)))
+def test_best_equilibrium_matches_the_masked_search(case):
+    mech, inst = case
+    mask = achievable_winners(mech, inst)
+    value, _ = opt_makespan_masked(inst, mask, "min")
+    report = inefficiency(mech, inst)
+    assert report.best_makespan.hex() == value.hex()
+    best_w = report.witnesses["best"]
+    assert all(i in s for i, s in zip(best_w, mask.allowed))
+    assert makespan(inst, best_w) == report.best_makespan
+    assert inefficiency(mech, inst, opt_makespan(inst), mask) == report
+
+
 # ---------------------------------------------------------------- frontier
 
 def test_frontier_sweep_values():
@@ -160,6 +197,15 @@ def test_frontier_solves_each_instance_once(monkeypatch):
     assert len(solved) == len(set(solved)) == len(distinct)
     assert set(solved) == distinct
     assert [p.alpha for p in points] == alphas
+
+
+@pytest.mark.parametrize("n, suite", [(2, None), (3, None), (4, None), (5, None), (3, (
+    "tradeoff:n=3,rho=2", "fp_pos:n=3,eps=0.1", "thm3_hat:n=3", "hat:n=3,alpha=1.5"))])
+def test_frontier_matches_the_per_alpha_oracle(n, suite):
+    alphas = [1.0, 1.3, 2.0, 2.7, 4.0]
+    if suite is not None:
+        suite = [GeneratorSpec.parse(s) for s in suite]
+    assert frontier_sweep(n, alphas, suite) == frontier_per_alpha(n, alphas, suite)
 
 
 def test_frontier_rejects_bad_args():

@@ -289,6 +289,19 @@ def test_analyze_uniform_golden_stdout(capsys, tmp_path, mech):
     assert out == json.dumps(expected, indent=1) + "\n"
 
 
+def test_analyze_best_witness_is_the_optimum_when_it_is_an_equilibrium(capsys, tmp_path):
+    # every winner of the optimum is in spa:2's winner sets, so the best
+    # equilibrium reports the optimum's witness; a masked search would pick
+    # [2, 2, 0, 1, 0, 0], which has the same makespan 4.0
+    path = tmp_path / "random.json"
+    instances.save_instance(gen_random(3, 6, 66), str(path))
+    code, out, _ = run_cli(capsys, "analyze", "-i", str(path), "--mech", "spa:2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["opt"] == data["best_makespan"] == 4.0
+    assert data["witnesses"]["best"] == data["witnesses"]["opt"] == [1, 2, 0, 2, 0, 0]
+
+
 # ---------------------------------------------------------------- golden stdout
 
 def _golden(data) -> str:
@@ -435,11 +448,19 @@ def test_probe_fp_asymmetry(capsys):
 
 
 def test_probe_cap_below_one(capsys):
-    # 1.0 is a grid multiple above the cap: it is not anchored, not refused
+    # 1.0 is a grid multiple above the cap: it is not anchored, not refused;
+    # the grid top stands in for fp's reach 1, and a note on stderr says so
     code, out, err = run_cli(capsys, "probe", "--mech", "fp", "-n", "2", "--eps", "0.1",
                              "--cap", "0.3")
+    assert code == 0
+    assert json.loads(out) == {"mech": "fp", "eps": 0.1, "a": [[0, 0.2], [0.3, 0]]}
+    assert err == ("note: --cap 0.3 is below fp's reach 1; "
+                   "an entry at the grid top means the reach lies above it\n")
+    # second price has no finite reach: any cap is its grid top, no note
+    code, out, err = run_cli(capsys, "probe", "--mech", "sp", "-n", "2", "--eps", "0.1",
+                             "--cap", "0.3")
     assert (code, err) == (0, "")
-    assert json.loads(out)["eps"] == 0.1
+    assert json.loads(out)["a"] == [[0, 0.3], [0.3, 0]]
 
 
 @pytest.mark.parametrize("eps, cap", [("1e-12", "1e-11"), ("1e-300", "1e-299")])
@@ -457,7 +478,9 @@ def test_probe_with_a_tiny_step_stays_on_its_grid(capsys, monkeypatch, eps, cap)
     monkeypatch.setattr(analysis, "enumerate_equilibria", counting)
     code, out, err = run_cli(capsys, "probe", "--mech", "fp", "-n", "2", "--eps", eps,
                              "--cap", cap)
-    assert (code, err) == (0, "")
+    assert code == 0
+    assert err.startswith(f"note: --cap {float(cap):.6g} is below fp's reach 1;")
+    assert err.count("\n") == 1
     entries = [x for row in json.loads(out)["a"] for x in row]
     assert max(entries) > 0
     assert all(x <= float(cap) for x in entries)

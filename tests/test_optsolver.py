@@ -142,8 +142,13 @@ def test_opt_makespan_builds_no_mask(monkeypatch):
 
     monkeypatch.setattr(analysis, "inefficiency", counted)
     analysis.frontier_sweep(3, [1.0, 2.0])
-    # one mask per call: the winner sets from achievable_winners
-    assert len(built) == len(calls) == 48
+    # one mask per (alpha, instance): the winner sets from achievable_winners
+    assert len(built) == 48
+    # one report per distinct (instance, winner sets), handed that mask
+    suite = [spec.build() for a in (1.0, 2.0) for spec in analysis.default_frontier_suite(3, a)]
+    distinct = set(zip(suite, built))
+    assert {(args[1], args[3]) for args in calls} == distinct
+    assert len(calls) == len(distinct) == 46
 
 
 def test_singleton_masks_pin_the_assignment():
