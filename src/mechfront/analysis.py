@@ -23,13 +23,15 @@ from .equilibria import (
     EquilibriumCertificate,
     Grid,
     achievable_winners,
+    bucket_sizes,
     canonical_certificate,
     default_grid,
     enumerate_equilibria,
+    sorted_columns,
     verify_equilibrium,
 )
 from .instances import GeneratorSpec, gen_canonical, gen_circulant, regression_suite
-from .model import GRID_STEP, Instance, MechanismId
+from .model import GRID_STEP, BudgetExceededError, Instance, MechanismId
 from .optsolver import EligibilityMask, opt_makespan, opt_makespan_masked
 from .rules import SingleTaskRule, rule_for
 
@@ -115,34 +117,64 @@ class FrontierPoint:
     pos_emp: float
 
 
-def default_frontier_suite(n: int, alpha: float) -> list:
-    """Instances swept at one alpha: the stress pair at this alpha (the tilde
-    member meets the worst-case bound exactly), a hat just past the
-    mechanism's reach (tracks the best-case bound from below), the uniform
-    square, and 20 seeded randoms."""
+def _alpha_free_suite(n: int) -> list:
+    """The default suite's members that no alpha changes: the uniform square
+    first, then 20 seeded randoms."""
+    return [GeneratorSpec("uniform", (("n", n),))] + [
+        GeneratorSpec("random", (("n", n), ("m", n + 1), ("seed", seed)))
+        for seed in range(1000, 1020)]
+
+
+def _per_alpha_suite(n: int, alpha: float) -> list:
+    """The default suite's members at one alpha: the stress pair (the tilde
+    member meets the worst-case bound exactly) and a hat just past the
+    mechanism's reach (tracks the best-case bound from below)."""
     a = alpha if alpha > 1 else 2.0
-    specs = [
-        GeneratorSpec("uniform", (("n", n),)),
+    return [
         GeneratorSpec("tilde", (("n", n), ("alpha", a))),
         GeneratorSpec("hat", (("n", n), ("alpha", a))),
         GeneratorSpec("hat", (("n", n), ("alpha", alpha + 0.1))),
     ]
-    for seed in range(1000, 1020):
-        specs.append(GeneratorSpec("random", (("n", n), ("m", n + 1), ("seed", seed))))
-    return specs
+
+
+def default_frontier_suite(n: int, alpha: float) -> list:
+    """Instances swept at one alpha: the uniform square, the stress pair at
+    this alpha, a hat just past the mechanism's reach, and 20 seeded
+    randoms."""
+    uniform, *randoms = _alpha_free_suite(n)
+    return [uniform, *_per_alpha_suite(n, alpha), *randoms]
+
+
+class _SweptInstance:
+    """One distinct instance of a sweep, with what every alpha reuses: its
+    optimum (solved at first use), its sorted columns, and its reports keyed
+    by bucket sizes."""
+
+    __slots__ = ("inst", "optimum", "columns", "reports")
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        self.optimum = None
+        self.columns = sorted_columns(inst)
+        self.reports = {}
 
 
 def frontier_sweep(n: int, alphas, suite=None) -> list:
     """One FrontierPoint per alpha (caller order), empirical columns maxed
     over the suite.  `suite` is a list of GeneratorSpec shared by every alpha;
-    by default it is rebuilt per alpha via `default_frontier_suite`.  Each
+    by default it is `default_frontier_suite(n, alpha)` at each alpha.  Each
     suite instance must have n machines, since the bounds are n's.
 
-    Most suite members do not depend on alpha (21 of the default suite's
-    24), so within one call each distinct spec is built once, each distinct
-    instance's optimum is solved once, and each distinct (instance, winner
-    sets) pair gets one `inefficiency` report: the reports' ratios depend on
-    the mechanism only through its winner sets, and many alphas share them."""
+    Within one call each distinct spec is built once (the default suite's 21
+    alpha-free members before the first alpha), each distinct instance's
+    optimum is solved once, and each instance's columns are sorted once.
+    spa:alpha's winner set of a task is then its k fastest entries, k one
+    bisection at alpha * t_min (`bucket_sizes`), so the vector of those
+    sizes names the instance's winner sets, and each distinct (instance,
+    sizes) pair gets one `achievable_winners` mask and one `inefficiency`
+    report: the reports' ratios depend on the mechanism only through its
+    winner sets, and many alphas share them.  A build that fails names its
+    suite member."""
     if n < 2:
         raise ValueError("need n >= 2")
     alphas = [float(a) for a in alphas]
@@ -150,26 +182,40 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
         raise ValueError("alphas must be >= 1")
     if suite is not None and not suite:
         raise ValueError("the frontier suite is empty")
-    built = {}  # GeneratorSpec -> Instance
-    optima = {}  # Instance -> opt_makespan's (value, witness)
-    reported = {}  # (Instance, EligibilityMask) -> its InefficiencyReport
+    members = {}  # GeneratorSpec -> _SweptInstance
+    swept = {}  # Instance -> _SweptInstance, shared by specs that build it
+
+    def member(spec: GeneratorSpec) -> _SweptInstance:
+        if spec not in members:
+            try:
+                inst = spec.build()
+            except (ValueError, BudgetExceededError) as e:
+                e.args = (f"suite instance {spec.label()}: {e}",)
+                raise
+            if inst.n != n:
+                raise ValueError(f"suite instance {spec.label()} has {inst.n} "
+                                 f"machines, not n = {n}")
+            if inst not in swept:
+                swept[inst] = _SweptInstance(inst)
+            members[spec] = swept[inst]
+        return members[spec]
+
+    fixed = [member(spec) for spec in (_alpha_free_suite(n) if suite is None else suite)]
     points = []
     for alpha in alphas:
         mech = MechanismId.spa(alpha)
+        row = fixed
+        if suite is None:  # in `default_frontier_suite`'s order
+            row = [fixed[0], *map(member, _per_alpha_suite(n, alpha)), *fixed[1:]]
         reports = []
-        for spec in default_frontier_suite(n, alpha) if suite is None else suite:
-            if spec not in built:
-                built[spec] = spec.build()
-                if built[spec].n != n:
-                    raise ValueError(f"suite instance {spec.label()} has {built[spec].n} "
-                                     f"machines, not n = {n}")
-            inst = built[spec]
-            if inst not in optima:
-                optima[inst] = opt_makespan(inst)
-            mask = achievable_winners(mech, inst)
-            if (inst, mask) not in reported:
-                reported[inst, mask] = inefficiency(mech, inst, optima[inst], mask)
-            reports.append(reported[inst, mask])
+        for s in row:
+            if s.optimum is None:
+                s.optimum = opt_makespan(s.inst)
+            sizes = bucket_sizes(s.columns, alpha)
+            if sizes not in s.reports:
+                s.reports[sizes] = inefficiency(mech, s.inst, s.optimum,
+                                                achievable_winners(mech, s.inst))
+            reports.append(s.reports[sizes])
         points.append(FrontierPoint(
             alpha=alpha,
             poa_bound=(n - 1) * alpha + 1,

@@ -28,6 +28,10 @@ anything it names, per task, the machines that win in *some* equilibrium:
                machine would need a payment at sentinel scale, which capped
                reports cannot produce).
 
+A spa set is a prefix of the task's times in ascending order, so
+`bucket_sizes` gives every alpha's set sizes from one `sorted_columns` pass,
+and for one instance the sizes name the sets.
+
 For sp and spa, enumeration and the analytic sets agree exactly when true
 times are positive grid multiples.  For fp the grid adds winners the closed
 form omits: a lower-index runner-up exactly one step above the fastest can
@@ -338,18 +342,17 @@ def _weigh(keep, lower, below: int, above: int) -> int:
 # analytic winner sets
 # ---------------------------------------------------------------------------
 
-def _column_winners(mech: MechanismId, col, big: float) -> frozenset:
+def _column_winners(mech: MechanismId, col, big: float) -> list:
     if mech.kind == "sp":
-        s = frozenset(i for i, t in enumerate(col) if t < big)
+        s = [i for i, t in enumerate(col) if t < big]
         if not s:
             raise ValueError("task has no machine below the sentinel")
         return s
     # The closed bucket; fp's multiplier 1 keeps exactly t == t_min.  The spa
     # boundary machine t = alpha*t_min wins at pay alpha*t_min with utility 0
     # and no grid deviation beats that, so <= (not <) is the right comparison.
-    alpha = mech.alpha if mech.kind == "spa" else 1.0
-    t_min = min(col)
-    return frozenset(i for i, t in enumerate(col) if t <= alpha * t_min)
+    cut = (mech.alpha if mech.kind == "spa" else 1.0) * min(col)
+    return [i for i, t in enumerate(col) if t <= cut]
 
 
 def achievable_winners(mech: MechanismId, inst: Instance) -> EligibilityMask:
@@ -358,8 +361,22 @@ def achievable_winners(mech: MechanismId, inst: Instance) -> EligibilityMask:
     if mech.kind in ("sp", "spa") and inst.n < 2:
         raise ValueError(f"{mech} needs n >= 2")
     return EligibilityMask(
-        tuple(_column_winners(mech, col, inst.big) for col in zip(*inst.times))
+        tuple([_column_winners(mech, col, inst.big) for col in zip(*inst.times)])
     )
+
+
+def sorted_columns(inst: Instance) -> list:
+    """Each task's times in ascending order, as `bucket_sizes` reads them."""
+    return [sorted(col) for col in zip(*inst.times)]
+
+
+def bucket_sizes(columns, alpha: float) -> tuple:
+    """How many machines each task's spa:alpha winner set holds (alpha = 1:
+    fp's), given `sorted_columns` of the instance.  The set is {i : t_i <=
+    alpha * t_min}, the same float product and comparison `_column_winners`
+    makes, so it holds a column's k fastest entries and, for one instance,
+    equal sizes mean equal winner sets."""
+    return tuple([bisect.bisect_right(col, alpha * col[0]) for col in columns])
 
 
 # ---------------------------------------------------------------------------

@@ -31,16 +31,16 @@ def _as_matrix(rows) -> tuple:
     width = None
     for r, row in enumerate(rows):
         try:
-            row = tuple(float(x) for x in row)
+            row = tuple(map(float, row))
         except (TypeError, ValueError) as e:
             raise ValueError(f"times: row {r}: {e}") from None
         if width is None:
             width = len(row)
         elif len(row) != width:
             raise ValueError(f"times: row {r} has {len(row)} entries, expected {width}")
-        for x in row:
-            if math.isnan(x) or math.isinf(x) or x < 0:
-                raise ValueError(f"times: entries must be finite and >= 0, got {x}")
+        if not all(map(math.isfinite, row)) or min(row, default=0.0) < 0:
+            bad = next(x for x in row if not math.isfinite(x) or x < 0)
+            raise ValueError(f"times: entries must be finite and >= 0, got {bad}")
         out.append(row)
     if not out:
         raise ValueError("times: need at least one row")
@@ -60,9 +60,9 @@ class Instance:
         object.__setattr__(self, "times", _as_matrix(self.times))
         if not (self.big > 0) or math.isinf(self.big):
             raise ValueError("big must be positive and finite")
-        finite = [x for row in self.times for x in row if x < self.big]
-        if finite:
-            bound = 2 * (self.n + self.m) * max(finite)
+        top = max((x for row in self.times for x in row if x < self.big), default=None)
+        if top is not None:
+            bound = 2 * (self.n + self.m) * top
             if not self.big > bound:
                 raise ValueError(
                     f"big={self.big} does not dominate: need big > 2*(n+m)*max_finite = {bound}"
@@ -135,9 +135,10 @@ class MechanismId:
 
 def loads(inst: Instance, winner) -> list:
     """Per-machine total true load under the given task->machine assignment."""
-    out = [0.0] * inst.n
+    times = inst.times
+    out = [0.0] * len(times)
     for j, w in enumerate(winner):
-        out[w] += inst.times[w][j]
+        out[w] += times[w][j]
     return out
 
 

@@ -32,8 +32,8 @@ scan the makespans reachable by a mechanism's equilibrium winner sets);
 `EligibilityMask` holds one frozenset of machine indices per task; it refuses
 empty sets and negative indices when it is built, and equal masks hash alike,
 so a caller can key reports on them.  `opt_makespan_masked` checks the rest
-against the instance -- one set per task, every index below n -- in the same
-pass that sorts each set.  The masked search's value is the float minimum
+against the instance -- one set per task, every index below n -- before it
+searches.  The masked search's value is the float minimum
 over the assignments the mask admits, so when `opt_makespan`'s witness is
 admitted the masked minimum is `opt_makespan`'s value, bit for bit;
 `analysis.inefficiency` then skips the masked search.
@@ -56,9 +56,11 @@ class EligibilityMask:
     allowed: tuple
 
     def __post_init__(self):
-        sets = tuple(frozenset(map(int, s)) for s in self.allowed)
+        sets = tuple([frozenset(map(int, s)) for s in self.allowed])
         object.__setattr__(self, "allowed", sets)
-        for j, s in enumerate(sets):
+        if all(sets) and min(frozenset().union(*sets), default=0) >= 0:
+            return
+        for j, s in enumerate(sets):  # name the first bad set
             if not s:
                 raise ValueError(f"task {j} has an empty eligibility set")
             if min(s) < 0:
@@ -81,9 +83,9 @@ def _greedy_placement(times, allowed) -> tuple:
     row per machine; returns the winners and the loads, summed in task order."""
     load = [0.0] * len(times)
     winner = []
-    for j, machines in enumerate(allowed):
-        w = min(machines, key=lambda i: load[i] + times[i][j])
-        load[w] += times[w][j]
+    for col, machines in zip(zip(*times), allowed):
+        w = min(machines, key=lambda i: load[i] + col[i])
+        load[w] += col[w]
         winner.append(w)
     return winner, load
 
@@ -98,23 +100,22 @@ def opt_makespan_masked(inst: Instance, mask: EligibilityMask, objective: str = 
         raise ValueError("objective must be 'min' or 'max'")
     if mask.m != inst.m:
         raise ValueError(f"mask covers {mask.m} tasks, instance has {inst.m}")
-    allowed = []
-    for j, s in enumerate(mask.allowed):
-        machines = sorted(s)
-        if machines[-1] >= inst.n:
-            raise ValueError(f"task {j} allows machine {machines[-1]}, instance has {inst.n}")
-        allowed.append(machines)
+    n = inst.n
+    if max(map(max, mask.allowed)) >= n:
+        j, top = next((j, max(s)) for j, s in enumerate(mask.allowed) if max(s) >= n)
+        raise ValueError(f"task {j} allows machine {top}, instance has {n}")
     if objective == "max":
-        return _masked_max(inst, allowed)
-    return _min_search(inst, allowed)
+        return _masked_max(inst, mask.allowed)
+    return _min_search(inst, [sorted(s) for s in mask.allowed])
 
 
 def _min_search(inst: Instance, allowed) -> tuple:
     """Branch-and-bound minimum over assignments with task j on a machine of
     `allowed[j]`, a nonempty ascending sequence of indices below inst.n."""
-    n, m = inst.n, inst.m
     times = inst.times
-    min_time = [min(times[i][j] for i in allowed[j]) for j in range(m)]
+    cols = list(zip(*times))
+    n, m = len(times), len(cols)
+    min_time = [min(map(col.__getitem__, machines)) for col, machines in zip(cols, allowed)]
     # biggest best-case tasks first tightens the bound early
     order = sorted(range(m), key=lambda j: (-min_time[j], j))
     suffix_sum = [0.0] * (m + 1)
@@ -129,21 +130,22 @@ def _min_search(inst: Instance, allowed) -> tuple:
     if best_val <= suffix_max[0] or (best_val <= suffix_sum[0] / n and _sums_are_exact(times)):
         return best_val, tuple(best_assign)
 
-    # depth-first on a stack of (depth, loads, load sum, machine given task
-    # order[depth - 1]): the node popped last at each shallower depth is an
-    # ancestor, so `current` holds the path.  Children pop in machine order.
+    # depth-first on a stack of (depth, loads, load sum, max load, machine
+    # given task order[depth - 1]): the node popped last at each shallower
+    # depth is an ancestor, so `current` holds the path.  Children pop in
+    # machine order.
     current = [0] * m
     nodes = 0
-    stack = [(0, [0.0] * n, 0.0, 0)]
+    cut = best_val + _dust(best_val)
+    stack = [(0, [0.0] * n, 0.0, 0.0, 0)]
     while stack:
-        depth, load, load_sum, machine = stack.pop()
+        depth, load, load_sum, top, machine = stack.pop()
         nodes += 1
         if nodes > SEARCH_BUDGET:
             raise BudgetExceededError(f"branch-and-bound passes {SEARCH_BUDGET} nodes")
         if depth:
             current[order[depth - 1]] = machine
-        cut = best_val + _dust(best_val)
-        if max(max(load), (load_sum + suffix_sum[depth]) / n, suffix_max[depth]) >= cut:
+        if top >= cut or (load_sum + suffix_sum[depth]) / n >= cut or suffix_max[depth] >= cut:
             continue
         if depth == m:
             # canonical re-evaluation: the search accumulated loads in `order`,
@@ -152,36 +154,36 @@ def _min_search(inst: Instance, allowed) -> tuple:
             if val < best_val:
                 best_val = val
                 best_assign = list(current)
+                cut = best_val + _dust(best_val)
             continue
         # every load here is below `cut`, so only the grown one can reach it
         j = order[depth]
+        col = cols[j]
         for i in reversed(allowed[j]):
-            t = times[i][j]
+            t = col[i]
             grown = load[i] + t
             if grown < cut:
                 child = load.copy()
                 child[i] = grown
-                stack.append((depth + 1, child, load_sum + t, i))
+                stack.append((depth + 1, child, load_sum + t,
+                              top if top >= grown else grown, i))
     return best_val, tuple(best_assign)
 
 
 def _masked_max(inst: Instance, allowed) -> tuple:
-    """Worst reachable makespan has a closed form: some machine ends up with its
+    """Worst reachable makespan over assignments with task j on a machine of
+    the set `allowed[j]`.  It has a closed form: some machine ends up with its
     entire eligible set, and nothing else can beat that.  Witness: give that
     machine everything it may take; park the rest on their lowest eligible."""
     best_val = -1.0
     best_machine = 0
-    for i in range(inst.n):
-        total = sum(inst.times[i][j] for j in range(inst.m) if i in allowed[j])
+    for i, row in enumerate(inst.times):
+        total = sum([t for t, machines in zip(row, allowed) if i in machines])
         if total > best_val:
             best_val = total
             best_machine = i
-    assign = []
-    for j in range(inst.m):
-        if best_machine in allowed[j]:
-            assign.append(best_machine)
-        else:
-            assign.append(allowed[j][0])
+    assign = [best_machine if best_machine in machines else min(machines)
+              for machines in allowed]
     # a parked machine could in principle exceed the full-set machine
     val = max(loads(inst, assign))
     return val, tuple(assign)

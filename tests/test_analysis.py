@@ -19,7 +19,13 @@ from mechfront.analysis import (
     anonymity_check,
     probe_matrix,
 )
-from mechfront.equilibria import Grid, achievable_winners, canonical_certificate
+from mechfront.equilibria import (
+    Grid,
+    achievable_winners,
+    bucket_sizes,
+    canonical_certificate,
+    sorted_columns,
+)
 from mechfront.instances import (
     GeneratorSpec,
     gen_circulant,
@@ -206,6 +212,30 @@ def test_frontier_matches_the_per_alpha_oracle(n, suite):
     if suite is not None:
         suite = [GeneratorSpec.parse(s) for s in suite]
     assert frontier_sweep(n, alphas, suite) == frontier_per_alpha(n, alphas, suite)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_frontier_matches_the_per_alpha_oracle_on_held_out_alphas(n):
+    alphas = [3.9, 1.1, 2.3, 1.1]  # caller order, one alpha twice
+    assert frontier_sweep(n, alphas) == frontier_per_alpha(n, alphas)
+
+
+def test_frontier_computes_winner_sets_once_per_instance_and_bucket_sizes(monkeypatch):
+    asked = []
+    real = analysis.achievable_winners
+
+    def counting(mech, inst):
+        asked.append((inst, bucket_sizes(sorted_columns(inst), mech.alpha)))
+        return real(mech, inst)
+
+    monkeypatch.setattr(analysis, "achievable_winners", counting)
+    alphas = [1.0, 1.5, 2.0, 4.0]
+    frontier_sweep(3, alphas)
+    distinct = {(inst, bucket_sizes(sorted_columns(inst), a))
+                for a in alphas for inst in map(GeneratorSpec.build, default_frontier_suite(3, a))}
+    assert len(asked) == len(set(asked)) == len(distinct)
+    assert set(asked) == distinct
+    assert len(distinct) < 4 * 24  # alphas share winner sets
 
 
 def test_frontier_rejects_bad_args():

@@ -417,6 +417,16 @@ def test_frontier_suite_instance_needs_n_machines(capsys):
     assert err == "error: suite instance uniform:n=3 has 3 machines, not n = 2\n"
 
 
+@pytest.mark.parametrize("alphas, member, cause", [
+    ("999999", "tilde:alpha=999999,n=3", "big=1000000 does not dominate: "),
+    ("1e308", "tilde:alpha=1e+308,n=3", "need 1 < alpha < 1000000\n"),
+])
+def test_frontier_names_the_suite_instance_that_fails_to_build(capsys, alphas, member, cause):
+    code, out, err = run_cli(capsys, "frontier", "-n", "3", "--alphas", alphas)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: suite instance {member}: {cause}")
+
+
 def test_frontier_bad_alpha(capsys):
     code, _, err = run_cli(capsys, "frontier", "-n", "3", "--alphas", "0.5")
     assert code == 2

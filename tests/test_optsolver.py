@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mechfront import analysis, optsolver
-from mechfront.instances import gen_random, gen_tradeoff, gen_uniform
-from mechfront.model import BudgetExceededError, Instance, makespan
+from mechfront.instances import GeneratorSpec, gen_random, gen_tradeoff, gen_uniform
+from mechfront.model import BudgetExceededError, Instance, MechanismId, makespan
 from mechfront.optsolver import (
     EligibilityMask,
     opt_makespan,
@@ -142,13 +142,15 @@ def test_opt_makespan_builds_no_mask(monkeypatch):
 
     monkeypatch.setattr(analysis, "inefficiency", counted)
     analysis.frontier_sweep(3, [1.0, 2.0])
-    # one mask per (alpha, instance): the winner sets from achievable_winners
-    assert len(built) == 48
-    # one report per distinct (instance, winner sets), handed that mask
-    suite = [spec.build() for a in (1.0, 2.0) for spec in analysis.default_frontier_suite(3, a)]
-    distinct = set(zip(suite, built))
+    masks = list(built)
+    # one mask per distinct (instance, winner sets), handed to that pair's
+    # one report: 46 of the 48 (alpha, instance) pairs are distinct
+    distinct = {(inst, analysis.achievable_winners(MechanismId.spa(a), inst))
+                for a in (1.0, 2.0)
+                for inst in map(GeneratorSpec.build, analysis.default_frontier_suite(3, a))}
+    assert len(masks) == len(calls) == len(distinct) == 46
+    assert all(args[3] is mask for args, mask in zip(calls, masks))
     assert {(args[1], args[3]) for args in calls} == distinct
-    assert len(calls) == len(distinct) == 46
 
 
 def test_singleton_masks_pin_the_assignment():
