@@ -36,6 +36,7 @@ from .optsolver import EligibilityMask, opt_makespan, opt_makespan_masked
 from .rules import SingleTaskRule, rule_for
 
 SQRT2 = math.sqrt(2.0)
+PROBE_BUDGET = 10 ** 5  # winner passes of one probe_matrix call, worst case
 
 
 def _ratio(value: float, opt: float) -> float:
@@ -145,36 +146,20 @@ def default_frontier_suite(n: int, alpha: float) -> list:
     return [uniform, *_per_alpha_suite(n, alpha), *randoms]
 
 
-class _SweptInstance:
-    """One distinct instance of a sweep, with what every alpha reuses: its
-    optimum (solved at first use), its sorted columns, and its reports keyed
-    by bucket sizes."""
-
-    __slots__ = ("inst", "optimum", "columns", "reports")
-
-    def __init__(self, inst: Instance):
-        self.inst = inst
-        self.optimum = None
-        self.columns = sorted_columns(inst)
-        self.reports = {}
-
-
 def frontier_sweep(n: int, alphas, suite=None) -> list:
     """One FrontierPoint per alpha (caller order), empirical columns maxed
     over the suite.  `suite` is a list of GeneratorSpec shared by every alpha;
     by default it is `default_frontier_suite(n, alpha)` at each alpha.  Each
     suite instance must have n machines, since the bounds are n's.
 
-    Within one call each distinct spec is built once (the default suite's 21
-    alpha-free members before the first alpha), each distinct instance's
-    optimum is solved once, and each instance's columns are sorted once.
-    spa:alpha's winner set of a task is then its k fastest entries, k one
-    bisection at alpha * t_min (`bucket_sizes`), so the vector of those
-    sizes names the instance's winner sets, and each distinct (instance,
-    sizes) pair gets one `achievable_winners` mask and one `inefficiency`
-    report: the reports' ratios depend on the mechanism only through its
-    winner sets, and many alphas share them.  A build that fails names its
-    suite member."""
+    One loop over the distinct suite members, each built once, in the order
+    a sweep first meets it, before any is solved; a build that fails names
+    its member.  Each member's optimum is solved once and its columns sorted
+    once.  spa:alpha's winner set of a task is its k fastest entries, k one
+    bisection at alpha * t_min (`bucket_sizes`), so each distinct vector of
+    sizes gets one `achievable_winners` mask and one `inefficiency` report,
+    shared by the alphas that reach it: a report's ratios depend on the
+    mechanism only through its winner sets."""
     if n < 2:
         raise ValueError("need n >= 2")
     alphas = [float(a) for a in alphas]
@@ -182,48 +167,38 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
         raise ValueError("alphas must be >= 1")
     if suite is not None and not suite:
         raise ValueError("the frontier suite is empty")
-    members = {}  # GeneratorSpec -> _SweptInstance
-    swept = {}  # Instance -> _SweptInstance, shared by specs that build it
-
-    def member(spec: GeneratorSpec) -> _SweptInstance:
-        if spec not in members:
-            try:
-                inst = spec.build()
-            except (ValueError, BudgetExceededError) as e:
-                e.args = (f"suite instance {spec.label()}: {e}",)
-                raise
-            if inst.n != n:
-                raise ValueError(f"suite instance {spec.label()} has {inst.n} "
-                                 f"machines, not n = {n}")
-            if inst not in swept:
-                swept[inst] = _SweptInstance(inst)
-            members[spec] = swept[inst]
-        return members[spec]
-
-    fixed = [member(spec) for spec in (_alpha_free_suite(n) if suite is None else suite)]
-    points = []
-    for alpha in alphas:
-        mech = MechanismId.spa(alpha)
-        row = fixed
-        if suite is None:  # in `default_frontier_suite`'s order
-            row = [fixed[0], *map(member, _per_alpha_suite(n, alpha)), *fixed[1:]]
-        reports = []
-        for s in row:
-            if s.optimum is None:
-                s.optimum = opt_makespan(s.inst)
-            sizes = bucket_sizes(s.columns, alpha)
-            if sizes not in s.reports:
-                s.reports[sizes] = inefficiency(mech, s.inst, s.optimum,
-                                                achievable_winners(mech, s.inst))
-            reports.append(s.reports[sizes])
-        points.append(FrontierPoint(
-            alpha=alpha,
-            poa_bound=(n - 1) * alpha + 1,
-            pos_bound=(n - 1) / alpha + 1,
-            poa_emp=max(r.poa_ratio for r in reports),
-            pos_emp=max(r.pos_ratio for r in reports),
-        ))
-    return points
+    mechs = [MechanismId.spa(a) for a in alphas]  # refuses nan and inf before any build
+    sweeps = dict.fromkeys(_alpha_free_suite(n) if suite is None else suite,
+                           range(len(alphas)))  # spec -> indices of its alphas
+    if suite is None:
+        for k, alpha in enumerate(alphas):
+            for spec in _per_alpha_suite(n, alpha):
+                sweeps.setdefault(spec, []).append(k)
+    members = []
+    for spec, ks in sweeps.items():
+        try:
+            inst = spec.build()
+        except (ValueError, BudgetExceededError) as e:
+            e.args = (f"suite instance {spec.label()}: {e}",)
+            raise
+        if inst.n != n:
+            raise ValueError(f"suite instance {spec.label()} has {inst.n} "
+                             f"machines, not n = {n}")
+        members.append((inst, ks))
+    reports = [[] for _ in alphas]
+    for inst, ks in members:
+        optimum = opt_makespan(inst)
+        columns = sorted_columns(inst)
+        by_sizes = {}
+        for k in ks:
+            sizes = bucket_sizes(columns, alphas[k])
+            if sizes not in by_sizes:
+                by_sizes[sizes] = inefficiency(mechs[k], inst, optimum,
+                                               achievable_winners(mechs[k], inst))
+            reports[k].append(by_sizes[sizes])
+    return [FrontierPoint(alpha, (n - 1) * alpha + 1, (n - 1) / alpha + 1,
+                          max(r.poa_ratio for r in rs), max(r.pos_ratio for r in rs))
+            for alpha, rs in zip(alphas, reports)]
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +294,10 @@ def probe_matrix(rule: SingleTaskRule, grid: Grid) -> tuple:
 
     Climbs a*= k*eps ladders per (fast, slow) pair, with eps the grid's step,
     and records the largest a whose canonical single-task vector still lets
-    the slow machine win.  Each probe is one `enumerate_equilibria` call, so
-    a grid with more than ENUMERATION_BUDGET bid pairs raises
-    BudgetExceededError.
+    the slow machine win.  Each probe is one `enumerate_equilibria` call of
+    n winner passes, n * n(n-1) * (g - 1) at worst on a g-point grid; past
+    PROBE_BUDGET passes, or ENUMERATION_BUDGET bid pairs in the grid,
+    BudgetExceededError is raised before anything is allocated.
 
     The ladder stops after n consecutive failures past the rule's analytic
     reach (alpha for spa, 1 for fp) or at k = len(grid) - 1, the grid's top;
@@ -330,7 +306,11 @@ def probe_matrix(rule: SingleTaskRule, grid: Grid) -> tuple:
     index (the tie-break protects it), so entries land within one step of
     the analytic boundary.
     """
-    n, eps = rule.n, grid.step
+    n, eps, g = rule.n, grid.step, len(grid)
+    passes = n * n * (n - 1) * (g - 1)
+    if passes > PROBE_BUDGET:
+        raise BudgetExceededError(f"{passes} winner passes of {n}-machine ladders on a "
+                                  f"{g}-point grid exceed the probe budget {PROBE_BUDGET}")
     kind = rule.id.kind
     reach = rule.id.alpha if kind == "spa" else (1.0 if kind == "fp" else None)
     a = [[0.0] * n for _ in range(n)]
@@ -340,7 +320,7 @@ def probe_matrix(rule: SingleTaskRule, grid: Grid) -> tuple:
                 continue
             best = 0.0
             fails_past = 0
-            for k in range(1, len(grid)):
+            for k in range(1, g):
                 probe = k * eps
                 vec = gen_canonical(n, i, j, probe)
                 hit = j in enumerate_equilibria(rule, vec, grid).winner_union()

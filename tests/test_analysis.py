@@ -37,7 +37,7 @@ from mechfront.instances import (
     regression_suite,
     thm3_hat_image,
 )
-from mechfront.model import DEFAULT_BIG, Instance, MechanismId, makespan
+from mechfront.model import DEFAULT_BIG, BudgetExceededError, Instance, MechanismId, makespan
 from mechfront.optsolver import opt_makespan, opt_makespan_masked
 from mechfront.rules import rule_for
 from oracles import enumerate_dense, frontier_per_alpha
@@ -238,11 +238,41 @@ def test_frontier_computes_winner_sets_once_per_instance_and_bucket_sizes(monkey
     assert len(distinct) < 4 * 24  # alphas share winner sets
 
 
+def _count_builds(monkeypatch) -> list:
+    built = []
+    real = GeneratorSpec.build
+
+    def counting(spec):
+        built.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(GeneratorSpec, "build", counting)
+    return built
+
+
+def test_frontier_builds_each_distinct_spec_once(monkeypatch):
+    built = _count_builds(monkeypatch)
+    alphas = [1.0, 1.5, 2.0, 4.0]  # alpha 1 sweeps tilde and hat at 2, as alpha 2 does
+    frontier_sweep(3, alphas)
+    distinct = {spec for a in alphas for spec in default_frontier_suite(3, a)}
+    assert len(built) == len(set(built)) == len(distinct) < 4 * 24
+    assert set(built) == distinct
+
+
 def test_frontier_rejects_bad_args():
     with pytest.raises(ValueError):
         frontier_sweep(1, [2.0])
     with pytest.raises(ValueError):
         frontier_sweep(3, [0.5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_frontier_refuses_a_non_finite_alpha_before_any_build(monkeypatch, bad):
+    # a nan or inf alpha would otherwise share alpha 2's bucket sizes
+    built = _count_builds(monkeypatch)
+    with pytest.raises(ValueError, match=f"^spa needs a finite alpha >= 1, got {bad}$"):
+        frontier_sweep(3, [2.0, bad], [GeneratorSpec.parse("uniform:n=3")])
+    assert built == []
 
 
 def test_frontier_rejects_empty_suite():
@@ -394,6 +424,17 @@ def test_probe_matrix_fp_tie_break_asymmetry():
 def test_probe_matrix_sp_saturates_the_grid():
     rule = rule_for(SP, 2)
     assert probe_matrix(rule, Grid(0.5, 2.0)) == ((0.0, 2.0), (2.0, 0.0))
+
+
+def test_probe_matrix_refuses_past_its_budget(monkeypatch):
+    # 3 machines, 6 ordered pairs, a 7-point grid: 3 * 6 * 6 = 108 winner passes
+    calls = []
+    monkeypatch.setattr(analysis, "enumerate_equilibria", lambda *a: calls.append(a))
+    monkeypatch.setattr(analysis, "PROBE_BUDGET", 107)
+    with pytest.raises(BudgetExceededError, match="^108 winner passes of 3-machine ladders "
+                                                  "on a 7-point grid exceed the probe budget 107$"):
+        probe_matrix(rule_for(FP, 3), Grid(0.5, 3.0))
+    assert calls == []
 
 
 # ------------------------------------------------------------ inequality checks

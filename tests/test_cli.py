@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -410,6 +411,28 @@ def test_frontier_custom_suite(capsys):
     assert lines[1] == "2,5,2,5,1"
 
 
+def test_frontier_builds_a_repeated_suite_member_once(capsys, monkeypatch):
+    code, once, _ = run_cli(capsys, "frontier", "-n", "3", "--alphas", "1.5,2",
+                            "--suite", "uniform:n=3;hat:n=3,alpha=2")
+    assert code == 0
+    built = []
+    real = instances.GeneratorSpec.build
+    monkeypatch.setattr(instances.GeneratorSpec, "build",
+                        lambda spec: built.append(spec.label()) or real(spec))
+    code, twice, _ = run_cli(capsys, "frontier", "-n", "3", "--alphas", "1.5,2",
+                             "--suite", "uniform:n=3;hat:n=3,alpha=2;uniform:n=3")
+    assert (code, twice) == (0, once)
+    assert built == ["uniform:n=3", "hat:alpha=2,n=3"]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_frontier_refuses_a_non_finite_alpha(capsys, bad):
+    code, out, err = run_cli(capsys, "frontier", "-n", "3", "--alphas", f"2,{bad}",
+                             "--suite", "uniform:n=3")
+    assert (code, out) == (2, "")
+    assert err == f"error: spa needs a finite alpha >= 1, got {bad}\n"
+
+
 def test_frontier_suite_instance_needs_n_machines(capsys):
     code, out, err = run_cli(capsys, "frontier", "-n", "2", "--alphas", "1.5",
                              "--suite", "uniform:n=3")
@@ -471,6 +494,15 @@ def test_probe_cap_below_one(capsys):
                              "--cap", "0.3")
     assert (code, err) == (0, "")
     assert json.loads(out)["a"] == [[0, 0.3], [0.3, 0]]
+
+
+def test_probe_refuses_a_huge_machine_count_before_allocating(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "probe", "--mech", "fp", "-n", "100000")
+    assert (code, out) == (3, "")
+    assert err == ("budget refused: 5999940000000000 winner passes of 100000-machine "
+                   "ladders on a 7-point grid exceed the probe budget 100000\n")
+    assert time.perf_counter() - t0 < 0.5
 
 
 @pytest.mark.parametrize("eps, cap", [("1e-12", "1e-11"), ("1e-300", "1e-299")])
@@ -764,11 +796,11 @@ def test_parser_built_once(capsys):
 def test_closed_stdout_exits_141_quietly(tmp_path):
     path = str(tmp_path / "t3.txt")
     instances.save_text(instances.thm3_hat_image(3), path)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "mechfront.cli", "analyze", "-i", path, "--mech", "spa:2"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    proc.stdout.close()  # the reader goes away before the child writes
-    err = proc.stderr.read()
+    with subprocess.Popen(
+            [sys.executable, "-m", "mechfront.cli", "analyze", "-i", path, "--mech", "spa:2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()  # the reader goes away before the child writes
+        err = proc.stderr.read()
     assert (proc.wait(), err) == (141, b"")
 
 
