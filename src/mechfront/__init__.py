@@ -38,10 +38,8 @@ from .instances import (
     gen_tradeoff,
     gen_uniform,
     load_instance,
-    load_text,
     regression_suite,
     save_instance,
-    save_text,
     thm3_hat_image,
 )
 from .analysis import (

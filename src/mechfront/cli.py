@@ -55,19 +55,6 @@ def _dump(data) -> str:
     return json.dumps(_round6(data), indent=1, default=lambda o: repr(o))
 
 
-def _is_text(path: str) -> bool:
-    """A path ending in .txt holds the text format; any other holds JSON."""
-    return path.endswith(".txt")
-
-
-def _load_instance(path: str):
-    return instances.load_text(path) if _is_text(path) else instances.load_instance(path)
-
-
-def _save_instance(inst, path: str) -> None:
-    (instances.save_text if _is_text(path) else instances.save_instance)(inst, path)
-
-
 def _grid_for(inst, mech, spec):
     """`spec` is the --grid flag value "eps,H" or None for the default grid."""
     if spec is None:
@@ -151,7 +138,7 @@ def _dispatch(args) -> int:
     if args.verb == "opt":
         if args.objective and not args.mech:
             raise ValueError("--objective needs --mech")
-        inst = _load_instance(args.instance)
+        inst = instances.load_instance(args.instance)
         if args.mech:
             mech = MechanismId.parse(args.mech)
             mask = equilibria.achievable_winners(mech, inst)
@@ -165,7 +152,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "equilibria":
-        inst = _load_instance(args.instance)
+        inst = instances.load_instance(args.instance)
         mech = MechanismId.parse(args.mech)
         rule = rule_for(mech, inst.n)
         grid = _grid_for(inst, mech, args.grid)
@@ -182,7 +169,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "analyze":
-        inst = _load_instance(args.instance)
+        inst = instances.load_instance(args.instance)
         mech = MechanismId.parse(args.mech)
         report = analysis.inefficiency(mech, inst)
         print(_dump(report.to_dict()))
@@ -208,12 +195,16 @@ def _dispatch(args) -> int:
         cap = args.cap if args.cap is not None else 2 * reach + 1
         if not (args.eps > 0 and math.isfinite(cap / args.eps)):
             raise ValueError(f"need --eps > 0 and a finite --cap/--eps, got {args.eps}, {cap}")
+        if not cap > 0:
+            raise ValueError(f"need --cap > 0, got {_fmt(cap)}")
         k = max(2, round(cap / args.eps))
         grid = equilibria.default_grid((1.0,), mech, args.eps, k * args.eps)
         matrix = analysis.probe_matrix(rule, grid)
         print(_dump({"mech": str(mech), "eps": grid.step, "a": [list(r) for r in matrix]}))
-        if mech.kind != "sp" and cap < reach:  # sp has no finite reach
-            print(f"note: --cap {_fmt(cap)} is below {mech}'s reach {_fmt(reach)}; "
+        top = grid.points[-1]
+        if mech.kind != "sp" and top < reach:  # sp has no finite reach
+            built = "" if _fmt(top) == _fmt(cap) else f" builds a grid whose top {_fmt(top)}"
+            print(f"note: --cap {_fmt(cap)}{built} is below {mech}'s reach {_fmt(reach)}; "
                   f"an entry at the grid top means the reach lies above it", file=sys.stderr)
         return 0
 
@@ -236,7 +227,7 @@ def _dispatch(args) -> int:
         if args.params:
             spec_text += ":" + ",".join(args.params)
         spec = instances.GeneratorSpec.parse(spec_text)
-        _save_instance(spec.build(), args.out)
+        instances.save_instance(spec.build(), args.out)
         print(f"wrote {spec.label()} to {args.out}")
         return 0
 

@@ -232,13 +232,7 @@ def verify_equilibrium(rule: SingleTaskRule, true_times, bids, grid: Grid) -> Ve
     i, faced, x, top = witness
     if top is not None:  # the first winning point worth `top`
         t = true_times[i]
-        x, hi = 0, x - 1
-        while x < hi:
-            mid = (x + hi) // 2
-            if rule.pay(pts[mid], faced) - t < top:
-                x = mid + 1
-            else:
-                hi = mid
+        x = bisect.bisect_left(pts, top, 0, x - 1, key=lambda p: rule.pay(p, faced) - t)
     return VerifyResult(False, i, pts[x], best_gain, n * g)
 
 

@@ -170,6 +170,8 @@ def gen_random(n: int, m: int, seed: int) -> Instance:
     sets stay bit-for-bit comparable."""
     if m < 1:
         raise ValueError("need m >= 1")
+    if seed < 0:
+        raise ValueError("need seed >= 0")
     _check_shape(n, m, min_n=1)
     ks = np.random.default_rng(seed).integers(1, 41, size=(n, m))
     return Instance((ks * GRID_STEP).tolist())
@@ -272,27 +274,23 @@ def instance_from_dict(data: dict) -> Instance:
 
 
 def save_instance(inst: Instance, path: str) -> None:
-    """JSON format; lossless float round-trip."""
+    """A path ending in .txt gets the text format -- first line 'n m big',
+    then one whitespace row per machine -- and any other JSON; both
+    round-trip floats losslessly."""
     with open(path, "w") as f:
-        json.dump(instance_to_dict(inst), f, indent=1)
-        f.write("\n")
+        if str(path).endswith(".txt"):
+            f.write(f"{inst.n} {inst.m} {inst.big!r}\n")
+            f.writelines(" ".join(map(repr, row)) + "\n" for row in inst.times)
+        else:
+            json.dump(instance_to_dict(inst), f, indent=1)
+            f.write("\n")
 
 
 def load_instance(path: str) -> Instance:
+    """Read what `save_instance` writes; the extension picks the format."""
     with open(path) as f:
-        return instance_from_dict(json.load(f))
-
-
-def save_text(inst: Instance, path: str) -> None:
-    """Text format: first line 'n m big', then one whitespace row per machine."""
-    with open(path, "w") as f:
-        f.write(f"{inst.n} {inst.m} {inst.big!r}\n")
-        for row in inst.times:
-            f.write(" ".join(repr(x) for x in row) + "\n")
-
-
-def load_text(path: str) -> Instance:
-    with open(path) as f:
+        if not str(path).endswith(".txt"):
+            return instance_from_dict(json.load(f))
         head = f.readline().split()
         try:
             n, m, big = head

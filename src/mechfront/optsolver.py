@@ -1,27 +1,26 @@
 """Exact makespan optimization by branch-and-bound.
 
 `opt_makespan` minimizes the makespan over all n^m assignments.  The search
-orders tasks by decreasing best-case time and prunes a node when
+orders tasks by decreasing best-case time and prunes a node, the root
+included, when
 
-    max(current max load,
-        (sum of loads + sum of remaining per-task minima) / n,
-        largest remaining per-task minimum)
+    max(current max load, (sum of loads + sum of remaining per-task minima) / n)
 
-already reaches the incumbent beyond float dust.  Candidate values are always
-re-evaluated by accumulating each machine's times in ascending task order --
-`model.loads`, which the brute-force oracle in the tests uses too -- so the
-two solvers return bit-identical floats; the pruning comparison allows a 1e-9
-relative margin so a node can never be cut by summation-order noise alone.
+already reaches the incumbent beyond a margin, or when the largest remaining
+per-task minimum reaches it.  Candidate values are always re-evaluated by
+accumulating each machine's times in ascending task order -- `model.loads`,
+which the brute-force oracle in the tests uses too -- so the two solvers
+return bit-identical floats.
 
-The first incumbent is the load-greedy placement: tasks in index order,
-each on its least-loaded eligible machine.  It is returned at once when its
-value is at most the largest per-task minimum, or, when `_sums_are_exact`,
-at most the per-task minima's sum over n.  A leaf's value is a float sum of
-non-negative entries, so it is at least each of them and therefore at least
-the largest per-task minimum.  When sums are exact, that sum is exact and
-every leaf value is a float at least the exact average, so it is at least
-the average's rounding.  No leaf is then strictly below the incumbent, which
-the search replaces only on a strict `<`.
+The margin is 0 when `_sums_are_exact`: every entry is an integer and every
+sum of one entry per task stays below 2^53, so every load is exact, and a
+leaf's value, an integer at least the exact average, is at least the
+average's rounding.  Otherwise it is 1e-9 relative, so a node can never be
+cut by summation-order noise alone.  The largest remaining minimum needs no
+margin: a float sum of non-negative entries is at least each of them.  No
+pruned node holds a leaf strictly below the incumbent, which the search
+replaces only on a strict `<`.  The first incumbent is the load-greedy
+placement: tasks in index order, each on its least-loaded eligible machine.
 
 The search is depth-first on an explicit stack, so any number of tasks fits;
 it raises `BudgetExceededError` past `SEARCH_BUDGET` nodes.
@@ -43,6 +42,7 @@ allowed on every task.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .model import BudgetExceededError, Instance, loads
 
@@ -69,12 +69,6 @@ class EligibilityMask:
     @property
     def m(self) -> int:
         return len(self.allowed)
-
-
-def _dust(v: float) -> float:
-    """Pruning margin that dominates summation-order noise but stays far
-    below any genuine difference between two distinct assignment values."""
-    return 1e-9 * (v if v > 1.0 else 1.0)
 
 
 def _greedy_placement(times, allowed) -> tuple:
@@ -127,8 +121,7 @@ def _min_search(inst: Instance, allowed) -> tuple:
 
     best_assign, greedy_loads = _greedy_placement(times, allowed)
     best_val = max(greedy_loads)
-    if best_val <= suffix_max[0] or (best_val <= suffix_sum[0] / n and _sums_are_exact(times)):
-        return best_val, tuple(best_assign)
+    margin = 0.0 if _sums_are_exact(cols) else 1e-9  # relative to the incumbent
 
     # depth-first on a stack of (depth, loads, load sum, max load, machine
     # given task order[depth - 1]): the node popped last at each shallower
@@ -136,7 +129,7 @@ def _min_search(inst: Instance, allowed) -> tuple:
     # machine order.
     current = [0] * m
     nodes = 0
-    cut = best_val + _dust(best_val)
+    cut = best_val + margin * max(1.0, best_val)
     stack = [(0, [0.0] * n, 0.0, 0.0, 0)]
     while stack:
         depth, load, load_sum, top, machine = stack.pop()
@@ -145,7 +138,8 @@ def _min_search(inst: Instance, allowed) -> tuple:
             raise BudgetExceededError(f"branch-and-bound passes {SEARCH_BUDGET} nodes")
         if depth:
             current[order[depth - 1]] = machine
-        if top >= cut or (load_sum + suffix_sum[depth]) / n >= cut or suffix_max[depth] >= cut:
+        if (top >= cut or (load_sum + suffix_sum[depth]) / n >= cut
+                or suffix_max[depth] >= best_val):
             continue
         if depth == m:
             # canonical re-evaluation: the search accumulated loads in `order`,
@@ -154,7 +148,7 @@ def _min_search(inst: Instance, allowed) -> tuple:
             if val < best_val:
                 best_val = val
                 best_assign = list(current)
-                cut = best_val + _dust(best_val)
+                cut = best_val + margin * max(1.0, best_val)
             continue
         # every load here is below `cut`, so only the grown one can reach it
         j = order[depth]
@@ -189,19 +183,12 @@ def _masked_max(inst: Instance, allowed) -> tuple:
     return val, tuple(assign)
 
 
-def _sums_are_exact(times) -> bool:
-    """Whether every sum of at most one entry per task is exact in floats.
-
-    Float entries are dyadic rationals, so all of them are integer multiples
-    of 1/scale, with scale the largest of their denominators; the sums are
-    exact when the largest possible load, counted in that unit, stays within
-    2^53."""
-    scale = max(t.as_integer_ratio()[1] for row in times for t in row)
-    top = 0
-    for col in zip(*times):
-        num, den = max(col).as_integer_ratio()
-        top += num * (scale // den)
-    return top <= 2 ** 53
+def _sums_are_exact(cols) -> bool:
+    """Whether every sum of at most one entry per task is exact in floats,
+    `cols` holding each task's times: every entry is an integer and the
+    largest such sum, the column maxima's, stays below 2^53."""
+    return all(map(float.is_integer, chain.from_iterable(cols))) and \
+        sum(map(max, cols)) < 2 ** 53
 
 
 def opt_makespan(inst: Instance) -> tuple:

@@ -20,9 +20,9 @@ PUBLIC_NAMES = [
     "check_tech1", "combi_row_best", "default_grid", "enumerate_equilibria",
     "frontier_sweep", "gen_canonical", "gen_circulant", "gen_fp_pos",
     "gen_hat", "gen_random", "gen_tradeoff", "gen_uniform",
-    "inefficiency", "load_instance", "load_text", "loads", "makespan",
+    "inefficiency", "load_instance", "loads", "makespan",
     "monotonicity_check", "opt_makespan", "opt_makespan_masked", "probe_matrix",
-    "regression_suite", "rule_for", "save_instance", "save_text", "thm3_hat_image",
+    "regression_suite", "rule_for", "save_instance", "thm3_hat_image",
     "verify_equilibrium",
 ]
 

@@ -496,6 +496,21 @@ def test_probe_cap_below_one(capsys):
     assert json.loads(out)["a"] == [[0, 0.3], [0.3, 0]]
 
 
+def test_probe_note_names_the_grid_top_it_built(capsys):
+    # --cap 1 at eps 0.3 builds a grid up to 0.9, below fp's reach 1
+    code, out, err = run_cli(capsys, "probe", "--mech", "fp", "-n", "2", "--eps", "0.3",
+                             "--cap", "1")
+    assert code == 0
+    assert json.loads(out)["a"] == [[0, 0.6], [0.9, 0]]
+    assert err == ("note: --cap 1 builds a grid whose top 0.9 is below fp's reach 1; "
+                   "an entry at the grid top means the reach lies above it\n")
+    # --cap 0.9 at eps 0.6 builds a grid up to 1.2, which holds the reach
+    code, out, err = run_cli(capsys, "probe", "--mech", "fp", "-n", "2", "--eps", "0.6",
+                             "--cap", "0.9")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["a"] == [[0, 0.6], [1.2, 0]]
+
+
 def test_probe_refuses_a_huge_machine_count_before_allocating(capsys):
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "probe", "--mech", "fp", "-n", "100000")
@@ -589,7 +604,7 @@ def test_gen_text_round_trip(capsys, tmp_path):
     out_path = tmp_path / "t.txt"
     code, _, _ = run_cli(capsys, "gen", "tradeoff", "n=3", "rho=1.5", "-o", str(out_path))
     assert code == 0
-    assert instances.load_text(str(out_path)) == gen_tradeoff(3, 1.5)
+    assert instances.load_instance(str(out_path)) == gen_tradeoff(3, 1.5)
 
 
 GEN_PARAMS = {"uniform": ["n=3"], "thm3_hat": ["n=2"], "tradeoff": ["n=3", "rho=1.5"],
@@ -605,8 +620,19 @@ def test_gen_file_reads_back(capsys, tmp_path, name, filename):
     code, out, _ = run_cli(capsys, "gen", name, *GEN_PARAMS[name], "-o", path)
     assert (code, out) == (0, f"wrote {spec.label()} to {path}\n")
     assert run_cli(capsys, "opt", "-i", path)[0] == 0
-    load = instances.load_text if filename.endswith(".txt") else instances.load_instance
-    assert load(path) == spec.build()
+    assert instances.load_instance(path) == spec.build()
+
+
+def test_gen_random_refuses_a_negative_seed(capsys, tmp_path):
+    out_path = tmp_path / "r.json"
+    code, out, err = run_cli(capsys, "gen", "random", "n=1", "m=2", "seed=-1",
+                             "-o", str(out_path))
+    assert (code, out, err) == (2, "", "error: need seed >= 0\n")
+    assert not out_path.exists()
+    code, out, err = run_cli(capsys, "frontier", "-n", "3", "--alphas", "2",
+                             "--suite", "random:n=3,m=2,seed=-1")
+    assert (code, out) == (2, "")
+    assert err == "error: suite instance random:m=2,n=3,seed=-1: need seed >= 0\n"
 
 
 def test_gen_circulant_file(capsys, tmp_path):
@@ -754,7 +780,8 @@ def test_malformed_text_instance_file_exits_two(capsys, tmp_path, text, message)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("extra", [["--eps", "0"], ["--eps", "1e-320"], ["--cap", "inf"]])
+@pytest.mark.parametrize("extra", [["--eps", "0"], ["--eps", "1e-320"], ["--cap", "inf"],
+                                   ["--cap", "0"], ["--cap", "-1"]])
 def test_probe_bad_eps_or_cap_exits_two(capsys, extra):
     code, out, err = run_cli(capsys, "probe", "--mech", "sp", "-n", "2", *extra)
     assert code == 2
@@ -795,7 +822,7 @@ def test_parser_built_once(capsys):
 
 def test_closed_stdout_exits_141_quietly(tmp_path):
     path = str(tmp_path / "t3.txt")
-    instances.save_text(instances.thm3_hat_image(3), path)
+    instances.save_instance(instances.thm3_hat_image(3), path)
     with subprocess.Popen(
             [sys.executable, "-m", "mechfront.cli", "analyze", "-i", path, "--mech", "spa:2"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mechfront import cli, equilibria
-from mechfront.instances import save_instance, save_text
+from mechfront.instances import save_instance
 from mechfront.model import Instance
 
 MECHS = st.sampled_from(["fp", "sp", "greedy", "spa:1", "spa:1.5", "spa:2", "spa:0.5",
@@ -170,7 +170,7 @@ def test_fuzz_instance_verbs(tmp_path_factory, data):
     """A valid instance file and varied argv for opt, equilibria and analyze."""
     inst = Instance(tuple(map(tuple, data.draw(times_matrices()))))
     path = tmp_path_factory.mktemp("fuzz") / data.draw(st.sampled_from(["i.json", "i.txt"]))
-    (save_text if path.suffix == ".txt" else save_instance)(inst, str(path))
+    save_instance(inst, str(path))
     check(data.draw(instance_argv(str(path))))
 
 

@@ -18,10 +18,8 @@ from mechfront.instances import (
     instance_from_dict,
     instance_to_dict,
     load_instance,
-    load_text,
     regression_suite,
     save_instance,
-    save_text,
     thm3_hat_image,
 )
 from mechfront.model import DEFAULT_BIG, GRID_STEP, BudgetExceededError, Instance
@@ -289,16 +287,27 @@ def test_json_roundtrip_preserves_awkward_floats(tmp_path):
 def test_text_roundtrip(tmp_path):
     inst = gen_random(2, 3, seed=4)
     p = tmp_path / "r.txt"
-    save_text(inst, str(p))
-    back = load_text(str(p))
+    save_instance(inst, str(p))
+    back = load_instance(str(p))
     assert back.times == inst.times
     assert back.big == inst.big
+
+
+@pytest.mark.parametrize("name, head", [("i.txt", "3 3 1000000\n1.0 1.0 1.0\n"),
+                                        ("i.json", '{\n "n": 3,\n "m": 3,')])
+def test_one_pair_picks_the_format_from_the_extension(tmp_path, name, head):
+    inst = gen_fp_pos(3, 0.01)
+    p = tmp_path / name
+    save_instance(inst, str(p))
+    assert p.read_text().startswith(head)
+    assert load_instance(str(p)) == inst
+    assert load_instance(p) == inst  # a path object reads the same
 
 
 def test_text_format_shape(tmp_path):
     inst = gen_tradeoff(3, 1.5)
     p = tmp_path / "t.txt"
-    save_text(inst, str(p))
+    save_instance(inst, str(p))
     lines = p.read_text().strip().split("\n")
     assert lines[0].split() == ["3", "3", "1000000"]
     assert len(lines) == 4

@@ -207,12 +207,14 @@ def with_every_machine(times):
 @st.composite
 def instances_with_repeated_rows(draw):
     """2-4 machines whose rows repeat a few distinct rows, with float entries
-    whose sums round (0.1 steps) or stay exact (dyadic), zeros among them,
-    and a random mask."""
+    whose sums round (0.1 steps), stay exact but keep the float margin
+    (dyadic), or are integers (no margin), zeros among them, and a random
+    mask."""
     n = draw(st.integers(2, 4))
     m = draw(st.integers(1, {2: 8, 3: 6, 4: 5}[n]))
     values = draw(st.sampled_from([(0.0, 0.1, 0.2, 0.3, 0.6, 0.7, 1 / 3),
-                                   (0.0, 0.25, 0.5, 1.0, 1.5, 2.0)]))
+                                   (0.0, 0.25, 0.5, 1.0, 1.5, 2.0),
+                                   (0.0, 1.0, 2.0, 3.0, 5.0, 7.0)]))
     rows = draw(st.lists(st.tuples(*[st.sampled_from(values)] * m), min_size=1, max_size=n))
     times = tuple(draw(st.sampled_from(rows)) for _ in range(n))
     if draw(st.booleans()):
@@ -225,12 +227,14 @@ def instances_with_repeated_rows(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(instances_with_repeated_rows())
-# the root stop: greedy value at the largest task, with sums that round
+# the root prunes: greedy value at the largest task, with sums that round
 @example(with_every_machine(((0.7, 0.1, 0.3), (0.7, 0.3, 0.1))))
-# the root stop: greedy value at the average, with dyadic (exact) sums
+# the root prunes: greedy value at the average, with integer sums (no margin)
+@example(with_every_machine(((1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0))))
+# greedy value at the average, with dyadic sums: exact, but the margin stays
 @example(with_every_machine(((0.5, 0.5, 0.5, 0.5), (0.5, 0.5, 0.5, 0.5))))
 # greedy 0.6000000000000001 passes the float average test, but sums round and
-# a leaf reaches 0.6: the stop must not fire
+# a leaf reaches 0.6: the root must not prune
 @example(with_every_machine(((0.2, 0.1, 0.2, 0.1, 0.3, 0.3),) * 2))
 def test_search_order_value_and_witness(case):
     inst, mask = case
@@ -273,8 +277,24 @@ def test_round_robin_witness_on_uniform(n):
     assert time.perf_counter() - start < 1.0
 
 
+def test_search_node_count_on_integers(monkeypatch):
+    # integer entries prune ties (no margin): gen_random(4, 8, 3) times 10
+    # takes 43 nodes, against 248 with the 1e-9 margin
+    inst = Instance([[round(10 * t) for t in row] for row in gen_random(4, 8, 3).times])
+    monkeypatch.setattr(optsolver, "SEARCH_BUDGET", 42)
+    with pytest.raises(BudgetExceededError):
+        opt_makespan(inst)
+    monkeypatch.setattr(optsolver, "SEARCH_BUDGET", 43)
+    assert opt_makespan(inst) == (20.0, (1, 3, 2, 0, 0, 2, 1, 1))
+    assert opt_makespan(inst) == search_order_optimum(inst, every_machine(inst))
+
+
 def test_sums_are_exact():
-    assert optsolver._sums_are_exact(gen_uniform(3).times)
-    assert optsolver._sums_are_exact(((0.5, 0.25), (1.5, 2.0)))
+    # one tuple of machine times per task
+    assert optsolver._sums_are_exact(list(zip(*gen_uniform(3).times)))
+    assert optsolver._sums_are_exact(((2.0 ** 52, 1.0), (1.0, 2.0 ** 52 - 2)))
+    # dyadic sums are exact too, but only integers drop the margin
+    assert not optsolver._sums_are_exact(((0.5, 0.25), (1.5, 2.0)))
     assert not optsolver._sums_are_exact(((0.1, 0.2), (0.3, 0.4)))
+    assert not optsolver._sums_are_exact(((2.0 ** 52, 1.0), (1.0, 2.0 ** 52)))
     assert not optsolver._sums_are_exact(((2.0 ** 53, 1.0), (1.0, 1.0)))
