@@ -163,11 +163,9 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
     if n < 2:
         raise ValueError("need n >= 2")
     alphas = [float(a) for a in alphas]
-    if any(a < 1 for a in alphas):
-        raise ValueError("alphas must be >= 1")
     if suite is not None and not suite:
         raise ValueError("the frontier suite is empty")
-    mechs = [MechanismId.spa(a) for a in alphas]  # refuses nan and inf before any build
+    mechs = [MechanismId.spa(a) for a in alphas]  # refuses bad alphas before any build
     sweeps = dict.fromkeys(_alpha_free_suite(n) if suite is None else suite,
                            range(len(alphas)))  # spec -> indices of its alphas
     if suite is None:
@@ -300,19 +298,18 @@ def probe_matrix(rule: SingleTaskRule, grid: Grid) -> tuple:
     BudgetExceededError is raised before anything is allocated.
 
     The ladder stops after n consecutive failures past the rule's analytic
-    reach (alpha for spa, 1 for fp) or at k = len(grid) - 1, the grid's top;
-    second price has no finite reach, so probing it saturates the cap.  Note
-    fp can hold one grid step past 1 when the slow machine has the lower
-    index (the tie-break protects it), so entries land within one step of
-    the analytic boundary.
+    reach, its reserve, or at k = len(grid) - 1, the grid's top; second
+    price has no reserve, so no finite reach, and probing it saturates the
+    cap.  Note fp can hold one grid step past 1 when the slow machine has
+    the lower index (the tie-break protects it), so entries land within one
+    step of the analytic boundary.
     """
     n, eps, g = rule.n, grid.step, len(grid)
     passes = n * n * (n - 1) * (g - 1)
     if passes > PROBE_BUDGET:
         raise BudgetExceededError(f"{passes} winner passes of {n}-machine ladders on a "
                                   f"{g}-point grid exceed the probe budget {PROBE_BUDGET}")
-    kind = rule.id.kind
-    reach = rule.id.alpha if kind == "spa" else (1.0 if kind == "fp" else None)
+    reach = rule.id.reserve
     a = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):

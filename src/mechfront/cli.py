@@ -191,18 +191,19 @@ def _dispatch(args) -> int:
     if args.verb == "probe":
         mech = MechanismId.parse(args.mech)
         rule = rule_for(mech, args.n)
-        reach = mech.alpha if mech.kind == "spa" else 1.0
-        cap = args.cap if args.cap is not None else 2 * reach + 1
-        if not (args.eps > 0 and math.isfinite(cap / args.eps)):
+        reach = mech.reserve  # None: sp has no finite reach
+        cap = args.cap if args.cap is not None else 2 * (reach or 1.0) + 1
+        steps = cap / args.eps if args.eps > 0 else math.nan
+        grid_cap = max(2, round(steps)) * args.eps if math.isfinite(steps) else math.inf
+        if not math.isfinite(grid_cap):
             raise ValueError(f"need --eps > 0 and a finite --cap/--eps, got {args.eps}, {cap}")
         if not cap > 0:
             raise ValueError(f"need --cap > 0, got {_fmt(cap)}")
-        k = max(2, round(cap / args.eps))
-        grid = equilibria.default_grid((1.0,), mech, args.eps, k * args.eps)
+        grid = equilibria.default_grid((1.0,), mech, args.eps, grid_cap)
         matrix = analysis.probe_matrix(rule, grid)
         print(_dump({"mech": str(mech), "eps": grid.step, "a": [list(r) for r in matrix]}))
         top = grid.points[-1]
-        if mech.kind != "sp" and top < reach:  # sp has no finite reach
+        if reach is not None and top < reach:
             built = "" if _fmt(top) == _fmt(cap) else f" builds a grid whose top {_fmt(top)}"
             print(f"note: --cap {_fmt(cap)}{built} is below {mech}'s reach {_fmt(reach)}; "
                   f"an entry at the grid top means the reach lies above it", file=sys.stderr)

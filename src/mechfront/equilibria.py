@@ -2,46 +2,38 @@
 
 Reports live on a finite grid {0, step, 2*step, ..., cap}.  A profile is a
 pure Nash equilibrium when no machine can strictly raise its utility by
-moving its own bid to any other grid point.  Because the fp/sp/spa rules are
+moving its own bid to any other grid point.  Because the rules are
 task-independent, a whole-profile equilibrium is exactly a per-task
 equilibrium column by column, so everything here works on one task's bid
 vector at a time.
 
 `enumerate_equilibria` decides all len(grid)^n profiles of a task without
-building them.  The fp/sp/spa rules pay only the winner, so whether a
-profile is an equilibrium depends on its winner, the winning bid, the
-second-lowest bid and who holds that bid; the profiles sharing those are
-counted in closed form, in O(n * len(grid)^2) work.  `verify_equilibrium`
-decides one profile the same way: each machine faces only the lowest other
-bid and who holds it, so the value of its best deviation takes one bisection
-on the grid instead of scoring all len(grid) of its bids, and the witness's
-bid a second.
+building them.  The rules pay only the winner, so whether a profile is an
+equilibrium depends on its winner, the winning bid, the second-lowest bid and
+who holds that bid; the profiles sharing those are counted in closed form, in
+O(n * len(grid)^2) work.  `verify_equilibrium` decides one profile the same
+way: each machine faces only the lowest other bid and who holds it, so its
+winning bids are a prefix of the grid, read off the bid indices.
 
 `achievable_winners` is the analytic counterpart: without enumerating
 anything it names, per task, the machines that win in *some* equilibrium:
+those within the reserve of the fastest, {i : t_i <= reserve * min_k t_k},
+boundary included, or with no reserve (sp) every machine below the sentinel
+(a sentinel machine would need a payment at sentinel scale, which capped
+reports cannot produce).  A spa set is a prefix of the task's times in
+ascending order, so `bucket_sizes` gives every alpha's set sizes from one
+`sorted_columns` pass, and for one instance the sizes name the sets.
 
-  fp        -- the true-fastest machines (argmin set),
-  spa:alpha -- every machine within factor alpha of the fastest, boundary
-               included: {i : t_i <= alpha * min_k t_k}; alpha = 1 gives the
-               fp rule's set,
-  sp        -- every machine whose time is below the sentinel (a sentinel
-               machine would need a payment at sentinel scale, which capped
-               reports cannot produce).
-
-A spa set is a prefix of the task's times in ascending order, so
-`bucket_sizes` gives every alpha's set sizes from one `sorted_columns` pass,
-and for one instance the sizes name the sets.
-
-For sp and spa, enumeration and the analytic sets agree exactly when true
-times are positive grid multiples.  For fp the grid adds winners the closed
-form omits: a lower-index runner-up exactly one step above the fastest can
-win at utility 0 -- both bid the runner-up's time, the runner-up keeps the
-tie-break, and the fastest gains nothing by undercutting a full step.  So
-(2.7, 1.1, 1.0) enumerates {1, 2} while the closed form gives {2}; fp
-enumeration lies between the argmin set and the machines within one step of
-it.  With a zero time one grid step away from a positive one the continuum
-undercut falls between grid points and enumeration may certify an extra
-winner; instances with zero entries are therefore handled analytically.
+Without a reserve or above reserve 1, enumeration and the analytic sets agree
+exactly when true times are positive grid multiples.  At reserve 1 (fp) the grid adds winners
+the closed form omits: a lower-index runner-up exactly one step above the
+fastest can win at utility 0 -- both bid the runner-up's time, the runner-up
+keeps the tie-break, and the fastest gains nothing by undercutting a full
+step.  So (2.7, 1.1, 1.0) enumerates {1, 2} while the closed form gives {2};
+fp enumeration lies between the argmin set and the machines within one step
+of it.  With a zero time one grid step away from a positive one the
+continuum undercut falls between grid points and enumeration may certify an
+extra winner; instances with zero entries are therefore handled analytically.
 
 Grids anchor their points to caller-supplied values (instance entries), so
 payments computed from grid points are bit-for-bit the payments computed from
@@ -126,9 +118,9 @@ def on_grid(value: float, step: float) -> bool:
 
 def default_grid(inst_or_times, mech: MechanismId, eps: float = GRID_STEP,
                  cap: float | None = None) -> Grid:
-    """Grid {0, eps, ..., cap}; the default cap is alpha * (largest
-    non-sentinel time) + 2 eps rounded up to a multiple of eps (alpha = 1 for
-    fp/sp).  Non-sentinel grid multiples up to the cap are anchored, so the
+    """Grid {0, eps, ..., cap}; the default cap is reserve * (largest
+    non-sentinel time) + 2 eps rounded up to a multiple of eps (1 without a
+    reserve).  Non-sentinel grid multiples up to the cap are anchored, so the
     grid holds their exact values (the largest, where two round to one grid
     point); other entries cannot be bid."""
     if not eps > 0:
@@ -141,11 +133,11 @@ def default_grid(inst_or_times, mech: MechanismId, eps: float = GRID_STEP,
         big = DEFAULT_BIG
     finite = [x for x in entries if x < big]
     if cap is None:
-        alpha_eff = mech.alpha if mech.kind == "spa" else 1.0
+        reach = mech.reserve or 1.0
         max_fin = max(finite) if finite else 0.0
-        steps = (alpha_eff * max_fin + 2 * eps) / eps - 1e-9
+        steps = (reach * max_fin + 2 * eps) / eps - 1e-9
         if not math.isfinite(steps):
-            raise ValueError(f"default cap {alpha_eff} * {max_fin} overflows in steps of {eps}")
+            raise ValueError(f"default cap {reach} * {max_fin} overflows in steps of {eps}")
         cap = max(2, math.ceil(steps)) * eps
     anchors = {round(x / eps): x for x in sorted(finite) if x <= cap and on_grid(x, eps)}
     return Grid(eps, cap, anchors=tuple(anchors.values()))
@@ -186,17 +178,18 @@ class EquilibriumCertificate:
 def verify_equilibrium(rule: SingleTaskRule, true_times, bids, grid: Grid) -> VerifyResult:
     """Decide every unilateral grid deviation of every machine in closed form.
 
-    `bids` must already be grid points.  Only the winner is paid, and machine
-    i moving its bid faces the others' bids unchanged: with m_i the lowest of
-    them and h_i the lowest index holding it, i wins at grid point p iff
-    p < m_i, or p == m_i and i < h_i.  For a loser m_i is the winning bid;
-    for the winner it is the second-lowest bid.  So i's winning points are a
-    prefix of the grid, found by one bisection, and on it i's utility
+    Each bid must be within float dust of a grid point (`Grid.index_of`) and
+    is read as that point.  Only the winner is paid, and machine i moving its
+    bid faces the others' bids unchanged: with m_i = pts[k] the lowest of them
+    and h_i the lowest index holding it, i wins at grid point p iff p < m_i,
+    or p == m_i and i < h_i.  For a loser m_i is the winning bid; for the
+    winner it is the second-lowest bid.  So i's winning points are the grid's
+    first k + 1 (i < h_i) or k, and on them i's utility
     `rule.pay(p, m_i) - t_i` never decreases: its best deviation is worth the
     prefix's last value, or 0 at the first losing point when that value is
     negative.  The witness is the best improving deviation, ties toward the
-    lowest machine, then the lowest bid; a second bisection, run for the
-    witness alone, finds the first point reaching its value.
+    lowest machine, then the lowest bid; a bisection, run for the witness
+    alone, finds the first point reaching its value.
     `checked_deviations` counts the n * len(grid) deviations decided.
     """
     true_times = tuple(map(float, true_times))
@@ -204,22 +197,22 @@ def verify_equilibrium(rule: SingleTaskRule, true_times, bids, grid: Grid) -> Ve
     n = rule.n
     if len(true_times) != n or len(bids) != n:
         raise ValueError(f"expected {n} true times and bids")
-    for b in bids:
-        grid.index_of(b)  # raises when off-grid
-
+    idx = [grid.index_of(b) for b in bids]  # raises when off-grid
     pts = grid.points
     g = len(pts)
-    order = sorted(range(n), key=bids.__getitem__)  # stable: the lowest index first on ties
+    order = sorted(range(n), key=idx.__getitem__)  # stable: the lowest index first on ties
     w = order[0]
     h = order[1] if n > 1 else n
-    second = bids[h] if h < n else math.inf  # a lone machine faces no bid
+    low = pts[idx[w]]
+    # a lone machine faces no bid: it wins at every point and is paid as if facing inf
+    second, k_second = (pts[idx[h]], idx[h]) if h < n else (math.inf, g - 1)
     best_gain, witness = 0.0, None
     for i, t in enumerate(true_times):
         if i == w:
-            faced, holder, current = second, h, rule.pay(bids[w], second) - t
+            faced, k, holder, current = second, k_second, h, rule.pay(low, second) - t
         else:
-            faced, holder, current = bids[w], w, 0.0
-        wins = bisect.bisect_right(pts, faced) if i < holder else bisect.bisect_left(pts, faced)
+            faced, k, holder, current = low, idx[w], w, 0.0
+        wins = k + 1 if i < holder else k
         u, top = 0.0, None  # None: the first losing point, pts[wins]
         if wins:
             value = rule.pay(pts[wins - 1], faced) - t
@@ -337,23 +330,23 @@ def _weigh(keep, lower, below: int, above: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _column_winners(mech: MechanismId, col, big: float) -> list:
-    if mech.kind == "sp":
+    if mech.reserve is None:
         s = [i for i, t in enumerate(col) if t < big]
         if not s:
             raise ValueError("task has no machine below the sentinel")
         return s
-    # The closed bucket; fp's multiplier 1 keeps exactly t == t_min.  The spa
-    # boundary machine t = alpha*t_min wins at pay alpha*t_min with utility 0
-    # and no grid deviation beats that, so <= (not <) is the right comparison.
-    cut = (mech.alpha if mech.kind == "spa" else 1.0) * min(col)
+    # The closed bucket; reserve 1 keeps exactly t == t_min.  The boundary
+    # machine t = reserve*t_min wins at pay reserve*t_min with utility 0 and
+    # no grid deviation beats that, so <= (not <) is the right comparison.
+    cut = mech.reserve * min(col)
     return [i for i, t in enumerate(col) if t <= cut]
 
 
 def achievable_winners(mech: MechanismId, inst: Instance) -> EligibilityMask:
     """Per-task equilibrium winner sets, by closed form (no enumeration):
     allowed[j] = machines that win task j in some equilibrium."""
-    if mech.kind in ("sp", "spa") and inst.n < 2:
-        raise ValueError(f"{mech} needs n >= 2")
+    if inst.n < mech.min_machines:
+        raise ValueError(f"{mech} needs n >= {mech.min_machines}")
     return EligibilityMask(
         tuple([_column_winners(mech, col, inst.big) for col in zip(*inst.times)])
     )
@@ -422,13 +415,11 @@ def canonical_certificate(mech: MechanismId, inst: Instance,
                 f"pass a finer grid"
             )
         w = min(i for i, t in enumerate(col) if t == t_min)
-        if mech.kind == "fp" or (mech.kind == "spa" and mech.alpha == 1):
+        if mech.reserve == 1:
             bids = [t_min if i >= w else _point_above(grid, t_min) for i in range(n)]
         else:
-            if mech.kind == "sp":
-                reserve_floor = cap
-            else:
-                reserve_floor = grid.floor(min(mech.alpha * t_min, cap))
+            reserve_floor = cap if mech.reserve is None else \
+                grid.floor(min(mech.reserve * t_min, cap))
             bids = [grid.floor(min(col[i], reserve_floor)) for i in range(n)]
             for i in range(n):
                 if i != w and bids[i] <= t_min:

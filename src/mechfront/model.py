@@ -13,6 +13,7 @@ conceivable finite schedule so that optimal assignments never touch it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,7 +89,11 @@ class Instance:
 class MechanismId:
     """Which mechanism: kind in {fp, sp, spa}; spa carries its
     multiplier alpha.  Every mechanism breaks ties toward the lowest machine
-    index."""
+    index.
+
+    The three are one family: the winner is paid min(second-lowest bid,
+    `reserve` * own bid), fp is SP_1 (= spa:1) and sp is SP_inf (no reserve).
+    Other modules read `reserve` and `min_machines`, never `kind`."""
 
     kind: str
     alpha: float | None = None
@@ -126,6 +131,17 @@ class MechanismId:
         if text.startswith("spa:"):
             return MechanismId.spa(float(text.split(":", 1)[1]))
         raise ValueError(f"cannot parse mechanism {text!r}")
+
+    @functools.cached_property  # read by every payment: a plain attribute after the first
+    def reserve(self) -> float | None:
+        """The multiple of the winning bid that caps the winner's pay: 1.0
+        for fp, alpha for spa, None for sp."""
+        return 1.0 if self.kind == "fp" else self.alpha
+
+    @property
+    def min_machines(self) -> int:
+        """Fewest machines the rule runs on: a second price needs a runner-up."""
+        return 1 if self.kind == "fp" else 2
 
     def __str__(self) -> str:
         if self.kind == "spa":

@@ -1,18 +1,12 @@
 """Single-task payment rules.
 
 Each rule takes one reported bid per machine, awards the task to the lowest
-bidder (lowest index on ties), and pays only the winner:
-
-  fp   -- the winner is paid its own bid.
-  sp   -- the winner is paid the lowest bid among the other machines.
-  spa  -- second price capped by a reserve of alpha times the winning bid:
-          pay = min(second lowest bid, alpha * winning bid).  spa with
-          alpha = 1 collapses to fp (the cap always binds at the own bid).
-
-`SingleTaskRule.pay` is the winner's payment of each rule, given the lowest
-and the second-lowest bid; `batch` scores many profiles at once with the same
-float expressions, and `outcome` runs `batch` on a single profile.  A
-mechanism applies its rule to every task on its own.
+bidder (lowest index on ties), and pays only the winner min(second-lowest
+bid, reserve * own bid), with the mechanism's `reserve` (`MechanismId`).
+`SingleTaskRule.pay` is the winner's payment given the lowest and the
+second-lowest bid; `batch` scores many profiles at once with the same float
+expressions, and `outcome` runs `batch` on a single profile.  A mechanism
+applies its rule to every task on its own.
 """
 from __future__ import annotations
 
@@ -40,8 +34,8 @@ class SingleTaskRule:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need n >= 1")
-        if self.id.kind in ("sp", "spa") and self.n < 2:
-            raise ValueError(f"{self.id} needs n >= 2")
+        if self.n < self.id.min_machines:
+            raise ValueError(f"{self.id} needs n >= {self.id.min_machines}")
 
     def outcome(self, bids) -> tuple:
         if len(bids) != self.n:
@@ -53,23 +47,24 @@ class SingleTaskRule:
         return int(w[0]), float(pay[0])
 
     def pay(self, low: float, second: float) -> float:
-        if self.id.kind == "fp":
-            return low
-        if self.id.kind == "sp":
+        reserve = self.id.reserve
+        if reserve is None:
             return second
-        return min(second, self.id.alpha * low)
+        capped = reserve * low
+        return capped if capped < second else second  # min(second, capped), without a call
 
     def batch(self, B: np.ndarray) -> tuple:
         B = np.asarray(B, dtype=float)
         if B.ndim != 2 or B.shape[1] != self.n:
             raise ValueError(f"batch expects shape (K, {self.n})")
         w = np.argmin(B, axis=1)  # argmin takes the first minimum: lowest index
-        if self.id.kind == "fp":
+        reserve = self.id.reserve
+        if reserve == 1:  # the cap binds at the own bid, and n may be 1
             return w, B.min(axis=1)
         lowest = np.partition(B, 1, axis=1)  # columns 0 and 1: lowest and second-lowest bid
-        if self.id.kind == "sp":
+        if reserve is None:
             return w, lowest[:, 1]
-        return w, np.minimum(lowest[:, 1], self.id.alpha * lowest[:, 0])
+        return w, np.minimum(lowest[:, 1], reserve * lowest[:, 0])
 
 
 def rule_for(mech: MechanismId, n: int) -> SingleTaskRule:

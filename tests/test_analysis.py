@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -24,6 +24,8 @@ from mechfront.equilibria import (
     achievable_winners,
     bucket_sizes,
     canonical_certificate,
+    default_grid,
+    enumerate_equilibria,
     sorted_columns,
 )
 from mechfront.instances import (
@@ -424,6 +426,43 @@ def test_probe_matrix_fp_tie_break_asymmetry():
 def test_probe_matrix_sp_saturates_the_grid():
     rule = rule_for(SP, 2)
     assert probe_matrix(rule, Grid(0.5, 2.0)) == ((0.0, 2.0), (2.0, 0.0))
+
+
+SPA1 = MechanismId.parse("spa:1")
+
+
+def test_spa_one_is_fp_in_the_rules_and_the_probe():
+    """SP_1 is first price: spa:1's rule pays, crowns and reaches as fp's."""
+    assert (str(SPA1), str(FP)) == ("spa:1", "fp")
+    for bids in [(1.0, 2.0), (2.0, 2.0), (0.5, 0.4, 0.4), (0.3, 0.0, 0.7, 0.1)]:
+        n = len(bids)
+        low, second = sorted(bids)[:2]
+        assert rule_for(SPA1, n).outcome(bids) == rule_for(FP, n).outcome(bids)
+        assert rule_for(SPA1, n).pay(low, second) == rule_for(FP, n).pay(low, second) == low
+    grid = Grid(0.25, 2.0)
+    for n in (2, 3):
+        assert probe_matrix(rule_for(SPA1, n), grid) == probe_matrix(rule_for(FP, n), grid)
+
+
+def _certificate_or_error(mech, inst):
+    try:
+        return canonical_certificate(mech, inst)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("name, inst", regression_suite())
+def test_spa_one_is_fp_on_the_regression_suite(name, inst):
+    """Winner sets, grids, enumerated counts, certificates and inefficiency
+    reports of spa:1 are fp's; only the mechanism's name differs."""
+    assert achievable_winners(SPA1, inst) == achievable_winners(FP, inst)
+    grid = default_grid(inst, FP)
+    assert default_grid(inst, SPA1).points == grid.points
+    for col in zip(*inst.times):
+        assert enumerate_equilibria(rule_for(SPA1, inst.n), col, grid).counts == \
+            enumerate_equilibria(rule_for(FP, inst.n), col, grid).counts
+    assert _certificate_or_error(SPA1, inst) == _certificate_or_error(FP, inst)
+    assert replace(inefficiency(SPA1, inst), mech=FP) == inefficiency(FP, inst)
 
 
 def test_probe_matrix_refuses_past_its_budget(monkeypatch):

@@ -74,6 +74,14 @@ def test_module_layering():
                 assert not local, f"{name}.{func.name} imports {sorted(local)} locally"
 
 
+def test_only_model_reads_the_mechanism_kind():
+    # every other layer reads the derived `reserve` and `min_machines`
+    readers = sorted(path.name for path in PACKAGE_DIR.glob("*.py") if path.name != "model.py"
+                     and any(isinstance(node, ast.Attribute) and node.attr == "kind"
+                             for node in ast.walk(ast.parse(path.read_text()))))
+    assert readers == []
+
+
 def unused_imports(tree) -> list:
     """Names bound by module-level imports that the module never reads."""
     bound = []

@@ -451,9 +451,9 @@ def test_frontier_names_the_suite_instance_that_fails_to_build(capsys, alphas, m
 
 
 def test_frontier_bad_alpha(capsys):
-    code, _, err = run_cli(capsys, "frontier", "-n", "3", "--alphas", "0.5")
-    assert code == 2
-    assert "error:" in err
+    # the alpha is refused where every spa mechanism is made
+    code, out, err = run_cli(capsys, "frontier", "-n", "3", "--alphas", "0.5")
+    assert (code, out, err) == (2, "", "error: spa needs a finite alpha >= 1, got 0.5\n")
 
 
 @pytest.mark.parametrize("suite", [";", " ; ;"])
@@ -781,12 +781,22 @@ def test_malformed_text_instance_file_exits_two(capsys, tmp_path, text, message)
 
 
 @pytest.mark.parametrize("extra", [["--eps", "0"], ["--eps", "1e-320"], ["--cap", "inf"],
-                                   ["--cap", "0"], ["--cap", "-1"]])
+                                   ["--cap", "0"], ["--cap", "-1"], ["--eps", "inf"],
+                                   ["--eps", "1e308", "--cap", "1e308"]])
 def test_probe_bad_eps_or_cap_exits_two(capsys, extra):
     code, out, err = run_cli(capsys, "probe", "--mech", "sp", "-n", "2", *extra)
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("extra, got", [(["--eps", "inf"], "inf, 3.0"),
+                                        (["--eps", "1e308", "--cap", "1e308"], "1e+308, 1e+308")])
+def test_probe_refuses_a_grid_top_that_overflows(capsys, extra, got):
+    # the grid top k * eps is inf: the message names the flags, not a cap never given
+    code, out, err = run_cli(capsys, "probe", "--mech", "sp", "-n", "2", *extra)
+    assert (code, out, err) == (2, "", f"error: need --eps > 0 and a finite --cap/--eps, "
+                                       f"got {got}\n")
 
 
 @pytest.mark.parametrize("alpha, code, message", [

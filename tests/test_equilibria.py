@@ -168,6 +168,18 @@ def test_verify_rejects_off_grid_bids():
         verify_equilibrium(rule, (1.0, 2.0), (1.05, 2.0), g)
 
 
+def test_verify_reads_a_near_grid_bid_as_its_grid_point():
+    """A bid within float dust of a grid point is judged as that point: the
+    decimals 0.3 and 0.6 stand for the products 3 * 0.1 and 6 * 0.1."""
+    rule, g = rule_for(FP, 2), Grid(0.1, 1.0)
+    truth, points = (0.1, 0.1), (g.points[3], g.points[6])
+    assert points == (0.30000000000000004, 0.6000000000000001)
+    res = verify_equilibrium(rule, truth, (0.3, 0.6), g)
+    assert res == verify_equilibrium(rule, truth, points, g) == \
+        per_machine_scan(rule, truth, points, g)
+    assert (res.machine, res.deviation, res.gain) == (0, 0.6000000000000001, 0.30000000000000004)
+
+
 def test_verify_makes_no_batch_call(monkeypatch):
     """The closed form scores no bid matrix, yet still decides all n * g
     deviations."""
