@@ -488,8 +488,8 @@ def anonymity_suite() -> SuiteReport:
     ok = True
     for mech, vectors in fixtures:
         rule = rule_for(mech, 2)
-        entries = sorted({x for vec in vectors for x in vec})
-        grid = Grid(GRID_STEP, max(4.0, 2 * max(entries) + 0.2), anchors=tuple(entries))
+        entries = {x for vec in vectors for x in vec}
+        grid = default_grid(entries, mech, GRID_STEP, max(4.0, 2 * max(entries) + 0.2))
         res = anonymity_check(rule, vectors, grid)
         ok = ok and res.passed
         lines.append(f"  {mech}: {res.checked} permuted enumerations, "

@@ -207,6 +207,9 @@ def _dispatch(args) -> int:
             built = "" if _fmt(top) == _fmt(cap) else f" builds a grid whose top {_fmt(top)}"
             print(f"note: --cap {_fmt(cap)}{built} is below {mech}'s reach {_fmt(reach)}; "
                   f"an entry at the grid top means the reach lies above it", file=sys.stderr)
+        elif args.cap is not None and top > cap and _fmt(top) != _fmt(cap):
+            print(f"note: --cap {_fmt(cap)} builds a grid whose top is {_fmt(top)}",
+                  file=sys.stderr)
         return 0
 
     if args.verb == "verify":

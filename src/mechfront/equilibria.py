@@ -38,7 +38,10 @@ extra winner; instances with zero entries are therefore handled analytically.
 Grids anchor their points to caller-supplied values (instance entries), so
 payments computed from grid points are bit-for-bit the payments computed from
 the instance itself; boundary cases like t_i == alpha * t_min then resolve
-identically on both routes.
+identically on both routes.  A float reads as lattice index
+k = round(value / step) when the quotient is finite and |k * step - value|
+<= 1e-9 * max(1, |value|); `_lattice_index` holds that one rule, and every
+cap, anchor, bid and fastest time here is read through it.
 """
 from __future__ import annotations
 
@@ -77,14 +80,14 @@ class Grid:
             raise BudgetExceededError(
                 f"{ratio + 1:.0f} grid points exceed the enumeration budget {ENUMERATION_BUDGET}"
             )
-        k = round(max(ratio, 0.0))
-        if k < 1 or abs(k * self.step - self.cap) > 1e-9 * max(1.0, self.cap):
+        k = _lattice_index(self.cap, self.step)
+        if k is None or k < 1:
             raise ValueError(f"cap {self.cap} is not a positive multiple of step {self.step}")
         pts = (np.arange(k + 1) * self.step).tolist()
         for a in self.anchors:
             a = float(a)
-            i = round(a / self.step)
-            if not (0 <= i <= k) or abs(pts[i] - a) > 1e-9 * max(1.0, abs(a)):
+            i = _lattice_index(a, self.step)
+            if i is None or not 0 <= i <= k:
                 raise ValueError(f"anchor {a} is not on the grid")
             pts[i] = a
         object.__setattr__(self, "points", tuple(pts))
@@ -93,27 +96,28 @@ class Grid:
         return len(self.points)
 
     def index_of(self, value: float) -> int:
-        """Index of a grid value; rejects off-grid values."""
-        q = float(value) / self.step
-        i = round(q) if math.isfinite(q) else -1
-        if not (0 <= i < len(self.points)) or \
-                abs(self.points[i] - value) > 1e-9 * max(1.0, abs(value)):
+        """Index of the grid point `value` reads as; rejects off-grid values."""
+        i = _lattice_index(value, self.step)
+        if i is None or not 0 <= i < len(self.points):
             raise ValueError(f"{value} is not on the grid (step {self.step}, cap {self.cap})")
         return i
 
     def floor(self, value: float) -> float:
-        """Largest grid point <= value (tolerating float dust just above)."""
-        v = float(value) + 1e-9 * max(1.0, abs(value))
-        i = bisect.bisect_right(self.points, v) - 1
+        """The grid point `value` reads as, else the largest point below it."""
+        i = _lattice_index(value, self.step)
+        if i is None or i >= len(self.points):
+            i = bisect.bisect_right(self.points, value) - 1
         if i < 0:
             raise ValueError(f"{value} is below the grid")
         return self.points[i]
 
 
-def on_grid(value: float, step: float) -> bool:
-    """Whether `value` is (within float dust) an integer multiple of step."""
+def _lattice_index(value: float, step: float) -> int | None:
+    """The lattice index k that `value` reads as (see the module docstring),
+    or None; 0.0 reads as 0, so callers test `is None`."""
     q = value / step
-    return math.isfinite(q) and abs(round(q) * step - value) <= 1e-9 * max(1.0, abs(value))
+    k = round(q) if math.isfinite(q) else None
+    return None if k is None or abs(k * step - value) > 1e-9 * max(1.0, abs(value)) else k
 
 
 def default_grid(inst_or_times, mech: MechanismId, eps: float = GRID_STEP,
@@ -139,7 +143,8 @@ def default_grid(inst_or_times, mech: MechanismId, eps: float = GRID_STEP,
         if not math.isfinite(steps):
             raise ValueError(f"default cap {reach} * {max_fin} overflows in steps of {eps}")
         cap = max(2, math.ceil(steps)) * eps
-    anchors = {round(x / eps): x for x in sorted(finite) if x <= cap and on_grid(x, eps)}
+    anchors = {k: x for x in sorted(finite)
+               if x <= cap and (k := _lattice_index(x, eps)) is not None}
     return Grid(eps, cap, anchors=tuple(anchors.values()))
 
 
@@ -370,73 +375,57 @@ def bucket_sizes(columns, alpha: float) -> tuple:
 # constructive equilibria
 # ---------------------------------------------------------------------------
 
-def _point_above(grid: Grid, value: float) -> float:
-    """The grid point one step above `value`, taken from the grid itself:
-    the float sum value + step can miss an anchored or generated point."""
-    i = grid.index_of(value) + 1
-    if i == len(grid.points):
-        raise ValueError(f"{value} is the top grid point; no bid above it")
-    return grid.points[i]
-
-
 def canonical_certificate(mech: MechanismId, inst: Instance,
                           grid: Grid | None = None) -> EquilibriumCertificate:
-    """A concrete verified whole-profile equilibrium for fp, sp, or spa.
+    """A concrete verified whole-profile equilibrium for fp, sp, or spa,
+    built column by column in one pass over the machines.
 
-    fp:  the fastest machine bids its time; higher-index machines pin it with
-         the same bid, lower-index ones sit a step above.
-    sp:  the fastest machine bids its time; everyone else reports truthfully,
-         floored onto the grid and capped at the grid top.
-    spa: the argmin set bids the fastest time; everyone else bids its own
-         time capped at the largest grid point <= alpha * t_min, so the
-         winner's payment never exceeds the reserve.
+    The lowest-index fastest machine w bids its time t_min, which must read
+    as a grid point; `above` is the grid point after it.  fp (reserve 1):
+    the machines after w pin it with the bid t_min, those before sit at
+    `above`.  sp and spa: every other machine bids its time capped at the
+    largest grid point <= reserve * t_min (the grid top for sp) and floored
+    onto the grid, or `above` when that is not above t_min, and then ties
+    bid t_min.  A column whose bids, ties included, pass the top is refused.
 
-    Off-grid losing times are floored (a slower machine may shade its report
-    down by less than one step, which can only lose it money if it wins), but
-    each column's fastest time must be a grid point and, under spa with
-    alpha > 1, positive: a zero-time winner is paid alpha * 0 = 0 and gains by
-    raising its bid.  Every column is re-verified against the grid, and a
-    failed construction raises ValueError.
+    Flooring shades a loser's report down by less than one step, which can
+    only lose it money if it wins.  Under spa with alpha > 1 a zero fastest
+    time fails: its winner is paid alpha * 0 = 0 and gains by raising its
+    bid.  Every column is re-verified against the grid, and a failed
+    construction raises ValueError.
     """
     if grid is None:
         grid = default_grid(inst, mech)
     rule = rule_for(mech, inst.n)
-    n, m = inst.n, inst.m
-    cap = grid.points[-1]
-    step = grid.step
-    columns = []
-    winners = []
-    for j in range(m):
+    pts = grid.points
+    columns, winners = [], []
+    for j in range(inst.m):
         col = inst.column(j)
         t_min = min(col)
-        if not on_grid(t_min, step):
-            raise ValueError(
-                f"fastest time {t_min} of task {j} is not a grid multiple; "
-                f"pass a finer grid"
-            )
-        w = min(i for i, t in enumerate(col) if t == t_min)
-        if mech.reserve == 1:
-            bids = [t_min if i >= w else _point_above(grid, t_min) for i in range(n)]
-        else:
-            reserve_floor = cap if mech.reserve is None else \
-                grid.floor(min(mech.reserve * t_min, cap))
-            bids = [grid.floor(min(col[i], reserve_floor)) for i in range(n)]
-            for i in range(n):
-                if i != w and bids[i] <= t_min:
-                    bids[i] = _point_above(grid, t_min)
-            for i in range(n):
-                if col[i] == t_min:
-                    bids[i] = t_min
+        if _lattice_index(t_min, grid.step) is None:
+            raise ValueError(f"fastest time {t_min} of task {j} is not a grid multiple; "
+                             f"pass a finer grid")
+        w = col.index(t_min)
+        k = grid.index_of(t_min) + 1  # the point above, from the grid: t_min + step can miss it
+        above = pts[k] if k < len(pts) else math.inf
+        top = pts[-1] if mech.reserve is None else grid.floor(min(mech.reserve * t_min, pts[-1]))
+        bids = []
+        for i, t in enumerate(col):
+            if mech.reserve == 1 or i == w:
+                b = t_min if i >= w else above
+            else:
+                b = grid.floor(min(t, top))
+                b = b if b > t_min else above
+            if b == math.inf:
+                raise ValueError(f"{t_min} is the top grid point; no bid above it")
+            bids.append(t_min if t == t_min else b)
         res = verify_equilibrium(rule, col, bids, grid)
         if not res:
-            raise ValueError(
-                f"canonical construction failed for task {j}: machine "
-                f"{res.machine} gains {res.gain} at bid {res.deviation}"
-            )
+            raise ValueError(f"canonical construction failed for task {j}: machine "
+                             f"{res.machine} gains {res.gain} at bid {res.deviation}")
         out_w, _ = rule.outcome(bids)
         if out_w != w:
             raise ValueError(f"canonical construction crowned {out_w}, expected {w}")
         columns.append(tuple(bids))
         winners.append(out_w)
-    profile = tuple(tuple(columns[j][i] for j in range(m)) for i in range(n))
-    return EquilibriumCertificate(profile, tuple(winners))
+    return EquilibriumCertificate(tuple(zip(*columns)), tuple(winners))

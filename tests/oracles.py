@@ -8,8 +8,13 @@ matrices with the scalar rules; `enumerate_dense` is `enumerate_equilibria`
 as a scan of every grid profile, and `enumerate_by_verify` the same one
 profile at a time; `brute_force_makespan` enumerates every assignment;
 `frontier_per_alpha` is `frontier_sweep` with nothing shared between alphas
-or instances.  The tests compare the production paths against them.
+or instances; `on_grid`, `grid_index_of`, `grid_floor` and
+`canonical_in_passes` are the lattice readings and the certificate
+construction as they stood before `equilibria._lattice_index` owned the
+rule, each reading measured from its own value.  The tests compare the
+production paths against them.
 """
+import bisect
 import itertools
 import math
 
@@ -17,13 +22,16 @@ import numpy as np
 
 from mechfront.analysis import FrontierPoint, default_frontier_suite
 from mechfront.equilibria import (
+    EquilibriumCertificate,
     EnumerationResult,
     VerifyResult,
     achievable_winners,
+    default_grid,
     verify_equilibrium,
 )
 from mechfront.model import BudgetExceededError, MechanismId, loads
 from mechfront.optsolver import opt_makespan, opt_makespan_masked
+from mechfront.rules import rule_for
 
 BRUTE_FORCE_BUDGET = 10 ** 7
 DENSE_BUDGET = 10 ** 7
@@ -234,3 +242,78 @@ def enumerate_dense(rule, true_times, grid) -> EnumerationResult:
         eq &= (u == u.max(axis=i, keepdims=True)).reshape(-1)
     counts = np.bincount(winners[eq], minlength=n)
     return EnumerationResult(tuple(int(k) for k in counts), total)
+
+
+def on_grid(value: float, step: float) -> bool:
+    """Whether `value` is (within float dust) an integer multiple of step."""
+    q = value / step
+    return math.isfinite(q) and abs(round(q) * step - value) <= 1e-9 * max(1.0, abs(value))
+
+
+def grid_index_of(grid, value: float) -> int:
+    """`Grid.index_of` with the dust band centred on the grid's own point
+    (an anchor, where one replaced k * step)."""
+    q = float(value) / grid.step
+    i = round(q) if math.isfinite(q) else -1
+    if not (0 <= i < len(grid.points)) or \
+            abs(grid.points[i] - value) > 1e-9 * max(1.0, abs(value)):
+        raise ValueError(f"{value} is not on the grid (step {grid.step}, cap {grid.cap})")
+    return i
+
+
+def grid_floor(grid, value: float) -> float:
+    """`Grid.floor` as the largest grid point <= value plus its dust."""
+    v = float(value) + 1e-9 * max(1.0, abs(value))
+    i = bisect.bisect_right(grid.points, v) - 1
+    if i < 0:
+        raise ValueError(f"{value} is below the grid")
+    return grid.points[i]
+
+
+def _point_above(grid, value: float) -> float:
+    i = grid_index_of(grid, value) + 1
+    if i == len(grid.points):
+        raise ValueError(f"{value} is the top grid point; no bid above it")
+    return grid.points[i]
+
+
+def canonical_in_passes(mech, inst, grid=None) -> EquilibriumCertificate:
+    """`canonical_certificate` built in three passes per column: floor every
+    report, lift every loser at or below the fastest time one point, then
+    put the ties back on it."""
+    if grid is None:
+        grid = default_grid(inst, mech)
+    rule = rule_for(mech, inst.n)
+    n, m = inst.n, inst.m
+    cap = grid.points[-1]
+    columns, winners = [], []
+    for j in range(m):
+        col = inst.column(j)
+        t_min = min(col)
+        if not on_grid(t_min, grid.step):
+            raise ValueError(f"fastest time {t_min} of task {j} is not a grid multiple; "
+                             f"pass a finer grid")
+        w = min(i for i, t in enumerate(col) if t == t_min)
+        if mech.reserve == 1:
+            bids = [t_min if i >= w else _point_above(grid, t_min) for i in range(n)]
+        else:
+            reserve_floor = cap if mech.reserve is None else \
+                grid_floor(grid, min(mech.reserve * t_min, cap))
+            bids = [grid_floor(grid, min(col[i], reserve_floor)) for i in range(n)]
+            for i in range(n):
+                if i != w and bids[i] <= t_min:
+                    bids[i] = _point_above(grid, t_min)
+            for i in range(n):
+                if col[i] == t_min:
+                    bids[i] = t_min
+        res = verify_equilibrium(rule, col, bids, grid)
+        if not res:
+            raise ValueError(f"canonical construction failed for task {j}: machine "
+                             f"{res.machine} gains {res.gain} at bid {res.deviation}")
+        out_w, _ = rule.outcome(bids)
+        if out_w != w:
+            raise ValueError(f"canonical construction crowned {out_w}, expected {w}")
+        columns.append(tuple(bids))
+        winners.append(out_w)
+    profile = tuple(tuple(columns[j][i] for j in range(m)) for i in range(n))
+    return EquilibriumCertificate(profile, tuple(winners))

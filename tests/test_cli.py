@@ -507,8 +507,24 @@ def test_probe_note_names_the_grid_top_it_built(capsys):
     # --cap 0.9 at eps 0.6 builds a grid up to 1.2, which holds the reach
     code, out, err = run_cli(capsys, "probe", "--mech", "fp", "-n", "2", "--eps", "0.6",
                              "--cap", "0.9")
-    assert (code, err) == (0, "")
+    assert (code, err) == (0, "note: --cap 0.9 builds a grid whose top is 1.2\n")
     assert json.loads(out)["a"] == [[0, 0.6], [1.2, 0]]
+
+
+@pytest.mark.parametrize("mech, note", [
+    ("sp", "note: --cap 0.9 builds a grid whose top is 1.2\n"),
+    # below the reach, the reach note already names the top it built
+    ("spa:2", "note: --cap 0.9 builds a grid whose top 1.2 is below spa:2's reach 2; "
+              "an entry at the grid top means the reach lies above it\n"),
+])
+def test_probe_notes_a_grid_top_above_the_cap(capsys, mech, note):
+    code, out, err = run_cli(capsys, "probe", "--mech", mech, "-n", "2", "--eps", "0.6",
+                             "--cap", "0.9")
+    assert (code, err) == (0, note)
+    assert json.loads(out)["a"] == [[0, 1.2], [1.2, 0]]
+    # the default cap, and a cap the grid top passes by float dust, get no such note
+    for extra in ([], ["--eps", "0.1", "--cap", "0.3"]):
+        assert "whose top is" not in run_cli(capsys, "probe", "--mech", mech, "-n", "2", *extra)[2]
 
 
 def test_probe_refuses_a_huge_machine_count_before_allocating(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,15 +15,32 @@ from mechfront.equilibria import (
     bucket_sizes,
     canonical_certificate,
     default_grid,
+    _lattice_index,
     enumerate_equilibria,
-    on_grid,
     sorted_columns,
     verify_equilibrium,
 )
-from mechfront.instances import gen_fp_pos, gen_hat, gen_random, gen_tradeoff, thm3_hat_image
+from mechfront.instances import (
+    gen_fp_pos,
+    gen_hat,
+    gen_random,
+    gen_tradeoff,
+    regression_suite,
+    thm3_hat_image,
+)
 from mechfront.model import DEFAULT_BIG, BudgetExceededError, Instance, MechanismId
 from mechfront.rules import SingleTaskRule, rule_for
-from oracles import enumerate_by_verify, enumerate_dense, per_machine_scan, scalar_outcome, utility
+from oracles import (
+    canonical_in_passes,
+    enumerate_by_verify,
+    enumerate_dense,
+    grid_floor,
+    grid_index_of,
+    on_grid,
+    per_machine_scan,
+    scalar_outcome,
+    utility,
+)
 
 FP = MechanismId.parse("fp")
 SP = MechanismId.parse("sp")
@@ -84,11 +102,71 @@ def test_grid_points_are_python_floats():
     assert g.points == tuple(0.3 if i == 3 else i * 0.1 for i in range(11))
 
 
-def test_on_grid():
-    assert on_grid(1.0, 0.1)
-    assert on_grid(0.30000000000000004, 0.1)
-    assert not on_grid(1.01, 0.1)
-    assert not on_grid(1.05, 0.1)
+def test_lattice_index():
+    assert _lattice_index(1.0, 0.1) == 10
+    assert _lattice_index(0.30000000000000004, 0.1) == 3
+    assert _lattice_index(1.01, 0.1) is None
+    assert _lattice_index(1.05, 0.1) is None
+    assert _lattice_index(0.0, 0.1) == 0  # index 0, not "off the lattice"
+
+
+LATTICES = ((0.1, 10), (0.25, 4), (1 / 3, 3), (0.5, 2))  # a step and the d of k / d
+
+
+def _ulps(x: float, k: int) -> float:
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def lattice_readings(draw):
+    """A grid of step 0.1, 0.25, 1/3 or 0.5, bare or anchored at typed
+    decimals k / d, and a value near its lattice: an exact product k * step
+    or a typed decimal k / d, shifted by up to 4 ulps or 1e-6 relative."""
+    step, d = draw(st.sampled_from(LATTICES))
+    top = draw(st.integers(1, 40))
+    ks = draw(st.sets(st.integers(0, top), max_size=top + 1)) if draw(st.booleans()) else ()
+    grid = Grid(step, draw(st.sampled_from([top * step, top / d])),
+                anchors=tuple(k / d for k in sorted(ks)))
+    k = draw(st.integers(-2, top + 3))
+    base = draw(st.sampled_from([k * step, k / d]))
+    if draw(st.booleans()):
+        value = _ulps(base, draw(st.integers(-4, 4)))
+    else:
+        value = base * (1 + draw(st.sampled_from([-1e-6, 1e-6])))
+    return grid, value
+
+
+def _result(f, *args) -> str:
+    try:
+        return repr(f(*args))
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@given(lattice_readings())
+@settings(max_examples=600, deadline=None)
+def test_lattice_readings_match_the_per_point_readings(case):
+    """Away from the 1e-9 band's edge, one reader gives what the readings
+    measured from each point gave: `on_grid`, `index_of` and `floor`."""
+    grid, value = case
+    k = _lattice_index(value, grid.step)
+    assert (k is not None) == on_grid(value, grid.step)
+    assert k is None or k == round(value / grid.step)
+    assert _result(grid.index_of, value) == _result(grid_index_of, grid, value)
+    assert _result(grid.floor, value) == _result(grid_floor, grid, value)
+
+
+def test_the_dust_band_is_centred_on_the_lattice_point():
+    # the anchor 0.3 replaces 3 * 0.1 == 0.30000000000000004; 0.299999999 is
+    # within 1e-9 of the anchor but not of 3 * 0.1, so it now reads as no index
+    g = Grid(0.1, 1.0, anchors=(0.3,))
+    assert grid_index_of(g, 0.299999999) == 3
+    assert grid_floor(g, 0.299999999) == 0.3
+    with pytest.raises(ValueError, match="not on the grid"):
+        g.index_of(0.299999999)
+    assert g.floor(0.299999999) == 0.2
 
 
 def test_default_grid_cap_scales_with_alpha():
@@ -114,7 +192,7 @@ def test_default_grid_with_a_cap_anchors_only_entries_up_to_it():
 
 
 def test_degenerate_steps_are_refused_without_overflow():
-    assert not on_grid(1.0, 1e-320)
+    assert _lattice_index(1.0, 1e-320) is None
     with pytest.raises(ValueError):
         default_grid(gen_tradeoff(3, 1.5), FP, 0.0, 1.0)
     with pytest.raises(BudgetExceededError):
@@ -593,6 +671,51 @@ def test_canonical_certificate_refuses_spa_on_a_zero_fastest_time():
     with pytest.raises(ValueError, match="canonical construction failed for task 2: "
                                          "machine 0 gains 0.1 at bid 0.1"):
         canonical_certificate(SPA2, thm3_hat_image(2))
+
+
+CERT_MECHS = tuple(map(MechanismId.parse, ("fp", "sp", "spa:1", "spa:1.5", "spa:2", "spa:3")))
+
+
+@pytest.mark.parametrize("mech", CERT_MECHS, ids=str)
+def test_canonical_certificate_matches_the_passes_on_the_regression_suite(mech):
+    for name, inst in regression_suite():
+        assert _result(canonical_certificate, mech, inst) == \
+            _result(canonical_in_passes, mech, inst), name
+
+
+def _random_entry(rng) -> float:
+    """A typed decimal, its float product k * 0.1 (which can differ from it
+    by an ulp and then reads as the same grid point), a zero, a sentinel or
+    an off-lattice time; few values, so that ties are common."""
+    k = int(rng.integers(1, 9))
+    return (k / 10, k * 0.1, 0.0, float(DEFAULT_BIG), k / 10 + 0.03)[rng.integers(0, 5)]
+
+
+def test_canonical_certificate_matches_the_passes_on_random_instances():
+    """One pass per column builds the certificate, or the refusal, that the
+    three-pass construction built: on default grids, coarse default grids and
+    coarse grids whose top is a column's fastest time, bare or anchored."""
+    rng = np.random.default_rng(21)
+    seen = {"certificate": 0, "top grid point": 0, "dusty tie": 0}
+    for _ in range(1200):
+        mech = CERT_MECHS[rng.integers(0, len(CERT_MECHS))]
+        n, m = int(rng.integers(mech.min_machines, 5)), int(rng.integers(1, 4))
+        inst = Instance(tuple(tuple(_random_entry(rng) for _ in range(m)) for _ in range(n)))
+        step = (0.1, 0.2, 0.5)[rng.integers(0, 3)]
+        t = min(inst.column(int(rng.integers(0, m))))
+        kind, grid = rng.integers(0, 4), None
+        if kind == 1:
+            grid = default_grid(inst, mech, step)
+        elif kind > 1 and t < inst.big and (k := _lattice_index(t, step)):
+            grid = Grid(step, k * step) if kind == 2 else default_grid(inst, mech, step, t)
+        want = _result(canonical_in_passes, mech, inst, grid)
+        assert _result(canonical_certificate, mech, inst, grid) == want, (mech, inst, grid)
+        seen["certificate"] += want.startswith("EquilibriumCertificate")
+        seen["top grid point"] += "top grid point" in want
+        seen["dusty tie"] += any(len(set(col)) > len({round(x, 9) for x in col})
+                                 for col in zip(*inst.times))
+    assert seen["certificate"] >= 300 and seen["top grid point"] >= 30 and \
+        seen["dusty tie"] >= 20, seen
 
 
 def test_verify_certificate_with_modified_truth():
