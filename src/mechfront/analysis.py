@@ -17,8 +17,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .equilibria import (
     EquilibriumCertificate,
     Grid,
@@ -222,6 +220,8 @@ def monotonicity_check(mech: MechanismId, inst: Instance, cert: EquilibriumCerti
     swaps the directions and is the negative control: it must be able to
     fail.  Bids never change; sentinel entries are left alone.  One `uniform`
     call draws every factor, trials first, then entries in row-major order.
+    The certificate's winners pick which entries move down, so a certificate
+    whose winners are not its profile's (one `batch` call) raises ValueError.
     """
     if direction not in ("forward", "reverse"):
         raise ValueError("direction must be 'forward' or 'reverse'")
@@ -229,7 +229,12 @@ def monotonicity_check(mech: MechanismId, inst: Instance, cert: EquilibriumCerti
         raise ValueError(f"trials must be >= 0, got {trials}")
     if grid is None:
         grid = default_grid(inst, mech)
+    import numpy as np
+
     rule = rule_for(mech, inst.n)
+    columns = list(zip(*cert.profile))
+    if rule.batch(columns)[0].tolist() != list(cert.winner):
+        raise ValueError("certificate winners are not the winners of its profile")
     times = np.asarray(inst.times)
     live = ~inst.is_sentinel(times)
     won = np.asarray(cert.winner) == np.arange(inst.n)[:, None]
@@ -238,7 +243,6 @@ def monotonicity_check(mech: MechanismId, inst: Instance, cert: EquilibriumCerti
     u[:, live] = np.random.default_rng(seed).uniform(size=(trials, int(live.sum())))
     modified = np.where(live, np.where(down, times * u, times * (1.0 + u)), times)
     truths = modified.transpose(0, 2, 1).tolist()  # [trial][task] -> true-time column
-    columns = list(zip(*cert.profile))
     failures = []
     for trial, cols in enumerate(truths):
         for j, (col, bids) in enumerate(zip(cols, columns, strict=True)):
@@ -423,6 +427,8 @@ def bucket_equivalence_check(seed: int) -> SuiteReport:
     equilibrium winner set equals `achievable_winners`'s closed bucket for
     every alpha.  Exact set equality.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     lines = []
     mismatches = 0
@@ -498,6 +504,8 @@ def anonymity_suite() -> SuiteReport:
 
 
 def tech1_fuzz(seed: int) -> SuiteReport:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     xs, ys = rng.uniform(0.0, 10.0, size=(2, TECH1_COUNT))
     betas, gammas = rng.uniform(0.1, 10.0, size=(2, TECH1_COUNT))
@@ -516,6 +524,8 @@ CIRCULANT_CASES = ((2, 2.0, 0.9), (3, 2.0, 0.6), (4, 1.5, 0.5), (5, 3.0, 0.4))
 def combi_fuzz(seed: int) -> SuiteReport:
     """Random premise-satisfying matrices must all satisfy the bound; the
     circulant family must satisfy it and attain it to 1e-9 at eps = 0."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     lines = []
     for k in range(COMBI_COUNT):

@@ -49,8 +49,6 @@ import bisect
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .model import DEFAULT_BIG, GRID_STEP, BudgetExceededError, Instance, MechanismId
 from .optsolver import EligibilityMask
 from .rules import SingleTaskRule, rule_for
@@ -83,6 +81,8 @@ class Grid:
         k = _lattice_index(self.cap, self.step)
         if k is None or k < 1:
             raise ValueError(f"cap {self.cap} is not a positive multiple of step {self.step}")
+        import numpy as np  # one vectorized product beats a Python loop even at 81 points
+
         pts = (np.arange(k + 1) * self.step).tolist()
         for a in self.anchors:
             a = float(a)
@@ -277,6 +277,8 @@ def enumerate_equilibria(rule: SingleTaskRule, true_times, grid: Grid) -> Enumer
     if not isinstance(rule, SingleTaskRule):
         raise TypeError(f"enumerate_equilibria counts fp, sp and spa rules only, "
                         f"not {type(rule).__name__}")
+    import numpy as np
+
     t = np.asarray([float(x) for x in true_times])
     n = rule.n
     if len(t) != n:
@@ -323,7 +325,7 @@ def _weigh(keep, lower, below: int, above: int) -> int:
     the winner."""
     g = len(keep)
     total = 0
-    for c in np.flatnonzero(keep + lower).tolist():
+    for c in (keep + lower).nonzero()[0].tolist():
         at_least, over = g - c, g - c - 1  # bids >= pts[c], bids > pts[c]
         total += int(keep[c]) * over ** below * (at_least ** above - over ** above) \
             + int(lower[c]) * (at_least ** below - over ** below) * at_least ** above

@@ -38,8 +38,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import DEFAULT_BIG, GRID_STEP, BudgetExceededError, Instance
 
 GENERATOR_BUDGET = 10 ** 7  # entries of one generated instance
@@ -173,6 +171,8 @@ def gen_random(n: int, m: int, seed: int) -> Instance:
     if seed < 0:
         raise ValueError("need seed >= 0")
     _check_shape(n, m, min_n=1)
+    import numpy as np
+
     ks = np.random.default_rng(seed).integers(1, 41, size=(n, m))
     return Instance((ks * GRID_STEP).tolist())
 

@@ -3,10 +3,15 @@ they only change on purpose."""
 import ast
 import dataclasses
 import pathlib
+import subprocess
+import sys
 import types
+
+import pytest
 
 import mechfront
 from mechfront import analysis
+from mechfront.instances import gen_uniform, save_instance
 
 PACKAGE_DIR = pathlib.Path(mechfront.__file__).parent
 TESTS_DIR = pathlib.Path(__file__).parent
@@ -100,3 +105,47 @@ def test_no_unused_imports():
     paths += TESTS_DIR.glob("*.py")
     unused = {p.name: unused_imports(ast.parse(p.read_text())) for p in paths}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def module_level_imports(tree) -> set:
+    """Top-level names of every module a module imports outside its
+    functions, i.e. while it is being imported."""
+    local = {id(node) for func in ast.walk(tree)
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func)}
+    out = set()
+    for node in ast.walk(tree):
+        if id(node) in local:
+            continue
+        if isinstance(node, ast.Import):
+            out.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.partition(".")[0])
+    return out
+
+
+def test_no_module_imports_numpy_at_module_level():
+    # numpy is loaded by the functions that draw seeded streams or scan arrays
+    loaders = sorted(path.name for path in PACKAGE_DIR.glob("*.py")
+                     if "numpy" in module_level_imports(ast.parse(path.read_text())))
+    assert loaders == []
+
+
+NUMPY_FREE_CALLS = {
+    "import": "import mechfront",
+    "opt": "from mechfront import cli; assert cli.run(['opt', '-i', sys.argv[1]]) == 0",
+    "analyze": "from mechfront import cli; "
+               "assert cli.run(['analyze', '--mech', 'spa:2', '-i', sys.argv[1]]) == 0",
+}
+
+
+@pytest.mark.parametrize("call", sorted(NUMPY_FREE_CALLS))
+def test_fresh_interpreter_leaves_numpy_unloaded(tmp_path, call):
+    path = tmp_path / "u.txt"
+    save_instance(gen_uniform(3), str(path))
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE_DIR.parent)!r}); "
+            f"{NUMPY_FREE_CALLS[call]}; print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-I", "-c", code, str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

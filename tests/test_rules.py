@@ -66,6 +66,14 @@ def test_outcome_validates_bids():
         rule.outcome((1.0, -0.5))
 
 
+def test_outcome_refuses_nan_bids():
+    rule = rule_for(SP, 2)
+    with pytest.raises(ValueError, match=">= 0"):
+        rule.outcome((1.0, float("nan")))
+    with pytest.raises(ValueError, match=">= 0"):
+        rule.outcome((float("nan"), 1.0))
+
+
 def test_outcome_returns_python_scalars():
     w, pay = rule_for(SPA2, 3).outcome((1.0, 3.0, 4.0))
     assert type(w) is int
@@ -173,3 +181,31 @@ def test_pay_matches_scalar_rules_bit_for_bit(bids, mid):
     w, pay = scalar_outcome(mech, bids)  # fp_rule, sp_rule or spa_rule
     second = min(b for i, b in enumerate(bids) if i != w)
     assert repr(rule_for(mech, len(bids)).pay(bids[w], second)) == repr(pay)
+
+
+def float_bits(x: float) -> str:
+    """The float's exact bits, with -0.0 read as 0.0: numpy's min and
+    partition do not say which of two equal zeros they return."""
+    return (x + 0.0).hex()
+
+
+OUTCOME_BIDS = st.one_of(st.sampled_from([0.0, -0.0]),
+                         st.integers(0, 4).map(lambda k: k * 0.5),
+                         st.floats(0, 10, allow_subnormal=False))
+
+
+@given(st.sampled_from(["fp", "sp", "spa:1.5", "spa:2", "spa:1"]), st.data())
+@settings(max_examples=400, deadline=None)
+def test_outcome_is_batch_on_one_row(mid, data):
+    """`outcome` scores a profile in plain Python: the same (int, float) as
+    `batch` on that one row and as the scalar oracle rules, to the last bit,
+    on ties, zeros and -0.0 included."""
+    mech = MechanismId.parse(mid)
+    n = data.draw(st.integers(mech.min_machines, 6), label="n")
+    bids = tuple(data.draw(st.lists(OUTCOME_BIDS, min_size=n, max_size=n), label="bids"))
+    w, pay = rule_for(mech, n).outcome(bids)
+    assert (type(w), type(pay)) == (int, float)
+    bw, bpay = rule_for(mech, n).batch(np.array([bids]))
+    ow, opay = scalar_outcome(mech, bids)
+    assert (w, float_bits(pay)) == (int(bw[0]), float_bits(float(bpay[0])))
+    assert (w, float_bits(pay)) == (ow, float_bits(opay))
