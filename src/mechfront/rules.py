@@ -5,14 +5,12 @@ bidder (lowest index on ties), and pays only the winner min(second-lowest
 bid, reserve * own bid), with the mechanism's `reserve` (`MechanismId`).
 `SingleTaskRule.pay` is the winner's payment given the lowest and the
 second-lowest bid; `batch` scores many profiles at once with the same float
-expressions, and `outcome` scores a single profile in plain Python through
-`pay`: what `batch` returns on that row, bit for bit but for the sign of a
-zero payment.  Only `batch` loads numpy.  A mechanism applies its rule to
-every task on its own.
+expressions, and `outcome` runs `batch` on a single profile.  `batch` and
+`outcome` import numpy when called.  A mechanism applies its rule to every
+task on its own.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .model import MechanismId
@@ -24,9 +22,9 @@ class SingleTaskRule:
 
     `batch(B)` evaluates K profiles at once (B has shape (K, n)) and returns
     the winner index and the winner's payment per row; `outcome(bids)` is
-    the same on one profile, returned as (int, float).  `pay(low, second)`
-    is the payment of a winner bidding `low` when the lowest other bid is
-    `second` (inf when n = 1), bit for bit what `batch` pays on such a row.
+    `batch` on one profile, returned as (int, float).  `pay(low, second)` is
+    the payment of a winner bidding `low` when the lowest other bid is
+    `second`, bit for bit what `batch` pays on such a row.
     """
 
     id: MechanismId
@@ -41,13 +39,13 @@ class SingleTaskRule:
     def outcome(self, bids) -> tuple:
         if len(bids) != self.n:
             raise ValueError(f"expected {self.n} bids, got {len(bids)}")
-        row = [float(b) for b in bids]
-        if not all(b >= 0 for b in row):  # NaN fails this test too
+        import numpy as np
+
+        row = np.asarray(bids, dtype=float).reshape(1, self.n)
+        if not (row >= 0).all():  # NaN fails this test too
             raise ValueError("bids must be >= 0")
-        low = min(row)
-        w = row.index(low)  # the first minimum: lowest index on ties
-        second = min(row[:w] + row[w + 1:], default=math.inf)
-        return w, self.pay(low, second)
+        w, pay = self.batch(row)
+        return int(w[0]), float(pay[0])
 
     def pay(self, low: float, second: float) -> float:
         reserve = self.id.reserve

@@ -328,14 +328,6 @@ def test_monotonicity_rejects_negative_trials():
         analysis.MonotonicityResult(True, 0, "forward", ())
 
 
-def test_monotonicity_rejects_a_certificate_with_foreign_winners():
-    inst = gen_uniform(2)
-    cert = canonical_certificate(FP, inst)
-    swapped = replace(cert, winner=tuple(1 - w for w in cert.winner))
-    with pytest.raises(ValueError, match="not the winners of its profile"):
-        monotonicity_check(FP, inst, swapped, trials=1, seed=0)
-
-
 def test_monotonicity_check_verifies_each_trial_and_column_through_analysis(monkeypatch):
     """Every (trial, task) pair is one call through the name `analysis`
     imported, with plain-float columns: the truths of that trial and the
