@@ -40,12 +40,16 @@ payments computed from grid points are bit-for-bit the payments computed from
 the instance itself; boundary cases like t_i == alpha * t_min then resolve
 identically on both routes.  A float reads as lattice index
 k = round(value / step) when the quotient is finite and |k * step - value|
-<= 1e-9 * max(1, |value|); `_lattice_index` holds that one rule, and every
-cap, anchor, bid and fastest time here is read through it.
+<= 1e-9 * max(1, |value|); `_lattice_index` holds that one dust rule, and
+every cap, anchor, bid and fastest time here reads by it.  A grid point, the
+common case of a bid, reads as its own index by one exact comparison
+(`Grid.index_of` and `Grid.floor`); any other value reads by the dust rule,
+which gives a grid point that same index.
 """
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -97,19 +101,34 @@ class Grid:
 
     def index_of(self, value: float) -> int:
         """Index of the grid point `value` reads as; rejects off-grid values."""
-        i = _lattice_index(value, self.step)
+        i = self._read(value)
         if i is None or not 0 <= i < len(self.points):
-            raise ValueError(f"{value} is not on the grid (step {self.step}, cap {self.cap})")
+            raise self._off_grid(value)
         return i
 
     def floor(self, value: float) -> float:
         """The grid point `value` reads as, else the largest point below it."""
-        i = _lattice_index(value, self.step)
+        i = self._read(value)
         if i is None or i >= len(self.points):
             i = bisect.bisect_right(self.points, value) - 1
         if i < 0:
             raise ValueError(f"{value} is below the grid")
         return self.points[i]
+
+    def _read(self, value: float) -> int | None:
+        """The lattice index `value` reads as, or None: a grid point reads as
+        its own index by one exact comparison, any other value by
+        `_lattice_index`, which gives a grid point that same index."""
+        try:
+            k = round(value / self.step)
+            if k >= 0 and self.points[k] == value:
+                return k
+        except (OverflowError, ValueError, IndexError):  # inf, NaN, past the top
+            pass
+        return _lattice_index(value, self.step)
+
+    def _off_grid(self, value: float) -> ValueError:
+        return ValueError(f"{value} is not on the grid (step {self.step}, cap {self.cap})")
 
 
 def _lattice_index(value: float, step: float) -> int | None:
@@ -180,43 +199,62 @@ class EquilibriumCertificate:
     winner: tuple
 
 
+@functools.lru_cache(maxsize=256)
+def _passed(checked_deviations: int) -> VerifyResult:
+    """The one passing verdict per deviation count: it carries no witness.
+    Bounded, since a process can meet any number of grid sizes."""
+    return VerifyResult(True, None, None, 0.0, checked_deviations)
+
+
 def verify_equilibrium(rule: SingleTaskRule, true_times, bids, grid: Grid) -> VerifyResult:
     """Decide every unilateral grid deviation of every machine in closed form.
 
-    Each bid must be within float dust of a grid point (`Grid.index_of`) and
-    is read as that point.  Only the winner is paid, and machine i moving its
+    Each bid must read as a grid point (`Grid.index_of`: a grid point as
+    itself by an exact comparison, any other value by the dust rule) and is
+    judged as that point.  Only the winner is paid, and machine i moving its
     bid faces the others' bids unchanged: with m_i = pts[k] the lowest of them
     and h_i the lowest index holding it, i wins at grid point p iff p < m_i,
-    or p == m_i and i < h_i.  For a loser m_i is the winning bid; for the
-    winner it is the second-lowest bid.  So i's winning points are the grid's
-    first k + 1 (i < h_i) or k, and on them i's utility
-    `rule.pay(p, m_i) - t_i` never decreases: its best deviation is worth the
-    prefix's last value, or 0 at the first losing point when that value is
-    negative.  The witness is the best improving deviation, ties toward the
+    or p == m_i and i < h_i.  For a loser m_i is the winning bid and h_i the
+    winner, the first holder of the lowest bid; for the winner they are the
+    lowest other bid and its first holder, found in the same pass over the
+    bids.  So i's winning points are the grid's first k + 1 (i < h_i) or k,
+    and on them i's utility `rule.pay(p, m_i) - t_i` never decreases: its
+    best deviation is worth the prefix's last value, or 0 at the first
+    losing point when that value is negative.  The witness is the best improving deviation, ties toward the
     lowest machine, then the lowest bid; a bisection, run for the witness
     alone, finds the first point reaching its value.
-    `checked_deviations` counts the n * len(grid) deviations decided.
+    `checked_deviations` counts the n * len(grid) deviations decided; every
+    passing verdict with one count is one shared `VerifyResult`.
     """
     true_times = tuple(map(float, true_times))
     bids = tuple(map(float, bids))
     n = rule.n
     if len(true_times) != n or len(bids) != n:
         raise ValueError(f"expected {n} true times and bids")
-    idx = [grid.index_of(b) for b in bids]  # raises when off-grid
     pts = grid.points
     g = len(pts)
-    order = sorted(range(n), key=idx.__getitem__)  # stable: the lowest index first on ties
-    w = order[0]
-    h = order[1] if n > 1 else n
-    low = pts[idx[w]]
-    # a lone machine faces no bid: it wins at every point and is paid as if facing inf
-    second, k_second = (pts[idx[h]], idx[h]) if h < n else (math.inf, g - 1)
+    index_of = grid.index_of
+    # w holds the lowest bid and h the lowest other, each the first holder:
+    # h == n means a lone machine, which faces no bid and is paid as if facing inf
+    w = h = n
+    k_low = k_second = g  # above every index
+    for i, b in enumerate(bids):
+        k = index_of(b)  # raises when off-grid
+        if k < k_low:
+            w, k_low, h, k_second = i, k, w, k_low
+        elif k < k_second:
+            h, k_second = i, k
+    low = pts[k_low]
+    if h < n:
+        second = pts[k_second]
+    else:
+        second, k_second = math.inf, g - 1
     best_gain, witness = 0.0, None
     for i, t in enumerate(true_times):
         if i == w:
             faced, k, holder, current = second, k_second, h, rule.pay(low, second) - t
         else:
-            faced, k, holder, current = low, idx[w], w, 0.0
+            faced, k, holder, current = low, k_low, w, 0.0
         wins = k + 1 if i < holder else k
         u, top = 0.0, None  # None: the first losing point, pts[wins]
         if wins:
@@ -226,7 +264,7 @@ def verify_equilibrium(rule: SingleTaskRule, true_times, bids, grid: Grid) -> Ve
         if u - current > best_gain:
             best_gain, witness = u - current, (i, faced, wins, top)
     if witness is None:
-        return VerifyResult(True, None, None, 0.0, n * g)
+        return _passed(n * g)
     i, faced, x, top = witness
     if top is not None:  # the first winning point worth `top`
         t = true_times[i]
@@ -382,13 +420,14 @@ def canonical_certificate(mech: MechanismId, inst: Instance,
     """A concrete verified whole-profile equilibrium for fp, sp, or spa,
     built column by column in one pass over the machines.
 
-    The lowest-index fastest machine w bids its time t_min, which must read
-    as a grid point; `above` is the grid point after it.  fp (reserve 1):
-    the machines after w pin it with the bid t_min, those before sit at
-    `above`.  sp and spa: every other machine bids its time capped at the
-    largest grid point <= reserve * t_min (the grid top for sp) and floored
-    onto the grid, or `above` when that is not above t_min, and then ties
-    bid t_min.  A column whose bids, ties included, pass the top is refused.
+    Every machine tied at the fastest time t_min bids it; t_min must read
+    as a grid point, w is the lowest-index fastest machine and `above` the
+    grid point after t_min.  fp (reserve 1): the other machines after w pin
+    it with the bid t_min, those before sit at `above`.  sp and spa: every
+    other machine bids its time capped at the largest grid point <=
+    reserve * t_min (the grid top for sp) and floored onto the grid, or
+    `above` when that is not above t_min.  A column that needs `above` when
+    t_min is the grid top is refused.
 
     Flooring shades a loser's report down by less than one step, which can
     only lose it money if it wins.  Under spa with alpha > 1 a zero fastest
@@ -404,23 +443,28 @@ def canonical_certificate(mech: MechanismId, inst: Instance,
     for j in range(inst.m):
         col = inst.column(j)
         t_min = min(col)
-        if _lattice_index(t_min, grid.step) is None:
+        k = grid._read(t_min)
+        if k is None:
             raise ValueError(f"fastest time {t_min} of task {j} is not a grid multiple; "
                              f"pass a finer grid")
+        if not 0 <= k < len(pts):
+            raise grid._off_grid(t_min)
         w = col.index(t_min)
-        k = grid.index_of(t_min) + 1  # the point above, from the grid: t_min + step can miss it
-        above = pts[k] if k < len(pts) else math.inf
+        # the point above, from the grid: t_min + step can miss it
+        above = pts[k + 1] if k + 1 < len(pts) else math.inf
         top = pts[-1] if mech.reserve is None else grid.floor(min(mech.reserve * t_min, pts[-1]))
         bids = []
         for i, t in enumerate(col):
-            if mech.reserve == 1 or i == w:
-                b = t_min if i >= w else above
+            if t == t_min:
+                b = t_min
+            elif mech.reserve == 1:
+                b = t_min if i > w else above
             else:
                 b = grid.floor(min(t, top))
                 b = b if b > t_min else above
             if b == math.inf:
                 raise ValueError(f"{t_min} is the top grid point; no bid above it")
-            bids.append(t_min if t == t_min else b)
+            bids.append(b)
         res = verify_equilibrium(rule, col, bids, grid)
         if not res:
             raise ValueError(f"canonical construction failed for task {j}: machine "

@@ -11,8 +11,9 @@ profile at a time; `brute_force_makespan` enumerates every assignment;
 or instances; `on_grid`, `grid_index_of`, `grid_floor` and
 `canonical_in_passes` are the lattice readings and the certificate
 construction as they stood before `equilibria._lattice_index` owned the
-rule, each reading measured from its own value.  The tests compare the
-production paths against them.
+rule, each reading measured from its own value (the construction since
+lets a tie at the fastest time bid it, even at the grid top).  The tests
+compare the production paths against them.
 """
 import bisect
 import itertools
@@ -279,8 +280,8 @@ def _point_above(grid, value: float) -> float:
 
 def canonical_in_passes(mech, inst, grid=None) -> EquilibriumCertificate:
     """`canonical_certificate` built in three passes per column: floor every
-    report, lift every loser at or below the fastest time one point, then
-    put the ties back on it."""
+    report, lift every machine not tied at the fastest time from at or below
+    it to the point above it, then put the ties back on it."""
     if grid is None:
         grid = default_grid(inst, mech)
     rule = rule_for(mech, inst.n)
@@ -301,7 +302,7 @@ def canonical_in_passes(mech, inst, grid=None) -> EquilibriumCertificate:
                 grid_floor(grid, min(mech.reserve * t_min, cap))
             bids = [grid_floor(grid, min(col[i], reserve_floor)) for i in range(n)]
             for i in range(n):
-                if i != w and bids[i] <= t_min:
+                if col[i] != t_min and bids[i] <= t_min:
                     bids[i] = _point_above(grid, t_min)
             for i in range(n):
                 if col[i] == t_min:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mechfront import equilibria
 from mechfront.equilibria import (
     ENUMERATION_BUDGET,
+    EquilibriumCertificate,
     Grid,
     achievable_winners,
     bucket_sizes,
@@ -93,6 +94,19 @@ def test_grid_index_of_and_floor():
     assert g.floor(1.3) == 1.0
     assert g.floor(1.5) == 1.5
     assert g.floor(99.0) == 3.0
+    # -0.0 is the point 0.0, and floor gives the grid's own +0.0
+    assert g.index_of(-0.0) == 0
+    assert math.copysign(1.0, g.floor(-0.0)) == 1.0
+    # an anchor replaces 3 * 0.1 == 0.30000000000000004 and reads as itself
+    anchored = Grid(0.1, 1.0, anchors=(0.3,))
+    assert anchored.points[3] == 0.3 != 3 * 0.1
+    assert anchored.index_of(0.3) == anchored.index_of(3 * 0.1) == 3
+    assert anchored.floor(0.3) == anchored.floor(3 * 0.1) == 0.3
+    # 1e308 / 1e-3 overflows to inf: no index, not an OverflowError
+    fine = Grid(1e-3, 1.0)
+    with pytest.raises(ValueError, match="not on the grid"):
+        fine.index_of(1e308)
+    assert fine.floor(1e308) == 1.0
 
 
 def test_grid_points_are_python_floats():
@@ -277,6 +291,7 @@ def test_verify_makes_no_batch_call(monkeypatch):
 VERIFY_MECHS = ["fp", "sp", "spa:1", "spa:1.3", "spa:1.5", "spa:2", "spa:3"]
 VERIFY_GRID = Grid(0.1, 2.0)
 OFF_GRID = (0.0, 0.0, 1e-9, -1e-9, 0.05)
+BID_SHIFTS = (0, 0, 0, -3, -1, 1, 3)  # ulps
 
 
 @st.composite
@@ -285,7 +300,8 @@ def verify_cases(draw):
     the float products k * 0.1, or `default_grid` anchored at decimal true
     times k / 10.  A true time is a grid value, just off it, or the
     sentinel; under spa:1.3, alpha * x and the plateau's start fall between
-    round values."""
+    round values.  A bid is a grid point or a few ulps off one that reads as
+    that point."""
     n = draw(st.integers(1, 4))
     mech = MechanismId.parse("fp" if n == 1 else draw(st.sampled_from(VERIFY_MECHS)))
     anchored = draw(st.booleans())
@@ -299,16 +315,26 @@ def verify_cases(draw):
             truth.append(max(0.0, t + draw(st.sampled_from(OFF_GRID))))
     grid = default_grid(truth, mech) if anchored else VERIFY_GRID
     ks = draw(st.lists(st.integers(0, len(grid) - 1), min_size=n, max_size=n))
-    return rule_for(mech, n), tuple(truth), tuple(float(grid.points[k]) for k in ks), grid
+    bids = []
+    for k in ks:
+        point = float(grid.points[k])
+        bid = _ulps(point, draw(st.sampled_from(BID_SHIFTS)))
+        # an anchor at the dust band's edge, such as 1e-9 for the point 0,
+        # stays put: a shift could leave the band
+        bids.append(bid if _lattice_index(bid, grid.step) == k else point)
+    return rule_for(mech, n), tuple(truth), tuple(bids), grid
 
 
 @given(verify_cases())
 @settings(max_examples=600, deadline=None)
 def test_verify_matches_per_machine_scan(case):
     """The closed form returns the dense oracle's result on every field:
-    verdict, witness machine and bid, gain, deviation count."""
+    verdict, witness machine and bid, gain, deviation count.  The oracle
+    scores the grid points that the bids read as."""
     rule, truth, bids, grid = case
-    assert verify_equilibrium(rule, truth, bids, grid) == per_machine_scan(rule, truth, bids, grid)
+    points = tuple(grid.points[grid_index_of(grid, b)] for b in bids)
+    assert verify_equilibrium(rule, truth, bids, grid) == \
+        per_machine_scan(rule, truth, points, grid)
 
 
 @given(verify_cases())
@@ -663,6 +689,17 @@ def test_canonical_certificate_refuses_a_fastest_time_at_the_grid_top():
     inst = Instance(((2.0,), (1.0,)))  # machine 0 must bid above machine 1
     with pytest.raises(ValueError, match="top grid point"):
         canonical_certificate(FP, inst, Grid(0.5, 1.0))
+
+
+@pytest.mark.parametrize("mech", [SP, SPA2, FP], ids=str)
+def test_canonical_certificate_ties_at_the_grid_top_bid_it(mech):
+    # both machines take 0.4, the top point: the tied one bids 0.4 too and
+    # needs no point above it
+    inst, grid = Instance(((0.4,), (0.4,))), Grid(0.2, 0.4)
+    cert = canonical_certificate(mech, inst, grid)
+    assert cert == EquilibriumCertificate(((0.4,), (0.4,)), (0,))
+    assert cert == canonical_in_passes(mech, inst, grid)
+    assert verify_equilibrium(rule_for(mech, 2), (0.4, 0.4), (0.4, 0.4), grid)
 
 
 def test_canonical_certificate_refuses_spa_on_a_zero_fastest_time():
