@@ -88,7 +88,7 @@ def inefficiency(mech: MechanismId, inst: Instance, optimum: tuple | None = None
         mask = achievable_winners(mech, inst)
     opt, opt_w = opt_makespan(inst) if optimum is None else optimum
     worst, worst_w = opt_makespan_masked(inst, mask, "max")
-    if all(i in s for i, s in zip(opt_w, mask.allowed)):
+    if all(map(frozenset.__contains__, mask.allowed, opt_w)):
         best, best_w = opt, opt_w
     else:
         best, best_w = opt_makespan_masked(inst, mask, "min")

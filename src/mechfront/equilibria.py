@@ -374,27 +374,27 @@ def _weigh(keep, lower, below: int, above: int) -> int:
 # analytic winner sets
 # ---------------------------------------------------------------------------
 
-def _column_winners(mech: MechanismId, col, big: float) -> list:
-    if mech.reserve is None:
-        s = [i for i, t in enumerate(col) if t < big]
-        if not s:
-            raise ValueError("task has no machine below the sentinel")
-        return s
-    # The closed bucket; reserve 1 keeps exactly t == t_min.  The boundary
-    # machine t = reserve*t_min wins at pay reserve*t_min with utility 0 and
-    # no grid deviation beats that, so <= (not <) is the right comparison.
-    cut = mech.reserve * min(col)
-    return [i for i, t in enumerate(col) if t <= cut]
-
-
 def achievable_winners(mech: MechanismId, inst: Instance) -> EligibilityMask:
     """Per-task equilibrium winner sets, by closed form (no enumeration):
     allowed[j] = machines that win task j in some equilibrium."""
     if inst.n < mech.min_machines:
         raise ValueError(f"{mech} needs n >= {mech.min_machines}")
-    return EligibilityMask(
-        tuple([_column_winners(mech, col, inst.big) for col in zip(*inst.times)])
-    )
+    reserve, big = mech.reserve, inst.big
+    sets = []
+    for col in zip(*inst.times):
+        if reserve is None:  # sp: every machine below the sentinel
+            winners = [i for i, t in enumerate(col) if t < big]
+            if not winners:
+                raise ValueError("task has no machine below the sentinel")
+        else:
+            # The closed bucket; reserve 1 keeps exactly t == t_min.  The
+            # boundary machine t = reserve*t_min wins at pay reserve*t_min
+            # with utility 0 and no grid deviation beats that, so <= (not <)
+            # is the right comparison.
+            cut = reserve * min(col)
+            winners = [i for i, t in enumerate(col) if t <= cut]
+        sets.append(winners)
+    return EligibilityMask(tuple(sets))
 
 
 def sorted_columns(inst: Instance) -> list:
@@ -405,7 +405,7 @@ def sorted_columns(inst: Instance) -> list:
 def bucket_sizes(columns, alpha: float) -> tuple:
     """How many machines each task's spa:alpha winner set holds (alpha = 1:
     fp's), given `sorted_columns` of the instance.  The set is {i : t_i <=
-    alpha * t_min}, the same float product and comparison `_column_winners`
+    alpha * t_min}, the same float product and comparison `achievable_winners`
     makes, so it holds a column's k fastest entries and, for one instance,
     equal sizes mean equal winner sets."""
     return tuple([bisect.bisect_right(col, alpha * col[0]) for col in columns])

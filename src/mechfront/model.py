@@ -28,8 +28,16 @@ class BudgetExceededError(RuntimeError):
 
 
 def _as_matrix(rows) -> tuple:
+    """The rows as float tuples, and the largest entry.
+
+    One pass per row: `min` refuses a negative entry and `sum` a non-finite
+    one (a NaN or inf entry makes the sum NaN or inf, which `min` and `max`
+    can miss; a sum that overflows on finite entries is re-checked entry by
+    entry), `max` gives the row's largest entry, and a row whose minimum is
+    zero reads -0.0 as 0.0, so no zero time carries a sign."""
     out = []
     width = None
+    top = -math.inf
     for r, row in enumerate(rows):
         try:
             row = tuple(map(float, row))
@@ -39,29 +47,40 @@ def _as_matrix(rows) -> tuple:
             width = len(row)
         elif len(row) != width:
             raise ValueError(f"times: row {r} has {len(row)} entries, expected {width}")
-        if not all(map(math.isfinite, row)) or min(row, default=0.0) < 0:
-            bad = next(x for x in row if not math.isfinite(x) or x < 0)
-            raise ValueError(f"times: entries must be finite and >= 0, got {bad}")
+        if row:
+            low = min(row)
+            if not (low >= 0 and sum(row) < math.inf):
+                bad = next((x for x in row if not math.isfinite(x) or x < 0), None)
+                if bad is not None:
+                    raise ValueError(f"times: entries must be finite and >= 0, got {bad}")
+            if low == 0:  # the row holds a zero, maybe -0.0
+                row = tuple([x + 0.0 for x in row])
+            hi = max(row)
+            if hi > top:
+                top = hi
         out.append(row)
     if not out:
         raise ValueError("times: need at least one row")
     if not width:
         raise ValueError("times: need at least one column")
-    return tuple(out)
+    return tuple(out), top
 
 
 @dataclass(frozen=True)
 class Instance:
-    """True times for n machines (rows) over m tasks (columns)."""
+    """True times for n machines (rows) over m tasks (columns), as float
+    tuples; a zero time is stored as 0.0 whatever sign its input had."""
 
     times: tuple
     big: float = DEFAULT_BIG
 
     def __post_init__(self):
-        object.__setattr__(self, "times", _as_matrix(self.times))
+        times, top = _as_matrix(self.times)
+        object.__setattr__(self, "times", times)
         if not (self.big > 0) or math.isinf(self.big):
             raise ValueError("big must be positive and finite")
-        top = max((x for row in self.times for x in row if x < self.big), default=None)
+        if not top < self.big:  # a sentinel row: the largest entry below big
+            top = max((x for row in times for x in row if x < self.big), default=None)
         if top is not None:
             bound = 2 * (self.n + self.m) * top
             if not self.big > bound:

@@ -16,11 +16,14 @@ The margin is 0 when `_sums_are_exact`: every entry is an integer and every
 sum of one entry per task stays below 2^53, so every load is exact, and a
 leaf's value, an integer at least the exact average, is at least the
 average's rounding.  Otherwise it is 1e-9 relative, so a node can never be
-cut by summation-order noise alone.  The largest remaining minimum needs no
-margin: a float sum of non-negative entries is at least each of them.  No
-pruned node holds a leaf strictly below the incumbent, which the search
-replaces only on a strict `<`.  The first incumbent is the load-greedy
-placement: tasks in index order, each on its least-loaded eligible machine.
+cut by summation-order noise alone.  The test reads the times alone, so the
+first search of an instance keeps its answer on the instance (`_margin`).
+The largest remaining minimum needs no margin: a float sum of non-negative
+entries is at least each of them.  No pruned node holds a leaf strictly
+below the incumbent, which the search replaces only on a strict `<`.  The
+first incumbent is the load-greedy placement: tasks in index order, each on
+its least-loaded eligible machine, the lowest index on ties (a strict `<`
+over the machines in ascending order).
 
 The search is depth-first on an explicit stack, so any number of tasks fits;
 it raises `BudgetExceededError` past `SEARCH_BUDGET` nodes.
@@ -42,7 +45,7 @@ allowed on every task.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 from .model import BudgetExceededError, Instance, loads
 
@@ -78,8 +81,14 @@ def _greedy_placement(times, allowed) -> tuple:
     load = [0.0] * len(times)
     winner = []
     for col, machines in zip(zip(*times), allowed):
-        w = min(machines, key=lambda i: load[i] + col[i])
-        load[w] += col[w]
+        it = iter(machines)
+        w = next(it)
+        low = load[w] + col[w]
+        for i in it:
+            grown = load[i] + col[i]
+            if grown < low:
+                w, low = i, grown
+        load[w] = low
         winner.append(w)
     return winner, load
 
@@ -103,25 +112,31 @@ def opt_makespan_masked(inst: Instance, mask: EligibilityMask, objective: str = 
     return _min_search(inst, [sorted(s) for s in mask.allowed])
 
 
-def _min_search(inst: Instance, allowed) -> tuple:
+def _min_search(inst: Instance, allowed=None) -> tuple:
     """Branch-and-bound minimum over assignments with task j on a machine of
-    `allowed[j]`, a nonempty ascending sequence of indices below inst.n."""
+    `allowed[j]`, a nonempty ascending sequence of indices below inst.n;
+    every machine on every task when `allowed` is None."""
     times = inst.times
     cols = list(zip(*times))
     n, m = len(times), len(cols)
-    min_time = [min(map(col.__getitem__, machines)) for col, machines in zip(cols, allowed)]
-    # biggest best-case tasks first tightens the bound early
-    order = sorted(range(m), key=lambda j: (-min_time[j], j))
-    suffix_sum = [0.0] * (m + 1)
-    suffix_max = [0.0] * (m + 1)
-    for d in range(m - 1, -1, -1):
-        j = order[d]
-        suffix_sum[d] = suffix_sum[d + 1] + min_time[j]
-        suffix_max[d] = max(suffix_max[d + 1], min_time[j])
+    if allowed is None:
+        allowed = [range(n)] * m
+        min_time = list(map(min, cols))
+    else:
+        min_time = [min(map(col.__getitem__, machines))
+                    for col, machines in zip(cols, allowed)]
+    # biggest best-case tasks first tightens the bound early; the sort is
+    # stable, so ties keep ascending task order
+    order = sorted(range(m), key=min_time.__getitem__, reverse=True)
+    # bounds by depth: the remaining minima's sum (accumulated from the last
+    # task back) and their largest, the first of a descending suffix
+    suffix_max = [min_time[j] for j in order]
+    suffix_sum = list(accumulate(reversed(suffix_max), initial=0.0))[::-1]
+    suffix_max.append(0.0)
 
     best_assign, greedy_loads = _greedy_placement(times, allowed)
     best_val = max(greedy_loads)
-    margin = 0.0 if _sums_are_exact(cols) else 1e-9  # relative to the incumbent
+    margin = _margin(inst)
 
     # depth-first on a stack of (depth, loads, load sum, max load, machine
     # given task order[depth - 1]): the node popped last at each shallower
@@ -169,13 +184,12 @@ def _masked_max(inst: Instance, allowed) -> tuple:
     the set `allowed[j]`.  It has a closed form: some machine ends up with its
     entire eligible set, and nothing else can beat that.  Witness: give that
     machine everything it may take; park the rest on their lowest eligible."""
-    best_val = -1.0
-    best_machine = 0
-    for i, row in enumerate(inst.times):
-        total = sum([t for t, machines in zip(row, allowed) if i in machines])
-        if total > best_val:
-            best_val = total
-            best_machine = i
+    times = inst.times
+    full = [0.0] * len(times)  # each machine's eligible set, summed in task order
+    for j, machines in enumerate(allowed):
+        for i in machines:
+            full[i] += times[i][j]
+    best_machine = full.index(max(full))  # the first on ties
     assign = [best_machine if best_machine in machines else min(machines)
               for machines in allowed]
     # a parked machine could in principle exceed the full-set machine
@@ -191,6 +205,18 @@ def _sums_are_exact(cols) -> bool:
         sum(map(max, cols)) < 2 ** 53
 
 
+def _margin(inst: Instance) -> float:
+    """The prune margin, relative to the incumbent: 0 when
+    `_sums_are_exact`, else 1e-9.  It depends on the times alone, so the
+    first search of an instance keeps it in the instance's `__dict__`, as
+    `functools.cached_property` does, and later searches read it back."""
+    margin = inst.__dict__.get("search_margin")
+    if margin is None:
+        margin = 0.0 if _sums_are_exact(list(zip(*inst.times))) else 1e-9
+        inst.__dict__["search_margin"] = margin
+    return margin
+
+
 def opt_makespan(inst: Instance) -> tuple:
     """Minimum makespan over all n^m assignments; returns (value, witness)."""
-    return _min_search(inst, [range(inst.n)] * inst.m)
+    return _min_search(inst)

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from mechfront import analysis, cli, equilibria, instances, optsolver
+from mechfront import analysis, cli, equilibria, instances, model, optsolver
 from mechfront.analysis import SuiteReport
 from mechfront.instances import gen_random, gen_tradeoff, gen_uniform
 from mechfront.model import DEFAULT_BIG, makespan
@@ -290,6 +290,17 @@ def test_analyze_uniform_golden_stdout(capsys, tmp_path, mech):
     assert out == json.dumps(expected, indent=1) + "\n"
 
 
+@pytest.mark.parametrize("mech", ["fp", "sp", "spa:2"])
+def test_analyze_reads_a_negative_zero_time_as_zero(capsys, tmp_path, mech):
+    outs = []
+    for zero in ("-0.0", "0.0"):
+        path = tmp_path / f"zero{zero}.json"
+        path.write_text(f'{{"times": [[{zero}, 1.0], [1.0, {zero}]], "big": 1000000.0}}')
+        outs.append(run_cli(capsys, "analyze", "-i", str(path), "--mech", mech))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0 and "-0" not in outs[0][1]
+
+
 def test_analyze_best_witness_is_the_optimum_when_it_is_an_equilibrium(capsys, tmp_path):
     # every winner of the optimum is in spa:2's winner sets, so the best
     # equilibrium reports the optimum's witness; a masked search would pick
@@ -376,6 +387,43 @@ def test_verify_golden_stdout(capsys, suite, expected):
     assert out == expected
 
 
+# Reports recorded before the engines' per-call setup was trimmed: (opt,
+# worst, best, poa, pos, opt witness, worst witness, best witness) on
+# gen_random(3, 4, seed).  A changed tie or witness anywhere shows here.
+GOLDEN_RANDOM_ANALYZE = {
+    (1000, "fp"): (2.0, 2.8, 2.8, 1.4, 1.4, [0, 1, 2, 2], [0, 1, 1, 2], [0, 1, 1, 2]),
+    (1000, "sp"): (2.0, 8.9, 2.0, 4.45, 1.0, [0, 1, 2, 2], [0, 0, 0, 0], [0, 1, 2, 2]),
+    (1000, "spa:2"): (2.0, 4.2, 2.0, 2.1, 1.0, [0, 1, 2, 2], [0, 2, 2, 2], [0, 1, 2, 2]),
+    (1001, "fp"): (2.2, 3.0, 3.0, 1.36364, 1.36364,
+                   [1, 2, 2, 0], [2, 2, 2, 0], [2, 2, 2, 0]),
+    (1001, "sp"): (2.2, 9.6, 2.2, 4.36364, 1.0, [1, 2, 2, 0], [0, 0, 0, 0], [1, 2, 2, 0]),
+    (1001, "spa:2"): (2.2, 3.9, 2.6, 1.77273, 1.18182,
+                      [1, 2, 2, 0], [2, 1, 1, 0], [2, 1, 2, 0]),
+    (1002, "fp"): (2.5, 4.0, 4.0, 1.6, 1.6, [0, 2, 2, 1], [0, 2, 2, 0], [0, 2, 2, 0]),
+    (1002, "sp"): (2.5, 10.7, 2.5, 4.28, 1.0, [0, 2, 2, 1], [1, 1, 1, 1], [0, 2, 2, 1]),
+    (1002, "spa:2"): (2.5, 7.1, 2.5, 2.84, 1.0, [0, 2, 2, 1], [2, 2, 2, 2], [0, 2, 2, 1]),
+    (1003, "fp"): (1.9, 3.1, 1.9, 1.63158, 1.0, [1, 0, 2, 0], [0, 0, 2, 0], [1, 0, 2, 0]),
+    (1003, "sp"): (1.9, 11.1, 1.9, 5.84211, 1.0, [1, 0, 2, 0], [2, 2, 2, 2], [1, 0, 2, 0]),
+    (1003, "spa:2"): (1.9, 5.5, 1.9, 2.89474, 1.0, [1, 0, 2, 0], [0, 0, 0, 0], [1, 0, 2, 0]),
+    (1004, "fp"): (1.2, 1.2, 1.2, 1.0, 1.0, [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]),
+    (1004, "sp"): (1.2, 11.0, 1.2, 9.16667, 1.0, [1, 0, 0, 0], [2, 2, 2, 2], [1, 0, 0, 0]),
+    (1004, "spa:2"): (1.2, 1.4, 1.2, 1.16667, 1.0, [1, 0, 0, 0], [2, 0, 0, 0], [1, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("seed,mech", sorted(GOLDEN_RANDOM_ANALYZE))
+def test_analyze_random_golden_stdout(capsys, tmp_path, seed, mech):
+    path = tmp_path / "random.json"
+    instances.save_instance(gen_random(3, 4, seed), str(path))
+    code, out, _ = run_cli(capsys, "analyze", "-i", str(path), "--mech", mech)
+    opt, worst, best, poa, pos, opt_w, worst_w, best_w = GOLDEN_RANDOM_ANALYZE[seed, mech]
+    assert code == 0
+    assert out == _golden({
+        "mech": mech, "opt": opt, "worst_makespan": worst, "best_makespan": best,
+        "poa_ratio": poa, "pos_ratio": pos,
+        "witnesses": {"opt": opt_w, "worst": worst_w, "best": best_w}})
+
+
 # ---------------------------------------------------------------- frontier
 
 def test_frontier_csv_exact(capsys):
@@ -394,6 +442,49 @@ alpha,poa_bound,pos_bound,poa_emp,pos_emp
 2,9,3,9,2.90476
 4,17,2,17,1.97561
 """
+
+
+# recorded before the engines' per-call setup was trimmed
+GOLDEN_FRONTIER = {
+    2: """\
+alpha,poa_bound,pos_bound,poa_emp,pos_emp
+1,2,2,2,1.90909
+1.3,2.3,1.76923,2.3,1.71429
+2,3,1.5,3,1.47619
+2.7,3.7,1.37037,3.7,1.35714
+4,5,1.25,5,1.2439
+""",
+    3: """\
+alpha,poa_bound,pos_bound,poa_emp,pos_emp
+1,3,3,3,2.81818
+1.3,3.6,2.53846,3.6,2.42857
+2,5,2,5,1.95238
+2.7,6.4,1.74074,6.4,1.71429
+4,9,1.5,9,1.4878
+""",
+    4: """\
+alpha,poa_bound,pos_bound,poa_emp,pos_emp
+1,4,4,4,3.72727
+1.3,4.9,3.30769,4.9,3.14286
+2,7,2.5,7,2.42857
+2.7,9.1,2.11111,9.1,2.07143
+4,13,1.75,13,1.73171
+""",
+    5: """\
+alpha,poa_bound,pos_bound,poa_emp,pos_emp
+1,5,5,5,4.63636
+1.3,6.2,4.07692,6.2,3.85714
+2,9,3,9,2.90476
+2.7,11.8,2.48148,11.8,2.42857
+4,17,2,17,1.97561
+""",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_FRONTIER))
+def test_frontier_golden_stdout(capsys, n):
+    code, out, _ = run_cli(capsys, "frontier", "-n", str(n), "--alphas", "1,1.3,2,2.7,4")
+    assert (code, out) == (0, GOLDEN_FRONTIER[n])
 
 
 def test_frontier_is_deterministic(capsys):
@@ -423,6 +514,34 @@ def test_frontier_builds_a_repeated_suite_member_once(capsys, monkeypatch):
                              "--suite", "uniform:n=3;hat:n=3,alpha=2;uniform:n=3")
     assert (code, twice) == (0, once)
     assert built == ["uniform:n=3", "hat:alpha=2,n=3"]
+
+
+def test_frontier_reaches_every_engine_binding(capsys, monkeypatch):
+    """Each engine call of the sweep goes through the module binding a
+    tracer or a patch would wrap: none is reached by a private shortcut."""
+    calls = {}
+
+    def count(owner, name, label=None):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            key = label(args, kwargs) if label else name
+            calls[key] = calls.get(key, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("opt_makespan", "achievable_winners", "inefficiency"):
+        count(analysis, name)
+    count(analysis, "opt_makespan_masked",
+          lambda args, kwargs: "masked_" + kwargs.get("objective", args[2] if len(args) > 2 else "min"))
+    count(instances.GeneratorSpec, "build")
+    count(model.Instance, "__init__")
+    code, out, _ = run_cli(capsys, "frontier", "-n", "3", "--alphas", "1.5,2,3,4")
+    assert code == 0 and out.startswith("alpha,")
+    assert set(calls) == {"opt_makespan", "achievable_winners", "inefficiency", "masked_min",
+                          "masked_max", "build", "__init__"}
+    assert calls["masked_max"] == calls["inefficiency"] == calls["achievable_winners"]
+    assert calls["opt_makespan"] == calls["build"] <= calls["__init__"]
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

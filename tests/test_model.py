@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from mechfront.model import DEFAULT_BIG, Instance, MechanismId, loads, makespan
@@ -30,6 +32,28 @@ def test_instance_rejects_empty():
 def test_instance_rejects_zero_tasks():
     with pytest.raises(ValueError, match="need at least one column"):
         Instance(((), ()))
+
+
+def test_instance_reads_negative_zero_as_zero():
+    inst = Instance(((-0.0, 1.0), (1.0, 1.0)))
+    assert [math.copysign(1.0, x) for row in inst.times for x in row] == [1.0] * 4
+    assert Instance(((1.0, -0.0),)).times == ((1.0, 0.0),)
+
+
+@pytest.mark.parametrize("row", [
+    (1.0, math.nan, 2.0), (math.nan, 1.0), (1.0, math.inf), (2.0, -math.inf, 1.0),
+    (1.0, 2.0, -1.0),
+])
+def test_instance_refuses_any_non_finite_or_negative_entry(row):
+    # a NaN inside a row hides from min and max; the row's sum shows it
+    with pytest.raises(ValueError, match="entries must be finite and >= 0"):
+        Instance((row,))
+
+
+def test_instance_accepts_finite_entries_whose_sum_overflows():
+    inst = Instance(((1e308, 1e308, 1.0), (1.0, 1.0, 1.0)))
+    # both 1e308 entries are at or above big, so sentinels; the largest time below big is 1
+    assert inst.times[0][:2] == (1e308, 1e308)
 
 
 def test_sentinel_dominance_guard():

@@ -105,6 +105,21 @@ def test_mask_rejects_empty_set():
         EligibilityMask((frozenset(), frozenset({0})))
 
 
+def test_search_margin_is_computed_once_per_instance(monkeypatch):
+    checked = []
+    real = optsolver._sums_are_exact
+    monkeypatch.setattr(optsolver, "_sums_are_exact", lambda cols: checked.append(cols) or real(cols))
+    inst = gen_random(3, 5, 7)
+    mask = analysis.achievable_winners(MechanismId.spa(1.5), inst)
+    first = opt_makespan(inst)
+    assert opt_makespan(inst) == first
+    opt_makespan_masked(inst, mask, "min")
+    assert len(checked) == 1
+    # an equal instance built anew checks again: nothing outlives its instance
+    opt_makespan(gen_random(3, 5, 7))
+    assert len(checked) == 2
+
+
 @pytest.mark.parametrize("objective", ["min", "max"])
 def test_mask_refusals(objective):
     inst = gen_uniform(2)  # 2 machines, 4 tasks
