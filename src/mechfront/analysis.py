@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 from .equilibria import (
@@ -29,7 +30,7 @@ from .equilibria import (
     verify_equilibrium,
 )
 from .instances import GeneratorSpec, gen_canonical, gen_circulant, regression_suite
-from .model import GRID_STEP, BudgetExceededError, Instance, MechanismId
+from .model import GRID_STEP, BudgetExceededError, Instance, MechanismId, makespan
 from .optsolver import EligibilityMask, opt_makespan, opt_makespan_masked
 from .rules import SingleTaskRule, rule_for
 
@@ -144,6 +145,34 @@ def default_frontier_suite(n: int, alpha: float) -> list:
     return [uniform, *_per_alpha_suite(n, alpha), *randoms]
 
 
+def _optimum_floor(columns) -> float:
+    """A lower bound on the optimum from `sorted_columns`: the larger of the
+    biggest per-task minimum and the minima's sum over n, shrunk by the
+    search's relative margin 1e-9 (an average below the smallest normal
+    float counts as 0)."""
+    minima = [col[0] for col in columns]
+    average = math.fsum(minima) / len(columns[0]) * (1 - 1e-9)
+    return max(max(minima), average if average >= sys.float_info.min else 0.0)
+
+
+def _worst_ceiling(columns, sizes) -> float:
+    """An upper bound on the worst equilibrium makespan under the winner
+    sets of `bucket_sizes`: each task's largest winner time, added one by
+    one in task order from 0.0, as `model.loads` adds."""
+    total = 0.0
+    for col, size in zip(columns, sizes):
+        total += col[size - 1]
+    return total
+
+
+def _best_ceiling(inst: Instance, columns) -> float:
+    """An upper bound on the best equilibrium makespan: the makespan with
+    each task on its first fastest machine, an assignment every spa
+    mechanism's winner sets admit."""
+    return makespan(inst, [col.index(fastest[0])
+                           for col, fastest in zip(zip(*inst.times), columns)])
+
+
 def frontier_sweep(n: int, alphas, suite=None) -> list:
     """One FrontierPoint per alpha (caller order), empirical columns maxed
     over the suite.  `suite` is a list of GeneratorSpec shared by every alpha;
@@ -152,24 +181,60 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
 
     One loop over the distinct suite members, each built once, in the order
     a sweep first meets it, before any is solved; a build that fails names
-    its member.  Each member's optimum is solved once and its columns sorted
-    once.  spa:alpha's winner set of a task is its k fastest entries, k one
-    bisection at alpha * t_min (`bucket_sizes`), so each distinct vector of
-    sizes gets one `achievable_winners` mask and one `inefficiency` report,
-    shared by the alphas that reach it: a report's ratios depend on the
-    mechanism only through its winner sets."""
+    its member.  The default suite is met in `default_frontier_suite`'s
+    order: the uniform square, then each alpha's tilde and hat members, then
+    the randoms; a `suite` keeps its own order.  Each member's columns are
+    sorted once.  spa:alpha's winner set of a task is its k fastest entries,
+    k one bisection at alpha * t_min (`bucket_sizes`), so each distinct
+    vector of sizes gets one `achievable_winners` mask and one
+    `inefficiency` report, shared by the alphas that reach it: a report's
+    ratios depend on the mechanism only through its winner sets.
+
+    A member that cannot raise any of its alphas' maxima so far is skipped
+    unsolved: no optimum, winner sets or report.  With L = `_optimum_floor`,
+    W_k = `_worst_ceiling` at alpha k and B = `_best_ceiling`, it is skipped
+    when L > 0 and W_k / L <= poa_max[k] and B / L <= pos_max[k] at each of
+    its alphas k.  The skip is exact in floats, so every point is the float
+    it would be with every member solved:
+
+    - opt >= L.  The optimum is max(loads) of some assignment, each load a
+      float sum of non-negative times.  Such a sum is at least each of its
+      terms, so opt >= every per-task minimum.  Summing k terms one by one
+      loses at most a relative (k - 1) * 2^-53 / (1 - (k - 1) * 2^-53),
+      under 6e-10 for the at most 5 * 10^6 tasks of a generated instance
+      with n >= 2; the loads' exact sums add up to at least the minima's
+      exact sum, so the largest load is at least that sum over n, less that
+      loss.  `math.fsum`, the division by n and the shrink each round by a
+      relative 2^-53 at most while the result is a normal float, so L stays
+      below opt.
+    - worst <= W_k.  The worst makespan is one machine's load under an
+      admitted assignment: its terms in task order, 0 elsewhere, each at
+      most the task's largest winner time.  Float addition is monotone in
+      each operand, so the load is at most W_k, the same sum over every
+      task.
+    - best <= B.  The best makespan is the float minimum over the admitted
+      assignments (the optimum when its witness is admitted, which is no
+      larger), and B is one of them: a fastest time t obeys t <= alpha * t
+      in floats for alpha >= 1.
+    - Correctly rounded division is monotone, so worst / opt <= W_k / L and
+      best / opt <= B / L hold for the floats `inefficiency` and this test
+      compute, and a skipped member's ratios are at most the maxima."""
     if n < 2:
         raise ValueError("need n >= 2")
     alphas = [float(a) for a in alphas]
     if suite is not None and not suite:
         raise ValueError("the frontier suite is empty")
     mechs = [MechanismId.spa(a) for a in alphas]  # refuses bad alphas before any build
-    sweeps = dict.fromkeys(_alpha_free_suite(n) if suite is None else suite,
-                           range(len(alphas)))  # spec -> indices of its alphas
+    every = range(len(alphas))
     if suite is None:
+        uniform, *randoms = _alpha_free_suite(n)
+        sweeps = {uniform: every}  # spec -> indices of its alphas
         for k, alpha in enumerate(alphas):
             for spec in _per_alpha_suite(n, alpha):
                 sweeps.setdefault(spec, []).append(k)
+        sweeps.update(dict.fromkeys(randoms, every))
+    else:
+        sweeps = dict.fromkeys(suite, every)
     members = []
     for spec, ks in sweeps.items():
         try:
@@ -181,20 +246,30 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
             raise ValueError(f"suite instance {spec.label()} has {inst.n} "
                              f"machines, not n = {n}")
         members.append((inst, ks))
-    reports = [[] for _ in alphas]
+    # the first member meets every alpha below all maxima, so each point
+    # has a report
+    poa_max = [-math.inf] * len(alphas)
+    pos_max = [-math.inf] * len(alphas)
     for inst, ks in members:
-        optimum = opt_makespan(inst)
         columns = sorted_columns(inst)
+        sizes = {k: bucket_sizes(columns, alphas[k]) for k in ks}
+        floor = _optimum_floor(columns)
+        if floor > 0:
+            best = _best_ceiling(inst, columns) / floor
+            if all(best <= pos_max[k] and _worst_ceiling(columns, sizes[k]) / floor <= poa_max[k]
+                   for k in ks):
+                continue
+        optimum = opt_makespan(inst)
         by_sizes = {}
         for k in ks:
-            sizes = bucket_sizes(columns, alphas[k])
-            if sizes not in by_sizes:
-                by_sizes[sizes] = inefficiency(mechs[k], inst, optimum,
-                                               achievable_winners(mechs[k], inst))
-            reports[k].append(by_sizes[sizes])
-    return [FrontierPoint(alpha, (n - 1) * alpha + 1, (n - 1) / alpha + 1,
-                          max(r.poa_ratio for r in rs), max(r.pos_ratio for r in rs))
-            for alpha, rs in zip(alphas, reports)]
+            if sizes[k] not in by_sizes:
+                by_sizes[sizes[k]] = inefficiency(mechs[k], inst, optimum,
+                                                  achievable_winners(mechs[k], inst))
+            report = by_sizes[sizes[k]]
+            poa_max[k] = max(poa_max[k], report.poa_ratio)
+            pos_max[k] = max(pos_max[k], report.pos_ratio)
+    return [FrontierPoint(alpha, (n - 1) * alpha + 1, (n - 1) / alpha + 1, poa, pos)
+            for alpha, poa, pos in zip(alphas, poa_max, pos_max)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mechfront import analysis
+from mechfront import analysis, instances
 from mechfront.analysis import (
     CombiPremiseError,
     check_combi,
@@ -190,6 +190,24 @@ def test_frontier_sweep_values():
     assert points[2].pos_emp == pytest.approx(4.1 / 2.1)
 
 
+def assert_unsolved_members_cannot_raise(points, alphas, solved):
+    """Every default-suite member the sweep left unsolved has bounds at or
+    below its alpha's final maxima, with a positive optimum floor."""
+    unsolved = 0
+    for point, alpha in zip(points, alphas):
+        for inst in map(GeneratorSpec.build, default_frontier_suite(3, alpha)):
+            if inst in solved:
+                continue
+            unsolved += 1
+            columns = sorted_columns(inst)
+            floor = analysis._optimum_floor(columns)
+            assert floor > 0
+            worst = analysis._worst_ceiling(columns, bucket_sizes(columns, alpha))
+            assert worst / floor <= point.poa_emp
+            assert analysis._best_ceiling(inst, columns) / floor <= point.pos_emp
+    assert unsolved > 0
+
+
 def test_frontier_solves_each_instance_once(monkeypatch):
     solved = []
     real = analysis.opt_makespan
@@ -202,8 +220,10 @@ def test_frontier_solves_each_instance_once(monkeypatch):
     alphas = [1.0, 1.5, 2.0, 4.0]
     points = frontier_sweep(3, alphas)
     distinct = {spec.build() for a in alphas for spec in default_frontier_suite(3, a)}
-    assert len(solved) == len(set(solved)) == len(distinct)
-    assert set(solved) == distinct
+    assert len(solved) == len(set(solved)) < len(distinct)
+    assert set(solved) <= distinct
+    assert solved[0] == default_frontier_suite(3, 1.0)[0].build()  # uniform first
+    assert_unsolved_members_cannot_raise(points, alphas, set(solved))
     assert [p.alpha for p in points] == alphas
 
 
@@ -222,6 +242,66 @@ def test_frontier_matches_the_per_alpha_oracle_on_held_out_alphas(n):
     assert frontier_sweep(n, alphas) == frontier_per_alpha(n, alphas)
 
 
+def _gen_free(n: int) -> Instance:
+    """n tasks, task i free on machine i and 1 elsewhere: every task's
+    minimum is 0, so the sweep's optimum floor is 0."""
+    return Instance(tuple(tuple(0.0 if i == j else 1.0 for j in range(n)) for i in range(n)))
+
+
+@st.composite
+def mixed_frontier_cases(draw):
+    """(n, alphas, suite members as (generator, params)) over the generators
+    a `--suite` names, plus `free`, a member whose optimum floor is 0."""
+    n = draw(st.integers(2, 4))
+    alphas = draw(st.lists(st.floats(1.0, 5.0), min_size=1, max_size=4))
+    params = {
+        "random": st.tuples(st.integers(1, n + 2), st.integers(0, 10 ** 6)).map(
+            lambda ms: (("m", ms[0]), ("seed", ms[1]))),
+        "uniform": st.just(()),
+        "tradeoff": st.floats(1.0, 5.0, exclude_min=True).map(lambda rho: (("rho", rho),)),
+        "fp_pos": st.floats(0.01, 2.0).map(lambda eps: (("eps", eps),)),
+        "thm3_hat": st.just(()),
+        "free": st.just(()),
+    }
+    names = draw(st.lists(st.sampled_from(sorted(params)), min_size=1, max_size=6))
+    return n, alphas, [(name, (("n", n),) + draw(params[name])) for name in names]
+
+
+def assert_sweep_matches_the_oracle(case):
+    n, alphas, members = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(instances._BUILDERS, "free", _gen_free)
+        suite = [GeneratorSpec(name, params) for name, params in members]
+        assert frontier_sweep(n, alphas, suite) == frontier_per_alpha(n, alphas, suite)
+
+
+# a random member the worst-case bound must not let the sweep skip
+WORST_BOUND_WITNESS = (2, [4.0], [("fp_pos", (("n", 2), ("eps", 0.1))),
+                                  ("random", (("n", 2), ("m", 3), ("seed", 1)))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_frontier_cases())
+@example(WORST_BOUND_WITNESS)
+@example((3, [2.0, 1.0], [("free", (("n", 3),)), ("thm3_hat", (("n", 3),)),
+                          ("free", (("n", 3),))]))
+def test_frontier_skips_match_the_per_alpha_oracle_on_mixed_suites(case):
+    assert_sweep_matches_the_oracle(case)
+
+
+def test_the_mixed_suite_property_fails_with_a_worst_bound_too_low(monkeypatch):
+    monkeypatch.setattr(analysis, "_worst_ceiling", lambda columns, sizes: 0.0)
+
+    @settings(max_examples=60, deadline=None, database=None, report_multiple_bugs=False)
+    @given(mixed_frontier_cases())
+    @example(WORST_BOUND_WITNESS)
+    def prop(case):
+        assert_sweep_matches_the_oracle(case)
+
+    with pytest.raises(AssertionError):
+        prop()
+
+
 def test_frontier_computes_winner_sets_once_per_instance_and_bucket_sizes(monkeypatch):
     asked = []
     real = analysis.achievable_winners
@@ -232,12 +312,15 @@ def test_frontier_computes_winner_sets_once_per_instance_and_bucket_sizes(monkey
 
     monkeypatch.setattr(analysis, "achievable_winners", counting)
     alphas = [1.0, 1.5, 2.0, 4.0]
-    frontier_sweep(3, alphas)
+    points = frontier_sweep(3, alphas)
+    solved = {inst for inst, _ in asked}
     distinct = {(inst, bucket_sizes(sorted_columns(inst), a))
-                for a in alphas for inst in map(GeneratorSpec.build, default_frontier_suite(3, a))}
+                for a in alphas for inst in map(GeneratorSpec.build, default_frontier_suite(3, a))
+                if inst in solved}
     assert len(asked) == len(set(asked)) == len(distinct)
     assert set(asked) == distinct
-    assert len(distinct) < 4 * 24  # alphas share winner sets
+    assert len(distinct) < 4 * len(solved)  # alphas share winner sets
+    assert_unsolved_members_cannot_raise(points, alphas, solved)
 
 
 def _count_builds(monkeypatch) -> list:

@@ -487,6 +487,44 @@ def test_frontier_golden_stdout(capsys, n):
     assert (code, out) == (0, GOLDEN_FRONTIER[n])
 
 
+# each ran into the search budget (exit 3) on a seeded random member before
+# the sweep skipped the members that cannot raise a maximum
+GOLDEN_FRONTIER_LARGE = {
+    10: """\
+alpha,poa_bound,pos_bound,poa_emp,pos_emp
+1,10,10,10,9.18182
+1.5,14.5,7,14.5,6.625
+2,19,5.5,19,5.28571
+4,37,3.25,37,3.19512
+""",
+    20: """\
+alpha,poa_bound,pos_bound,poa_emp,pos_emp
+1,20,20,20,18.2727
+1.5,29.5,13.6667,29.5,12.875
+2,39,10.5,39,10.0476
+4,77,5.75,77,5.63415
+""",
+    40: """\
+alpha,poa_bound,pos_bound,poa_emp,pos_emp
+1,40,40,40,36.4545
+1.5,59.5,27,59.5,25.375
+2,79,20.5,79,19.5714
+4,157,10.75,157,10.5122
+""",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_FRONTIER_LARGE))
+def test_frontier_golden_stdout_for_large_n(capsys, n):
+    code, out, _ = run_cli(capsys, "frontier", "-n", str(n), "--alphas", "1,1.5,2,4")
+    assert (code, out) == (0, GOLDEN_FRONTIER_LARGE[n])
+    for row in out.splitlines()[1:]:
+        alpha, poa_bound, pos_bound, poa_emp, pos_emp = map(float, row.split(","))
+        if alpha > 1:
+            assert poa_emp == poa_bound
+        assert pos_emp <= pos_bound
+
+
 def test_frontier_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, *FRONTIER_ARGS)
     _, second, _ = run_cli(capsys, *FRONTIER_ARGS)
@@ -541,7 +579,8 @@ def test_frontier_reaches_every_engine_binding(capsys, monkeypatch):
     assert set(calls) == {"opt_makespan", "achievable_winners", "inefficiency", "masked_min",
                           "masked_max", "build", "__init__"}
     assert calls["masked_max"] == calls["inefficiency"] == calls["achievable_winners"]
-    assert calls["opt_makespan"] == calls["build"] <= calls["__init__"]
+    # members whose bounds cannot raise a maximum are built but not solved
+    assert calls["opt_makespan"] < calls["build"] <= calls["__init__"]
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
