@@ -117,39 +117,34 @@ class FrontierPoint:
     pos_emp: float
 
 
-def _alpha_free_suite(n: int) -> list:
-    """The default suite's members that no alpha changes: the uniform square
-    first, then 20 seeded randoms."""
-    return [GeneratorSpec("uniform", (("n", n),))] + [
-        GeneratorSpec("random", (("n", n), ("m", n + 1), ("seed", seed)))
-        for seed in range(1000, 1020)]
-
-
-def _per_alpha_suite(n: int, alpha: float) -> list:
-    """The default suite's members at one alpha: the stress pair (the tilde
-    member meets the worst-case bound exactly) and a hat just past the
-    mechanism's reach (tracks the best-case bound from below)."""
-    a = alpha if alpha > 1 else 2.0
-    return [
-        GeneratorSpec("tilde", (("n", n), ("alpha", a))),
-        GeneratorSpec("hat", (("n", n), ("alpha", a))),
-        GeneratorSpec("hat", (("n", n), ("alpha", alpha + 0.1))),
-    ]
+def _default_sweeps(n: int, alphas) -> dict:
+    """The default suite, each member mapped to the indices of the alphas it
+    is swept at: the uniform square (every alpha), then each alpha's stress
+    pair (the tilde member meets the worst-case bound exactly) and a hat just
+    past the mechanism's reach (tracks the best-case bound from below), then
+    20 seeded randoms (every alpha).  A member repeated by several alphas
+    keeps its first place."""
+    every = range(len(alphas))
+    sweeps = {GeneratorSpec("uniform", (("n", n),)): every}
+    for k, alpha in enumerate(alphas):
+        a = alpha if alpha > 1 else 2.0
+        for name, at in (("tilde", a), ("hat", a), ("hat", alpha + 0.1)):
+            sweeps.setdefault(GeneratorSpec(name, (("n", n), ("alpha", at))), []).append(k)
+    for seed in range(1000, 1020):
+        sweeps[GeneratorSpec("random", (("n", n), ("m", n + 1), ("seed", seed)))] = every
+    return sweeps
 
 
 def default_frontier_suite(n: int, alpha: float) -> list:
-    """Instances swept at one alpha: the uniform square, the stress pair at
-    this alpha, a hat just past the mechanism's reach, and 20 seeded
-    randoms."""
-    uniform, *randoms = _alpha_free_suite(n)
-    return [uniform, *_per_alpha_suite(n, alpha), *randoms]
+    """Instances swept at one alpha, in `frontier_sweep`'s order."""
+    return list(_default_sweeps(n, [alpha]))
 
 
 def _optimum_floor(columns) -> float:
     """A lower bound on the optimum from `sorted_columns`: the larger of the
-    biggest per-task minimum and the minima's sum over n, shrunk by the
-    search's relative margin 1e-9 (an average below the smallest normal
-    float counts as 0)."""
+    biggest per-task minimum and the minima's sum over n, times 1 - 1e-9,
+    a shrink that covers the float-sum loss bounded in `frontier_sweep`'s
+    docstring (an average below the smallest normal float counts as 0)."""
     minima = [col[0] for col in columns]
     average = math.fsum(minima) / len(columns[0]) * (1 - 1e-9)
     return max(max(minima), average if average >= sys.float_info.min else 0.0)
@@ -225,16 +220,10 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
     if suite is not None and not suite:
         raise ValueError("the frontier suite is empty")
     mechs = [MechanismId.spa(a) for a in alphas]  # refuses bad alphas before any build
-    every = range(len(alphas))
     if suite is None:
-        uniform, *randoms = _alpha_free_suite(n)
-        sweeps = {uniform: every}  # spec -> indices of its alphas
-        for k, alpha in enumerate(alphas):
-            for spec in _per_alpha_suite(n, alpha):
-                sweeps.setdefault(spec, []).append(k)
-        sweeps.update(dict.fromkeys(randoms, every))
+        sweeps = _default_sweeps(n, alphas)  # spec -> indices of its alphas
     else:
-        sweeps = dict.fromkeys(suite, every)
+        sweeps = dict.fromkeys(suite, range(len(alphas)))
     members = []
     for spec, ks in sweeps.items():
         try:

@@ -199,6 +199,10 @@ class EquilibriumCertificate:
     winner: tuple
 
 
+def _bad_times(true_times) -> ValueError:
+    return ValueError(f"true times must be finite and >= 0, got {tuple(true_times)}")
+
+
 @functools.lru_cache(maxsize=256)
 def _passed(checked_deviations: int) -> VerifyResult:
     """The one passing verdict per deviation count: it carries no witness.
@@ -211,18 +215,19 @@ def verify_equilibrium(rule: SingleTaskRule, true_times, bids, grid: Grid) -> Ve
 
     Each bid must read as a grid point (`Grid.index_of`: a grid point as
     itself by an exact comparison, any other value by the dust rule) and is
-    judged as that point.  Only the winner is paid, and machine i moving its
-    bid faces the others' bids unchanged: with m_i = pts[k] the lowest of them
-    and h_i the lowest index holding it, i wins at grid point p iff p < m_i,
-    or p == m_i and i < h_i.  For a loser m_i is the winning bid and h_i the
-    winner, the first holder of the lowest bid; for the winner they are the
-    lowest other bid and its first holder, found in the same pass over the
-    bids.  So i's winning points are the grid's first k + 1 (i < h_i) or k,
-    and on them i's utility `rule.pay(p, m_i) - t_i` never decreases: its
-    best deviation is worth the prefix's last value, or 0 at the first
-    losing point when that value is negative.  The witness is the best improving deviation, ties toward the
-    lowest machine, then the lowest bid; a bisection, run for the witness
-    alone, finds the first point reaching its value.
+    judged as that point; each true time must be finite and >= 0.  Only the
+    winner is paid, and machine i moving its bid faces the others' bids
+    unchanged: with m_i = pts[k] the lowest of them and h_i the lowest index
+    holding it, i wins at grid point p iff p < m_i, or p == m_i and i < h_i.
+    For a loser m_i is the winning bid and h_i the winner, the first holder
+    of the lowest bid; for the winner they are the lowest other bid and its
+    first holder, found in the same pass over the bids.  So i's winning
+    points are the grid's first k + 1 (i < h_i) or k, and on them i's
+    utility `rule.pay(p, m_i) - t_i` never decreases: its best deviation is
+    worth the prefix's last value, or 0 at the first losing point when that
+    value is negative.  The witness is the best improving deviation, ties
+    toward the lowest machine, then the lowest bid; a bisection, run for the
+    witness alone, finds the first point reaching its value.
     `checked_deviations` counts the n * len(grid) deviations decided; every
     passing verdict with one count is one shared `VerifyResult`.
     """
@@ -251,6 +256,8 @@ def verify_equilibrium(rule: SingleTaskRule, true_times, bids, grid: Grid) -> Ve
         second, k_second = math.inf, g - 1
     best_gain, witness = 0.0, None
     for i, t in enumerate(true_times):
+        if not 0.0 <= t < math.inf:  # NaN fails this test too
+            raise _bad_times(true_times)
         if i == w:
             faced, k, holder, current = second, k_second, h, rule.pay(low, second) - t
         else:
@@ -307,7 +314,8 @@ def enumerate_equilibria(rule: SingleTaskRule, true_times, grid: Grid) -> Enumer
     How many loser profiles share (w, a, c, tie class) depends on c alone
     once c > a, so the admissible a are counted per c with numpy and
     weighed by those multiplicities in Python ints: the counts are exact
-    for any n.  Raises TypeError for a rule that is not a SingleTaskRule
+    for any n.  Raises ValueError for a true time that is not finite and
+    >= 0, TypeError for a rule that is not a SingleTaskRule
     (the closed form holds for fp, sp and spa only) and
     BudgetExceededError, before allocating anything, when the g(g+1)/2
     bid pairs exceed ENUMERATION_BUDGET.
@@ -315,12 +323,15 @@ def enumerate_equilibria(rule: SingleTaskRule, true_times, grid: Grid) -> Enumer
     if not isinstance(rule, SingleTaskRule):
         raise TypeError(f"enumerate_equilibria counts fp, sp and spa rules only, "
                         f"not {type(rule).__name__}")
+    true_times = [float(x) for x in true_times]
+    n = rule.n
+    if len(true_times) != n:
+        raise ValueError(f"expected {n} true times")
+    if not all(0.0 <= x < math.inf for x in true_times):  # NaN fails this test too
+        raise _bad_times(true_times)
     import numpy as np
 
-    t = np.asarray([float(x) for x in true_times])
-    n = rule.n
-    if len(t) != n:
-        raise ValueError(f"expected {n} true times")
+    t = np.asarray(true_times)
     pts = np.asarray(grid.points)
     g = len(pts)
     pairs = g * (g + 1) // 2

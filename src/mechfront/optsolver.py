@@ -16,14 +16,13 @@ The margin is 0 when `_sums_are_exact`: every entry is an integer and every
 sum of one entry per task stays below 2^53, so every load is exact, and a
 leaf's value, an integer at least the exact average, is at least the
 average's rounding.  Otherwise it is 1e-9 relative, so a node can never be
-cut by summation-order noise alone.  The test reads the times alone, so the
-first search of an instance keeps its answer on the instance (`_margin`).
-The largest remaining minimum needs no margin: a float sum of non-negative
-entries is at least each of them.  No pruned node holds a leaf strictly
-below the incumbent, which the search replaces only on a strict `<`.  The
-first incumbent is the load-greedy placement: tasks in index order, each on
-its least-loaded eligible machine, the lowest index on ties (a strict `<`
-over the machines in ascending order).
+cut by summation-order noise alone.  The largest remaining minimum needs no
+margin: a float sum of non-negative entries is at least each of them.  No
+pruned node holds a leaf strictly below the incumbent, which the search
+replaces only on a strict `<`.  The first incumbent is the load-greedy
+placement: tasks in index order, each on its least-loaded eligible machine,
+the lowest index on ties (a strict `<` over the machines in ascending
+order).
 
 The search is depth-first on an explicit stack, so any number of tasks fits;
 it raises `BudgetExceededError` past `SEARCH_BUDGET` nodes.
@@ -31,19 +30,20 @@ it raises `BudgetExceededError` past `SEARCH_BUDGET` nodes.
 `opt_makespan_masked` restricts each task to an eligibility set (used to
 scan the makespans reachable by a mechanism's equilibrium winner sets);
 `objective="max"` finds the *worst* reachable makespan instead.  An
-`EligibilityMask` holds one frozenset of machine indices per task; it refuses
-empty sets and negative indices when it is built, and equal masks hash alike,
-so a caller can key reports on them.  `opt_makespan_masked` checks the rest
-against the instance -- one set per task, every index below n -- before it
-searches.  The masked search's value is the float minimum
-over the assignments the mask admits, so when `opt_makespan`'s witness is
-admitted the masked minimum is `opt_makespan`'s value, bit for bit;
-`analysis.inefficiency` then skips the masked search.
+`EligibilityMask` holds one frozenset of machine indices per task; it
+refuses empty sets, negative indices and any index that is not an integer
+when it is built, and equal masks hash alike, so a caller can key reports on
+them.  `opt_makespan_masked` checks the rest against the instance -- one set
+per task, every index below n -- before it searches.  The masked search's
+value is the float minimum over the assignments the mask admits, so when
+`opt_makespan`'s witness is admitted the masked minimum is `opt_makespan`'s
+value, bit for bit; `analysis.inefficiency` then skips the masked search.
 `opt_makespan` builds no mask: it runs the same search with every machine
 allowed on every task.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import accumulate, chain
 
@@ -59,15 +59,19 @@ class EligibilityMask:
     allowed: tuple
 
     def __post_init__(self):
-        sets = tuple([frozenset(map(int, s)) for s in self.allowed])
-        object.__setattr__(self, "allowed", sets)
-        if all(sets) and min(frozenset().union(*sets), default=0) >= 0:
-            return
-        for j, s in enumerate(sets):  # name the first bad set
+        sets = []
+        for j, s in enumerate(self.allowed):
+            try:
+                s = frozenset(map(operator.index, s))
+            except TypeError:
+                raise ValueError(f"task {j}'s eligibility set is not a set of integer "
+                                 f"machine indices") from None
             if not s:
                 raise ValueError(f"task {j} has an empty eligibility set")
             if min(s) < 0:
                 raise ValueError(f"task {j} has a negative machine index")
+            sets.append(s)
+        object.__setattr__(self, "allowed", tuple(sets))
 
     @property
     def m(self) -> int:
@@ -136,7 +140,7 @@ def _min_search(inst: Instance, allowed=None) -> tuple:
 
     best_assign, greedy_loads = _greedy_placement(times, allowed)
     best_val = max(greedy_loads)
-    margin = _margin(inst)
+    margin = 0.0 if _sums_are_exact(cols) else 1e-9
 
     # depth-first on a stack of (depth, loads, load sum, max load, machine
     # given task order[depth - 1]): the node popped last at each shallower
@@ -203,18 +207,6 @@ def _sums_are_exact(cols) -> bool:
     largest such sum, the column maxima's, stays below 2^53."""
     return all(map(float.is_integer, chain.from_iterable(cols))) and \
         sum(map(max, cols)) < 2 ** 53
-
-
-def _margin(inst: Instance) -> float:
-    """The prune margin, relative to the incumbent: 0 when
-    `_sums_are_exact`, else 1e-9.  It depends on the times alone, so the
-    first search of an instance keeps it in the instance's `__dict__`, as
-    `functools.cached_property` does, and later searches read it back."""
-    margin = inst.__dict__.get("search_margin")
-    if margin is None:
-        margin = 0.0 if _sums_are_exact(list(zip(*inst.times))) else 1e-9
-        inst.__dict__["search_margin"] = margin
-    return margin
 
 
 def opt_makespan(inst: Instance) -> tuple:

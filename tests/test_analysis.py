@@ -483,6 +483,12 @@ def test_anonymity_negative_control(monkeypatch):
     assert res.counterexample is not None
 
 
+def test_anonymity_refuses_a_bad_true_time():
+    with pytest.raises(ValueError, match="^true times must be finite and >= 0, got "):
+        anonymity_check(rule_for(MechanismId.fp(), 2), [(1.0, 2.0), (math.nan, 1.0)],
+                        Grid(0.5, 3.0))
+
+
 def test_anonymity_suite_smoke():
     rep = analysis.anonymity_suite()
     assert rep.passed

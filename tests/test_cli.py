@@ -9,22 +9,35 @@ from mechfront import analysis, cli, equilibria, instances, model, optsolver
 from mechfront.analysis import SuiteReport
 from mechfront.instances import gen_random, gen_tradeoff, gen_uniform
 from mechfront.model import DEFAULT_BIG, makespan
+import stdout_corpus
 
 FRONTIER_ARGS = ["frontier", "-n", "3", "--alphas", "1,1.5,2,4"]
-
-FRONTIER_CSV = """\
-alpha,poa_bound,pos_bound,poa_emp,pos_emp
-1,3,3,3,2.81818
-1.5,4,2.33333,4,2.25
-2,5,2,5,1.95238
-4,9,1.5,9,1.4878
-"""
 
 
 def run_cli(capsys, *argv):
     code = cli.run(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """The stdout corpus, and a directory holding its instance files."""
+    directory = tmp_path_factory.mktemp("corpus")
+    stdout_corpus.write_instances(str(directory))
+    return stdout_corpus.load(), directory
+
+
+@pytest.fixture
+def replay_entry(corpus, monkeypatch):
+    """Replay the corpus entry of one command; returns its stdout."""
+    entries, directory = corpus
+    monkeypatch.chdir(directory)
+
+    def replay(cmd):
+        stdout_corpus.replay({cmd: entries[cmd]})
+        return entries[cmd][1]
+    return replay
 
 
 @pytest.fixture
@@ -270,24 +283,13 @@ def test_analyze_rounds_to_six_significant_digits(capsys, tmp_path):
     assert data["pos_ratio"] == 2.9703
 
 
-UNIFORM3_ROUND_ROBIN = [0, 1, 2, 0, 1, 2, 0, 1, 2]
-
+# golden stdout: each of these commands replays its `stdout_corpus.txt` entry
 
 @pytest.mark.parametrize("mech", ["fp", "spa:2"])
-def test_analyze_uniform_golden_stdout(capsys, tmp_path, mech):
+def test_analyze_uniform_golden_stdout(replay_entry, mech):
     """Byte-exact report, witnesses included: the optimum's witness is the
     first optimal leaf of the branch-and-bound's search order."""
-    path = tmp_path / "uniform.json"
-    instances.save_instance(gen_uniform(3), str(path))
-    code, out, _ = run_cli(capsys, "analyze", "-i", str(path), "--mech", mech)
-    assert code == 0
-    expected = {
-        "mech": mech, "opt": 3.0, "worst_makespan": 9.0, "best_makespan": 3.0,
-        "poa_ratio": 3.0, "pos_ratio": 1.0,
-        "witnesses": {"opt": UNIFORM3_ROUND_ROBIN, "worst": [0] * 9,
-                      "best": UNIFORM3_ROUND_ROBIN},
-    }
-    assert out == json.dumps(expected, indent=1) + "\n"
+    replay_entry(f"analyze -i uniform-3.txt --mech {mech}")
 
 
 @pytest.mark.parametrize("mech", ["fp", "sp", "spa:2"])
@@ -314,210 +316,50 @@ def test_analyze_best_witness_is_the_optimum_when_it_is_an_equilibrium(capsys, t
     assert data["witnesses"]["best"] == data["witnesses"]["opt"] == [1, 2, 0, 2, 0, 0]
 
 
-# ---------------------------------------------------------------- golden stdout
-
-def _golden(data) -> str:
-    return json.dumps(data, indent=1) + "\n"
-
-
-def _tasks(profiles):
-    return [{"task": j, "profiles": k, "winners": [0]} for j, k in enumerate(profiles)]
+@pytest.mark.parametrize("argv", [("equilibria", "--mech", "fp"),
+                                  ("equilibria", "--mech", "spa:2"), ("opt",),
+                                  ("opt", "--mech", "sp", "--objective", "max")])
+def test_tradeoff_golden_stdout(replay_entry, argv):
+    replay_entry(" ".join([argv[0], "-i", "tradeoff-3-1.5.txt", *argv[1:]]))
 
 
-GOLDEN_TRADEOFF = {
-    ("opt",): {"opt": 2.0, "witness": [0, 1, 2]},
-    ("opt", "--mech", "sp", "--objective", "max"):
-        {"mech": "sp", "objective": "max", "value": 3.0, "witness": [0, 0, 0]},
-    ("equilibria", "--mech", "fp"):
-        {"mech": "fp", "eps": 0.1, "cap": 2.2, "tasks": _tasks((9, 323, 323))},
-    ("equilibria", "--mech", "spa:2"):
-        {"mech": "spa:2", "eps": 0.1, "cap": 4.2, "tasks": _tasks((7590, 9676, 9676))},
-}
+@pytest.mark.parametrize("mech,n", [("fp", 2), ("spa:2", 3)])
+def test_probe_golden_stdout(replay_entry, mech, n):
+    replay_entry(f"probe --mech {mech} -n {n}")
 
 
-@pytest.mark.parametrize("argv", sorted(GOLDEN_TRADEOFF))
-def test_tradeoff_golden_stdout(capsys, tradeoff_file, argv):
-    code, out, _ = run_cli(capsys, argv[0], "-i", tradeoff_file, *argv[1:])
-    assert code == 0
-    assert out == _golden(GOLDEN_TRADEOFF[argv])
+@pytest.mark.parametrize("suite", ["anonymity", "monotonicity-reverse"])
+def test_verify_golden_stdout(replay_entry, suite):
+    replay_entry(f"verify --suite {suite}")
 
 
-GOLDEN_PROBE = {
-    ("spa:2", "3"): {"mech": "spa:2", "eps": 0.5,
-                     "a": [[0.0, 2.0, 2.0], [2.0, 0.0, 2.0], [2.0, 2.0, 0.0]]},
-    ("fp", "2"): {"mech": "fp", "eps": 0.5, "a": [[0.0, 1.0], [1.5, 0.0]]},
-}
-
-
-@pytest.mark.parametrize("mech,n", sorted(GOLDEN_PROBE))
-def test_probe_golden_stdout(capsys, mech, n):
-    code, out, _ = run_cli(capsys, "probe", "--mech", mech, "-n", n)
-    assert code == 0
-    assert out == _golden(GOLDEN_PROBE[(mech, n)])
-
-
-VERIFY_ANONYMITY = """\
-anonymity: pass
-  fp: 4 permuted enumerations, ok
-  spa:2: 4 permuted enumerations, ok
-"""
-
-REVERSE_FAILURES = (
-    ("uniform-2", 800, 800, 800), ("uniform-3", 1800, 1800, 1800),
-    ("tradeoff-3-1.5", 600, 91, 91), ("fp_pos-3-0.01", 600, 400, 400),
-    ("hat-3-2", 600, 374, 191), ("tilde-3-2", 600, 193, 193),
-    ("random-2x3-101", 600, 419, 419), ("random-3x4-201", 800, 575, 575),
-    ("random-3x4-202", 800, 764, 764), ("random-3x5-301", 1000, 741, 741),
-)
-
-VERIFY_MONOTONICITY_REVERSE = "monotonicity-reverse: pass\n" + "".join(
-    f"  {label} {mech}: 200 trials, {k} failures\n"
-    for label, *counts in REVERSE_FAILURES
-    for mech, k in zip(("fp", "sp", "spa:2"), counts)
-)
-
-
-@pytest.mark.parametrize("suite,expected", [
-    ("anonymity", VERIFY_ANONYMITY),
-    ("monotonicity-reverse", VERIFY_MONOTONICITY_REVERSE),
-])
-def test_verify_golden_stdout(capsys, suite, expected):
-    code, out, _ = run_cli(capsys, "verify", "--suite", suite)
-    assert code == 0
-    assert out == expected
-
-
-# Reports recorded before the engines' per-call setup was trimmed: (opt,
-# worst, best, poa, pos, opt witness, worst witness, best witness) on
-# gen_random(3, 4, seed).  A changed tie or witness anywhere shows here.
-GOLDEN_RANDOM_ANALYZE = {
-    (1000, "fp"): (2.0, 2.8, 2.8, 1.4, 1.4, [0, 1, 2, 2], [0, 1, 1, 2], [0, 1, 1, 2]),
-    (1000, "sp"): (2.0, 8.9, 2.0, 4.45, 1.0, [0, 1, 2, 2], [0, 0, 0, 0], [0, 1, 2, 2]),
-    (1000, "spa:2"): (2.0, 4.2, 2.0, 2.1, 1.0, [0, 1, 2, 2], [0, 2, 2, 2], [0, 1, 2, 2]),
-    (1001, "fp"): (2.2, 3.0, 3.0, 1.36364, 1.36364,
-                   [1, 2, 2, 0], [2, 2, 2, 0], [2, 2, 2, 0]),
-    (1001, "sp"): (2.2, 9.6, 2.2, 4.36364, 1.0, [1, 2, 2, 0], [0, 0, 0, 0], [1, 2, 2, 0]),
-    (1001, "spa:2"): (2.2, 3.9, 2.6, 1.77273, 1.18182,
-                      [1, 2, 2, 0], [2, 1, 1, 0], [2, 1, 2, 0]),
-    (1002, "fp"): (2.5, 4.0, 4.0, 1.6, 1.6, [0, 2, 2, 1], [0, 2, 2, 0], [0, 2, 2, 0]),
-    (1002, "sp"): (2.5, 10.7, 2.5, 4.28, 1.0, [0, 2, 2, 1], [1, 1, 1, 1], [0, 2, 2, 1]),
-    (1002, "spa:2"): (2.5, 7.1, 2.5, 2.84, 1.0, [0, 2, 2, 1], [2, 2, 2, 2], [0, 2, 2, 1]),
-    (1003, "fp"): (1.9, 3.1, 1.9, 1.63158, 1.0, [1, 0, 2, 0], [0, 0, 2, 0], [1, 0, 2, 0]),
-    (1003, "sp"): (1.9, 11.1, 1.9, 5.84211, 1.0, [1, 0, 2, 0], [2, 2, 2, 2], [1, 0, 2, 0]),
-    (1003, "spa:2"): (1.9, 5.5, 1.9, 2.89474, 1.0, [1, 0, 2, 0], [0, 0, 0, 0], [1, 0, 2, 0]),
-    (1004, "fp"): (1.2, 1.2, 1.2, 1.0, 1.0, [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]),
-    (1004, "sp"): (1.2, 11.0, 1.2, 9.16667, 1.0, [1, 0, 0, 0], [2, 2, 2, 2], [1, 0, 0, 0]),
-    (1004, "spa:2"): (1.2, 1.4, 1.2, 1.16667, 1.0, [1, 0, 0, 0], [2, 0, 0, 0], [1, 0, 0, 0]),
-}
-
-
-@pytest.mark.parametrize("seed,mech", sorted(GOLDEN_RANDOM_ANALYZE))
-def test_analyze_random_golden_stdout(capsys, tmp_path, seed, mech):
-    path = tmp_path / "random.json"
-    instances.save_instance(gen_random(3, 4, seed), str(path))
-    code, out, _ = run_cli(capsys, "analyze", "-i", str(path), "--mech", mech)
-    opt, worst, best, poa, pos, opt_w, worst_w, best_w = GOLDEN_RANDOM_ANALYZE[seed, mech]
-    assert code == 0
-    assert out == _golden({
-        "mech": mech, "opt": opt, "worst_makespan": worst, "best_makespan": best,
-        "poa_ratio": poa, "pos_ratio": pos,
-        "witnesses": {"opt": opt_w, "worst": worst_w, "best": best_w}})
+# a changed tie or witness anywhere shows here
+@pytest.mark.parametrize("seed,mech", [(seed, mech) for seed in range(1000, 1005)
+                                       for mech in ("fp", "sp", "spa:2")])
+def test_analyze_random_golden_stdout(replay_entry, seed, mech):
+    replay_entry(f"analyze -i random-3x4-{seed}.txt --mech {mech}")
 
 
 # ---------------------------------------------------------------- frontier
 
-def test_frontier_csv_exact(capsys):
-    code, out, _ = run_cli(capsys, *FRONTIER_ARGS)
-    assert code == 0
-    assert out == FRONTIER_CSV
+def test_frontier_csv_exact(replay_entry):
+    replay_entry(" ".join(FRONTIER_ARGS))
 
 
-def test_frontier_n5_csv_exact(capsys):
-    code, out, _ = run_cli(capsys, "frontier", "-n", "5", "--alphas", "1,1.5,2,4")
-    assert code == 0
-    assert out == """\
-alpha,poa_bound,pos_bound,poa_emp,pos_emp
-1,5,5,5,4.63636
-1.5,7,3.66667,7,3.5
-2,9,3,9,2.90476
-4,17,2,17,1.97561
-"""
+def test_frontier_n5_csv_exact(replay_entry):
+    replay_entry("frontier -n 5 --alphas 1,1.5,2,4")
 
 
-# recorded before the engines' per-call setup was trimmed
-GOLDEN_FRONTIER = {
-    2: """\
-alpha,poa_bound,pos_bound,poa_emp,pos_emp
-1,2,2,2,1.90909
-1.3,2.3,1.76923,2.3,1.71429
-2,3,1.5,3,1.47619
-2.7,3.7,1.37037,3.7,1.35714
-4,5,1.25,5,1.2439
-""",
-    3: """\
-alpha,poa_bound,pos_bound,poa_emp,pos_emp
-1,3,3,3,2.81818
-1.3,3.6,2.53846,3.6,2.42857
-2,5,2,5,1.95238
-2.7,6.4,1.74074,6.4,1.71429
-4,9,1.5,9,1.4878
-""",
-    4: """\
-alpha,poa_bound,pos_bound,poa_emp,pos_emp
-1,4,4,4,3.72727
-1.3,4.9,3.30769,4.9,3.14286
-2,7,2.5,7,2.42857
-2.7,9.1,2.11111,9.1,2.07143
-4,13,1.75,13,1.73171
-""",
-    5: """\
-alpha,poa_bound,pos_bound,poa_emp,pos_emp
-1,5,5,5,4.63636
-1.3,6.2,4.07692,6.2,3.85714
-2,9,3,9,2.90476
-2.7,11.8,2.48148,11.8,2.42857
-4,17,2,17,1.97561
-""",
-}
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_frontier_golden_stdout(replay_entry, n):
+    replay_entry(f"frontier -n {n} --alphas 1,1.3,2,2.7,4")
 
 
-@pytest.mark.parametrize("n", sorted(GOLDEN_FRONTIER))
-def test_frontier_golden_stdout(capsys, n):
-    code, out, _ = run_cli(capsys, "frontier", "-n", str(n), "--alphas", "1,1.3,2,2.7,4")
-    assert (code, out) == (0, GOLDEN_FRONTIER[n])
-
-
-# each ran into the search budget (exit 3) on a seeded random member before
-# the sweep skipped the members that cannot raise a maximum
-GOLDEN_FRONTIER_LARGE = {
-    10: """\
-alpha,poa_bound,pos_bound,poa_emp,pos_emp
-1,10,10,10,9.18182
-1.5,14.5,7,14.5,6.625
-2,19,5.5,19,5.28571
-4,37,3.25,37,3.19512
-""",
-    20: """\
-alpha,poa_bound,pos_bound,poa_emp,pos_emp
-1,20,20,20,18.2727
-1.5,29.5,13.6667,29.5,12.875
-2,39,10.5,39,10.0476
-4,77,5.75,77,5.63415
-""",
-    40: """\
-alpha,poa_bound,pos_bound,poa_emp,pos_emp
-1,40,40,40,36.4545
-1.5,59.5,27,59.5,25.375
-2,79,20.5,79,19.5714
-4,157,10.75,157,10.5122
-""",
-}
-
-
-@pytest.mark.parametrize("n", sorted(GOLDEN_FRONTIER_LARGE))
-def test_frontier_golden_stdout_for_large_n(capsys, n):
-    code, out, _ = run_cli(capsys, "frontier", "-n", str(n), "--alphas", "1,1.5,2,4")
-    assert (code, out) == (0, GOLDEN_FRONTIER_LARGE[n])
+# the sweep answers these only by skipping the seeded random members that
+# the search would refuse (exit 3)
+@pytest.mark.parametrize("n", [10, 20, 40])
+def test_frontier_golden_stdout_for_large_n(replay_entry, n):
+    out = replay_entry(f"frontier -n {n} --alphas 1,1.5,2,4")
     for row in out.splitlines()[1:]:
         alpha, poa_bound, pos_bound, poa_emp, pos_emp = map(float, row.split(","))
         if alpha > 1:

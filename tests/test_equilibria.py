@@ -260,6 +260,24 @@ def test_verify_rejects_off_grid_bids():
         verify_equilibrium(rule, (1.0, 2.0), (1.05, 2.0), g)
 
 
+BAD_TIMES = [math.nan, math.inf, -math.inf, -5.0, -1e-300]
+
+
+@pytest.mark.parametrize("bad", BAD_TIMES)
+@pytest.mark.parametrize("machine", [0, 1])  # the winner, then a loser
+def test_verify_refuses_a_bad_true_time(bad, machine):
+    truth = [0.3, 0.5]
+    truth[machine] = bad
+    with pytest.raises(ValueError, match="^true times must be finite and >= 0, got "):
+        verify_equilibrium(rule_for(SPA2, 2), truth, (0.3, 0.5), Grid(0.1, 1.0))
+
+
+@pytest.mark.parametrize("bad", BAD_TIMES)
+def test_enumerate_refuses_a_bad_true_time(bad):
+    with pytest.raises(ValueError, match="^true times must be finite and >= 0, got "):
+        enumerate_equilibria(rule_for(SPA2, 2), (bad, 0.5), Grid(0.1, 1.0))
+
+
 def test_verify_reads_a_near_grid_bid_as_its_grid_point():
     """A bid within float dust of a grid point is judged as that point: the
     decimals 0.3 and 0.6 stand for the products 3 * 0.1 and 6 * 0.1."""

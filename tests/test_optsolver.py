@@ -105,19 +105,28 @@ def test_mask_rejects_empty_set():
         EligibilityMask((frozenset(), frozenset({0})))
 
 
-def test_search_margin_is_computed_once_per_instance(monkeypatch):
-    checked = []
-    real = optsolver._sums_are_exact
-    monkeypatch.setattr(optsolver, "_sums_are_exact", lambda cols: checked.append(cols) or real(cols))
+def test_searches_leave_the_instance_as_they_found_it():
+    # the prune margin is worked out per search; nothing is kept on the instance
     inst = gen_random(3, 5, 7)
+    before = dict(inst.__dict__)
     mask = analysis.achievable_winners(MechanismId.spa(1.5), inst)
-    first = opt_makespan(inst)
-    assert opt_makespan(inst) == first
-    opt_makespan_masked(inst, mask, "min")
-    assert len(checked) == 1
-    # an equal instance built anew checks again: nothing outlives its instance
-    opt_makespan(gen_random(3, 5, 7))
-    assert len(checked) == 2
+    opt_makespan(inst)
+    for objective in ("min", "max"):
+        opt_makespan_masked(inst, mask, objective)
+    assert inst.__dict__ == before
+
+
+@pytest.mark.parametrize("bad", [1.7, "1", None])
+def test_mask_refuses_a_machine_index_that_is_not_an_integer(bad):
+    # int() would read 1.7 and '1' as machine 1
+    with pytest.raises(ValueError, match="^task 1's eligibility set is not a set of integer "):
+        EligibilityMask(({0}, {0, bad}, {1}))
+
+
+def test_mask_takes_numpy_integers():
+    mask = EligibilityMask(([np.int64(0), np.int32(2)], np.arange(2)))
+    assert mask.allowed == (frozenset({0, 2}), frozenset({0, 1}))
+    assert all(type(i) is int for s in mask.allowed for i in s)
 
 
 @pytest.mark.parametrize("objective", ["min", "max"])
