@@ -135,11 +135,6 @@ def _default_sweeps(n: int, alphas) -> dict:
     return sweeps
 
 
-def default_frontier_suite(n: int, alpha: float) -> list:
-    """Instances swept at one alpha, in `frontier_sweep`'s order."""
-    return list(_default_sweeps(n, [alpha]))
-
-
 def _optimum_floor(columns) -> float:
     """A lower bound on the optimum from `sorted_columns`: the larger of the
     biggest per-task minimum and the minima's sum over n, times 1 - 1e-9,
@@ -171,19 +166,20 @@ def _best_ceiling(inst: Instance, columns) -> float:
 def frontier_sweep(n: int, alphas, suite=None) -> list:
     """One FrontierPoint per alpha (caller order), empirical columns maxed
     over the suite.  `suite` is a list of GeneratorSpec shared by every alpha;
-    by default it is `default_frontier_suite(n, alpha)` at each alpha.  Each
-    suite instance must have n machines, since the bounds are n's.
+    by default each alpha sweeps the built-in suite at that alpha
+    (`_default_sweeps`).  Each suite instance must have n machines, since
+    the bounds are n's.
 
     One loop over the distinct suite members, each built once, in the order
     a sweep first meets it, before any is solved; a build that fails names
-    its member.  The default suite is met in `default_frontier_suite`'s
-    order: the uniform square, then each alpha's tilde and hat members, then
-    the randoms; a `suite` keeps its own order.  Each member's columns are
-    sorted once.  spa:alpha's winner set of a task is its k fastest entries,
-    k one bisection at alpha * t_min (`bucket_sizes`), so each distinct
-    vector of sizes gets one `achievable_winners` mask and one
-    `inefficiency` report, shared by the alphas that reach it: a report's
-    ratios depend on the mechanism only through its winner sets.
+    its member.  The built-in suite is met in this order: the uniform
+    square, then each alpha's tilde and hat members, then the randoms; a
+    `suite` keeps its own order.  Each member's columns are sorted once.
+    spa:alpha's winner set of a task is its k fastest entries, k one
+    bisection at alpha * t_min (`bucket_sizes`), so each distinct vector of
+    sizes gets one `achievable_winners` mask and one `inefficiency` report,
+    shared by the alphas that reach it: a report's ratios depend on the
+    mechanism only through its winner sets.
 
     A member that cannot raise any of its alphas' maxima so far is skipped
     unsolved: no optimum, winner sets or report.  With L = `_optimum_floor`,

@@ -213,6 +213,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "verify":
+        if args.seed is not None and args.seed < 0:  # before any suite prints a line
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         if args.seed is not None and args.suite in analysis.SEEDLESS_SUITES:
             raise ValueError(f"suite {args.suite!r} has fixed fixtures and takes no --seed")
         names = sorted(analysis.VERIFY_SUITES) if args.suite == "all" else [args.suite]

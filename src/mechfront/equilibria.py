@@ -239,8 +239,7 @@ def verify_equilibrium(rule: SingleTaskRule, true_times, bids, grid: Grid) -> Ve
     pts = grid.points
     g = len(pts)
     index_of = grid.index_of
-    # w holds the lowest bid and h the lowest other, each the first holder:
-    # h == n means a lone machine, which faces no bid and is paid as if facing inf
+    # w holds the lowest bid and h the lowest other, each the first holder
     w = h = n
     k_low = k_second = g  # above every index
     for i, b in enumerate(bids):
@@ -249,11 +248,7 @@ def verify_equilibrium(rule: SingleTaskRule, true_times, bids, grid: Grid) -> Ve
             w, k_low, h, k_second = i, k, w, k_low
         elif k < k_second:
             h, k_second = i, k
-    low = pts[k_low]
-    if h < n:
-        second = pts[k_second]
-    else:
-        second, k_second = math.inf, g - 1
+    low, second = pts[k_low], pts[k_second]
     best_gain, witness = 0.0, None
     for i, t in enumerate(true_times):
         if not 0.0 <= t < math.inf:  # NaN fails this test too
@@ -314,8 +309,8 @@ def enumerate_equilibria(rule: SingleTaskRule, true_times, grid: Grid) -> Enumer
     How many loser profiles share (w, a, c, tie class) depends on c alone
     once c > a, so the admissible a are counted per c with numpy and
     weighed by those multiplicities in Python ints: the counts are exact
-    for any n.  Raises ValueError for a true time that is not finite and
-    >= 0, TypeError for a rule that is not a SingleTaskRule
+    for any n >= 2.  Raises ValueError for a true time that is not finite
+    and >= 0, TypeError for a rule that is not a SingleTaskRule
     (the closed form holds for fp, sp and spa only) and
     BudgetExceededError, before allocating anything, when the g(g+1)/2
     bid pairs exceed ENUMERATION_BUDGET.
@@ -346,9 +341,6 @@ def enumerate_equilibria(rule: SingleTaskRule, true_times, grid: Grid) -> Enumer
     T = np.full((g, g), np.nan)  # nan below the diagonal: no profile has c < a
     T[a_idx, c_idx] = pay
     tie = np.diag(T)  # T[c, c]
-    if n == 1:
-        u = tie - t[0]
-        return EnumerationResult((int(np.count_nonzero(u == u.max())),), g)
     step_below = np.concatenate(([np.nan], np.diag(T, 1)))  # T[c-1, c]
     top = r == g - 1
     strict = r[:, None] < r
@@ -388,8 +380,8 @@ def _weigh(keep, lower, below: int, above: int) -> int:
 def achievable_winners(mech: MechanismId, inst: Instance) -> EligibilityMask:
     """Per-task equilibrium winner sets, by closed form (no enumeration):
     allowed[j] = machines that win task j in some equilibrium."""
-    if inst.n < mech.min_machines:
-        raise ValueError(f"{mech} needs n >= {mech.min_machines}")
+    if inst.n < 2:
+        raise ValueError(f"{mech} needs n >= 2")
     reserve, big = mech.reserve, inst.big
     sets = []
     for col in zip(*inst.times):

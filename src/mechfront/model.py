@@ -112,7 +112,7 @@ class MechanismId:
 
     The three are one family: the winner is paid min(second-lowest bid,
     `reserve` * own bid), fp is SP_1 (= spa:1) and sp is SP_inf (no reserve).
-    Other modules read `reserve` and `min_machines`, never `kind`."""
+    Other modules read `reserve` alone, never `kind`."""
 
     kind: str
     alpha: float | None = None
@@ -156,11 +156,6 @@ class MechanismId:
         """The multiple of the winning bid that caps the winner's pay: 1.0
         for fp, alpha for spa, None for sp."""
         return 1.0 if self.kind == "fp" else self.alpha
-
-    @property
-    def min_machines(self) -> int:
-        """Fewest machines the rule runs on: a second price needs a runner-up."""
-        return 1 if self.kind == "fp" else 2
 
     def __str__(self) -> str:
         if self.kind == "spa":

@@ -18,7 +18,9 @@ from .model import MechanismId
 
 @dataclass(frozen=True)
 class SingleTaskRule:
-    """A single-task rule bound to a machine count.
+    """A single-task rule bound to a machine count n >= 2.  With one machine
+    the only grid equilibrium bids the grid top, an artifact of the cap, so
+    every mechanism, fp included, refuses it.
 
     `batch(B)` evaluates K profiles at once (B has shape (K, n)) and returns
     the winner index and the winner's payment per row; `outcome(bids)` is
@@ -31,10 +33,8 @@ class SingleTaskRule:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need n >= 1")
-        if self.n < self.id.min_machines:
-            raise ValueError(f"{self.id} needs n >= {self.id.min_machines}")
+        if self.n < 2:
+            raise ValueError(f"{self.id} needs n >= 2")
 
     def outcome(self, bids) -> tuple:
         if len(bids) != self.n:
@@ -62,8 +62,6 @@ class SingleTaskRule:
             raise ValueError(f"batch expects shape (K, {self.n})")
         w = np.argmin(B, axis=1)  # argmin takes the first minimum: lowest index
         reserve = self.id.reserve
-        if reserve == 1:  # the cap binds at the own bid, and n may be 1
-            return w, B.min(axis=1)
         lowest = np.partition(B, 1, axis=1)  # columns 0 and 1: lowest and second-lowest bid
         if reserve is None:
             return w, lowest[:, 1]

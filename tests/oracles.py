@@ -8,7 +8,8 @@ matrices with the scalar rules; `enumerate_dense` is `enumerate_equilibria`
 as a scan of every grid profile, and `enumerate_by_verify` the same one
 profile at a time; `brute_force_makespan` enumerates every assignment;
 `frontier_per_alpha` is `frontier_sweep` with nothing shared between alphas
-or instances; `on_grid`, `grid_index_of`, `grid_floor` and
+or instances, over `default_frontier_suite`, the one reader of the sweep's
+private default suite; `on_grid`, `grid_index_of`, `grid_floor` and
 `canonical_in_passes` are the lattice readings and the certificate
 construction as they stood before `equilibria._lattice_index` owned the
 rule, each reading measured from its own value (the construction since
@@ -21,7 +22,8 @@ import math
 
 import numpy as np
 
-from mechfront.analysis import FrontierPoint, default_frontier_suite
+from mechfront import analysis
+from mechfront.analysis import FrontierPoint
 from mechfront.equilibria import (
     EquilibriumCertificate,
     EnumerationResult,
@@ -150,6 +152,12 @@ def _ratio(value: float, opt: float) -> float:
     if opt > 0:
         return value / opt
     return 1.0 if value == 0 else math.inf
+
+
+def default_frontier_suite(n: int, alpha: float) -> list:
+    """The generator specs `frontier_sweep` sweeps at one alpha by default,
+    in its order."""
+    return list(analysis._default_sweeps(n, [alpha]))
 
 
 def frontier_per_alpha(n: int, alphas, suite=None) -> list:

@@ -12,7 +12,6 @@ from mechfront.analysis import (
     check_combi,
     check_tech1,
     combi_row_best,
-    default_frontier_suite,
     frontier_sweep,
     inefficiency,
     monotonicity_check,
@@ -42,7 +41,7 @@ from mechfront.instances import (
 from mechfront.model import DEFAULT_BIG, BudgetExceededError, Instance, MechanismId, makespan
 from mechfront.optsolver import opt_makespan, opt_makespan_masked
 from mechfront.rules import rule_for
-from oracles import enumerate_dense, frontier_per_alpha
+from oracles import default_frontier_suite, enumerate_dense, frontier_per_alpha
 
 FP = MechanismId.parse("fp")
 SP = MechanismId.parse("sp")

@@ -16,36 +16,41 @@ from mechfront.instances import gen_uniform, save_instance
 PACKAGE_DIR = pathlib.Path(mechfront.__file__).parent
 TESTS_DIR = pathlib.Path(__file__).parent
 
-PUBLIC_NAMES = [
-    "AnonymityResult", "BudgetExceededError", "CombiPremiseError", "DEFAULT_BIG",
-    "EligibilityMask", "EnumerationResult", "EquilibriumCertificate", "FrontierPoint",
-    "GeneratorSpec", "Grid", "InefficiencyReport", "Instance", "MechanismId",
-    "MonotonicityResult", "SingleTaskRule", "VerifyResult",
-    "achievable_winners", "anonymity_check", "canonical_certificate", "check_combi",
-    "check_tech1", "combi_row_best", "default_grid", "enumerate_equilibria",
-    "frontier_sweep", "gen_canonical", "gen_circulant", "gen_fp_pos",
-    "gen_hat", "gen_random", "gen_tradeoff", "gen_uniform",
-    "inefficiency", "load_instance", "loads", "makespan",
-    "monotonicity_check", "opt_makespan", "opt_makespan_masked", "probe_matrix",
-    "regression_suite", "rule_for", "save_instance", "thm3_hat_image",
-    "verify_equilibrium",
-]
+README = TESTS_DIR.parent / "README.md"
+PUBLIC_NAMES = ["analysis", "equilibria", "instances", "model", "optsolver", "rules"]
 
 
 def test_public_names():
-    names = sorted(n for n in dir(mechfront) if not n.startswith("_")
-                   and not isinstance(getattr(mechfront, n), types.ModuleType))
-    assert names == PUBLIC_NAMES
+    """`import mechfront` binds its six library modules and no other public
+    name, in a fresh interpreter, where no other test has imported `cli`."""
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE_DIR.parent)!r}); import mechfront; "
+            f"print(*sorted(n for n in dir(mechfront) if not n.startswith('_')))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == PUBLIC_NAMES
+    assert all(isinstance(getattr(mechfront, n), types.ModuleType) for n in PUBLIC_NAMES)
 
 
 def test_record_fields():
     def fields(cls):
         return [f.name for f in dataclasses.fields(cls)]
 
-    assert fields(mechfront.MechanismId) == ["kind", "alpha"]
-    assert fields(mechfront.EquilibriumCertificate) == ["profile", "winner"]
-    assert fields(mechfront.EnumerationResult) == ["counts", "scanned"]
+    assert fields(mechfront.model.MechanismId) == ["kind", "alpha"]
+    assert fields(mechfront.equilibria.EquilibriumCertificate) == ["profile", "winner"]
+    assert fields(mechfront.equilibria.EnumerationResult) == ["counts", "scanned"]
     assert fields(analysis.SuiteReport) == ["passed", "lines"]
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    """The README's library example runs as written, through the module
+    paths it shows, which are the only paths to those names."""
+    text = README.read_text()
+    section = text[text.index("## Library entry points"):]
+    block = section[section.index("```python\n") + len("```python\n"):section.index("\n```\n")]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, str(README), "exec"), {})
+    assert (tmp_path / "two.txt").is_file()
+    assert capsys.readouterr().out.startswith("(0.5, (1, 0))\n")
 
 
 def package_imports(tree) -> set:
@@ -80,7 +85,7 @@ def test_module_layering():
 
 
 def test_only_model_reads_the_mechanism_kind():
-    # every other layer reads the derived `reserve` and `min_machines`
+    # every other layer reads the derived `reserve`
     readers = sorted(path.name for path in PACKAGE_DIR.glob("*.py") if path.name != "model.py"
                      and any(isinstance(node, ast.Attribute) and node.attr == "kind"
                              for node in ast.walk(ast.parse(path.read_text()))))
@@ -100,7 +105,7 @@ def unused_imports(tree) -> list:
 
 
 def test_no_unused_imports():
-    # the package's __init__ imports only to re-export: test_public_names pins it
+    # the package's __init__ imports only to bind its modules: test_public_names pins them
     paths = [p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py"]
     paths += TESTS_DIR.glob("*.py")
     unused = {p.name: unused_imports(ast.parse(p.read_text())) for p in paths}

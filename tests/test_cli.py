@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from mechfront import analysis, cli, equilibria, instances, model, optsolver
+from mechfront import analysis, cli, equilibria, instances, model, optsolver, rules
 from mechfront.analysis import SuiteReport
 from mechfront.instances import gen_random, gen_tradeoff, gen_uniform
 from mechfront.model import DEFAULT_BIG, makespan
@@ -316,6 +316,25 @@ def test_analyze_best_witness_is_the_optimum_when_it_is_an_equilibrium(capsys, t
     assert data["witnesses"]["best"] == data["witnesses"]["opt"] == [1, 2, 0, 2, 0, 0]
 
 
+@pytest.mark.parametrize("mid", ["fp", "spa:1", "spa:2", "sp"])
+def test_every_mechanism_refuses_one_machine(capsys, tmp_path, mid):
+    """The rule, the winner sets and every verb that takes --mech refuse a
+    one-machine instance with one message, fp and spa:1 alike; plain opt
+    still solves it."""
+    mech = model.MechanismId.parse(mid)
+    inst = model.Instance(((0.3, 0.5),))
+    message = f"{mid} needs n >= 2"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rules.SingleTaskRule(mech, 1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        equilibria.achievable_winners(mech, inst)
+    path = str(tmp_path / "one.txt")
+    instances.save_instance(inst, path)
+    for verb in ("analyze", "equilibria", "opt"):
+        assert run_cli(capsys, verb, "-i", path, "--mech", mid) == (2, "", f"error: {message}\n")
+    assert run_cli(capsys, "opt", "-i", path)[0] == 0
+
+
 @pytest.mark.parametrize("argv", [("equilibria", "--mech", "fp"),
                                   ("equilibria", "--mech", "spa:2"), ("opt",),
                                   ("opt", "--mech", "sp", "--objective", "max")])
@@ -358,8 +377,9 @@ def test_frontier_golden_stdout(replay_entry, n):
 # the sweep answers these only by skipping the seeded random members that
 # the search would refuse (exit 3)
 @pytest.mark.parametrize("n", [10, 20, 40])
-def test_frontier_golden_stdout_for_large_n(replay_entry, n):
-    out = replay_entry(f"frontier -n {n} --alphas 1,1.5,2,4")
+def test_frontier_golden_stdout_for_large_n(n):
+    code, out = stdout_corpus.load()[f"frontier -n {n} --alphas 1,1.5,2,4"]
+    assert code == 0
     for row in out.splitlines()[1:]:
         alpha, poa_bound, pos_bound, poa_emp, pos_emp = map(float, row.split(","))
         if alpha > 1:
@@ -599,6 +619,12 @@ def test_verify_seedless_suite_refuses_seed(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "anonymity", "--seed", "5")
     assert (code, out) == (2, "")
     assert err == "error: suite 'anonymity' has fixed fixtures and takes no --seed\n"
+
+
+@pytest.mark.parametrize("suite", ["all", "tech1"])
+def test_verify_refuses_a_negative_seed_before_any_suite_runs(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: --seed must be >= 0, got -1\n")
 
 
 def test_verify_unknown_suite(capsys):

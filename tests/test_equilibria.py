@@ -320,8 +320,8 @@ def verify_cases(draw):
     sentinel; under spa:1.3, alpha * x and the plateau's start fall between
     round values.  A bid is a grid point or a few ulps off one that reads as
     that point."""
-    n = draw(st.integers(1, 4))
-    mech = MechanismId.parse("fp" if n == 1 else draw(st.sampled_from(VERIFY_MECHS)))
+    n = draw(st.integers(2, 4))
+    mech = MechanismId.parse(draw(st.sampled_from(VERIFY_MECHS)))
     anchored = draw(st.booleans())
     truth = []
     for _ in range(n):
@@ -395,16 +395,6 @@ def test_enumerate_fp_winner_is_always_fastest():
     assert len(res) > 0
 
 
-def test_enumerate_single_machine():
-    rule = rule_for(FP, 1)
-    g = Grid(0.5, 2.0)
-    res = enumerate_equilibria(rule, (1.0,), g)
-    assert res.winner_union() == {0}
-    # fp alone: only the top-of-grid bid is a best response
-    assert len(res) == 1
-    assert enumerate_by_verify(rule, (1.0,), g) == [(2.0,)]
-
-
 def test_enumerate_budget_refusal(monkeypatch):
     # the budget bounds the 41 * 42 / 2 = 861 bid pairs of the pay table
     rule = rule_for(SPA2, 3)
@@ -418,7 +408,6 @@ def test_enumerate_budget_refusal(monkeypatch):
 
 
 ORACLE_VECTORS = {
-    1: {"on_grid": (1.0,), "off_grid": (0.7,), "zero": (0.0,)},
     2: {"on_grid": (1.0, 1.5), "off_grid": (0.7, 1.2), "zero": (0.0, 1.0),
         "zeros": (0.0, 0.0)},
     3: {"on_grid": (1.0, 1.5, 2.0), "off_grid": (0.3, 1.1, 0.8),
@@ -428,7 +417,7 @@ ORACLE_VECTORS = {
 
 @pytest.mark.parametrize("mid, n, kind", [
     (mid, n, kind) for mid in ("fp", "sp", "spa:2") for n, vecs in ORACLE_VECTORS.items()
-    for kind in vecs if mid == "fp" or n >= 2])
+    for kind in vecs])
 def test_enumerate_matches_verify_oracle(mid, n, kind):
     """The vectorized scan keeps exactly the profiles that pass
     verify_equilibrium one at a time: same count, same winners."""
@@ -483,13 +472,13 @@ def test_enumerate_counts_past_int64():
 
 
 ENUM_MECHS = ["fp", "sp", "spa:1", "spa:1.5", "spa:2"]
-ENUM_MAX_POINTS = {1: 60, 2: 60, 3: 27, 4: 12}  # len(grid)^n stays near 20k or below
+ENUM_MAX_POINTS = {2: 60, 3: 27, 4: 12}  # len(grid)^n stays near 20k or below
 
 
 @st.composite
 def enumerate_cases(draw):
-    n = draw(st.integers(1, 4))
-    mech = MechanismId.parse("fp" if n == 1 else draw(st.sampled_from(ENUM_MECHS)))
+    n = draw(st.integers(2, 4))
+    mech = MechanismId.parse(draw(st.sampled_from(ENUM_MECHS)))
     step = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
     points = ENUM_MAX_POINTS[n]
     k_max = (points - 3) // 2  # a default grid (cap about 2 * the largest time) still fits
@@ -503,7 +492,7 @@ def enumerate_cases(draw):
             truth.append(max(0.0, k * step + draw(st.sampled_from([1e-9, -1e-9, 0.3 * step]))))
         else:
             truth.append(0.0 if kind == "zero" else 1e6)
-    if n >= 2 and draw(st.booleans()):
+    if draw(st.booleans()):
         # machine 0 one step above the fastest of the others: fp's runner-up
         truth[0] = min(truth[1:]) + step
     truth = tuple(truth)
@@ -752,9 +741,9 @@ def test_canonical_certificate_matches_the_passes_on_random_instances():
     coarse grids whose top is a column's fastest time, bare or anchored."""
     rng = np.random.default_rng(21)
     seen = {"certificate": 0, "top grid point": 0, "dusty tie": 0}
-    for _ in range(1200):
+    for _ in range(1500):
         mech = CERT_MECHS[rng.integers(0, len(CERT_MECHS))]
-        n, m = int(rng.integers(mech.min_machines, 5)), int(rng.integers(1, 4))
+        n, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
         inst = Instance(tuple(tuple(_random_entry(rng) for _ in range(m)) for _ in range(n)))
         step = (0.1, 0.2, 0.5)[rng.integers(0, 3)]
         t = min(inst.column(int(rng.integers(0, m))))

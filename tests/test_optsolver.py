@@ -14,7 +14,7 @@ from mechfront.optsolver import (
     opt_makespan,
     opt_makespan_masked,
 )
-from oracles import brute_force_makespan
+from oracles import brute_force_makespan, default_frontier_suite
 
 
 def every_machine(inst):
@@ -173,7 +173,7 @@ def test_opt_makespan_builds_no_mask(monkeypatch):
     solved = {args[1] for args in calls}
     pairs = {(inst, analysis.achievable_winners(MechanismId.spa(a), inst))
              for a in (1.0, 2.0)
-             for inst in map(GeneratorSpec.build, analysis.default_frontier_suite(3, a))}
+             for inst in map(GeneratorSpec.build, default_frontier_suite(3, a))}
     distinct = {(inst, mask) for inst, mask in pairs if inst in solved}
     assert len(pairs) == 46
     assert len(masks) == len(calls) == len(distinct) < 46

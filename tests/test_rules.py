@@ -114,13 +114,12 @@ def test_greedy_respects_the_mask():
 
 
 def test_rule_for_needs_two_machines_for_second_price():
-    with pytest.raises(ValueError):
-        rule_for(MechanismId.parse("sp"), 1)
-    with pytest.raises(ValueError):
-        rule_for(MechanismId.parse("spa:2"), 1)
-    # first price is well-defined alone
-    rule = rule_for(MechanismId.parse("fp"), 1)
-    assert rule.outcome([1.0]) == (0, 1.0)
+    # first price is SP_1, the family's end: alone it too bids the grid top
+    for mid in ("sp", "spa:2", "spa:1", "fp"):
+        with pytest.raises(ValueError, match=f"^{mid} needs n >= 2$"):
+            rule_for(MechanismId.parse(mid), 1)
+        with pytest.raises(ValueError, match=f"^{mid} needs n >= 2$"):
+            rule_for(MechanismId.parse(mid), 0)
 
 
 ALL_MECHS = ["fp", "sp", "spa:1.5", "spa:2", "spa:3"]
@@ -202,7 +201,7 @@ def test_outcome_is_batch_on_one_row(mid, data):
     bit, and the scalar oracle rules up to the sign of a zero payment, on
     ties, zeros and -0.0 included."""
     mech = MechanismId.parse(mid)
-    n = data.draw(st.integers(mech.min_machines, 6), label="n")
+    n = data.draw(st.integers(2, 6), label="n")
     bids = tuple(data.draw(st.lists(OUTCOME_BIDS, min_size=n, max_size=n), label="bids"))
     w, pay = rule_for(mech, n).outcome(bids)
     assert (type(w), type(pay)) == (int, float)
