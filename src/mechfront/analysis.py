@@ -163,6 +163,28 @@ def _best_ceiling(inst: Instance, columns) -> float:
                            for col, fastest in zip(zip(*inst.times), columns)])
 
 
+def _equilibrium_makespans(inst: Instance, columns, sizes) -> tuple:
+    """(worst, greedy) under the winner sets of `bucket_sizes`, task j's set
+    being the machines whose time is at most `columns[j][sizes[j] - 1]`.
+    worst sums each machine's admitted times in task order and takes the
+    max; greedy is the makespan of `optsolver`'s load-greedy placement over
+    the same sets: tasks in index order, each on the admitted machine whose
+    load stays lowest, the first on ties."""
+    full = [0.0] * inst.n
+    greedy = [0.0] * inst.n
+    for col, ordered, size in zip(zip(*inst.times), columns, sizes):
+        cut = ordered[size - 1]
+        winner, low = 0, math.inf  # every grown load is finite
+        for i, t in enumerate(col):
+            if t <= cut:
+                full[i] += t
+                grown = greedy[i] + t
+                if grown < low:
+                    winner, low = i, grown
+        greedy[winner] = low
+    return max(full), max(greedy)
+
+
 def frontier_sweep(n: int, alphas, suite=None) -> list:
     """One FrontierPoint per alpha (caller order), empirical columns maxed
     over the suite.  `suite` is a list of GeneratorSpec shared by every alpha;
@@ -181,12 +203,22 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
     shared by the alphas that reach it: a report's ratios depend on the
     mechanism only through its winner sets.
 
-    A member that cannot raise any of its alphas' maxima so far is skipped
-    unsolved: no optimum, winner sets or report.  With L = `_optimum_floor`,
-    W_k = `_worst_ceiling` at alpha k and B = `_best_ceiling`, it is skipped
-    when L > 0 and W_k / L <= poa_max[k] and B / L <= pos_max[k] at each of
-    its alphas k.  The skip is exact in floats, so every point is the float
-    it would be with every member solved:
+    An alpha of a member that cannot raise its maxima so far gets no
+    report, and a member none of whose alphas can gets no optimum either.
+    Each alpha k has ceilings on the worst and best equilibrium makespans,
+    first the O(m) W_k = `_worst_ceiling` and B = `_best_ceiling`.  With
+    L = `_optimum_floor`, alpha k is settled when L > 0 and W_k / L <=
+    poa_max[k] and B / L <= pos_max[k].  For the alphas left, unless one
+    still has its maxima at -inf, one exact pass per distinct sizes vector
+    (`_equilibrium_makespans`) gives the worst makespan W and the greedy
+    makespan G; the ceilings become W and min(G, B), and the same test
+    settles more alphas.  If any is left, the optimum is solved, and an
+    alpha k with min(G, B) / opt <= pos_max[k] takes W / opt, the report's
+    poa_ratio, with no report; any other gets a report.  The pass waits for
+    maxima because no ratio is <= -inf: the first member, which meets every
+    alpha, would pay it for nothing (at n = 40 that is `uniform(40)`, 1600
+    tasks).  Every rule is exact in floats, so every point is the float it
+    would be with every member solved:
 
     - opt >= L.  The optimum is max(loads) of some assignment, each load a
       float sum of non-negative times.  Such a sum is at least each of its
@@ -203,13 +235,20 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
       most the task's largest winner time.  Float addition is monotone in
       each operand, so the load is at most W_k, the same sum over every
       task.
-    - best <= B.  The best makespan is the float minimum over the admitted
-      assignments (the optimum when its witness is admitted, which is no
-      larger), and B is one of them: a fastest time t obeys t <= alpha * t
-      in floats for alpha >= 1.
-    - Correctly rounded division is monotone, so worst / opt <= W_k / L and
-      best / opt <= B / L hold for the floats `inefficiency` and this test
-      compute, and a skipped member's ratios are at most the maxima."""
+    - worst == W.  The masked "max" gives one machine every task it may
+      take and parks the rest; that machine's load is its full admitted sum,
+      and a parked machine's load sums a subset of its own in the same
+      order, which by the same monotony is no larger.  So its value,
+      max(loads) of that witness, is the largest full sum, bit for bit.
+    - best <= min(G, B).  The best makespan is the float minimum over the
+      admitted assignments (the optimum when its witness is admitted, which
+      is no larger), and G and B are two of them: G's by construction, B's
+      as a fastest time t obeys t <= alpha * t in floats for alpha >= 1.
+    - Correctly rounded division is monotone, and so is `_ratio` in its
+      first argument for a fixed opt, so for the floats `inefficiency` and
+      these tests compute, a settled alpha's best ratio is at most its
+      maximum, and so is its worst ratio, or it is W / opt, the value a
+      report would carry."""
     if n < 2:
         raise ValueError("need n >= 2")
     alphas = [float(a) for a in alphas]
@@ -239,20 +278,32 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
         columns = sorted_columns(inst)
         sizes = {k: bucket_sizes(columns, alphas[k]) for k in ks}
         floor = _optimum_floor(columns)
+        best = _best_ceiling(inst, columns)
         if floor > 0:
-            best = _best_ceiling(inst, columns) / floor
-            if all(best <= pos_max[k] and _worst_ceiling(columns, sizes[k]) / floor <= poa_max[k]
-                   for k in ks):
-                continue
+            ks = [k for k in ks if best / floor > pos_max[k]
+                  or _worst_ceiling(columns, sizes[k]) / floor > poa_max[k]]
+        exact = {}  # bucket sizes -> (W, min(G, B))
+        if ks and -math.inf not in map(poa_max.__getitem__, ks):
+            for s in {sizes[k] for k in ks}:
+                worst, greedy = _equilibrium_makespans(inst, columns, s)
+                exact[s] = worst, min(greedy, best)
+            if floor > 0:
+                ks = [k for k in ks if exact[sizes[k]][1] / floor > pos_max[k]
+                      or exact[sizes[k]][0] / floor > poa_max[k]]
+        if not ks:
+            continue
         optimum = opt_makespan(inst)
         by_sizes = {}
         for k in ks:
-            if sizes[k] not in by_sizes:
-                by_sizes[sizes[k]] = inefficiency(mechs[k], inst, optimum,
-                                                  achievable_winners(mechs[k], inst))
-            report = by_sizes[sizes[k]]
-            poa_max[k] = max(poa_max[k], report.poa_ratio)
-            pos_max[k] = max(pos_max[k], report.pos_ratio)
+            if exact:
+                poa, pos = (_ratio(c, optimum[0]) for c in exact[sizes[k]])
+            if not exact or pos > pos_max[k]:
+                if sizes[k] not in by_sizes:
+                    by_sizes[sizes[k]] = inefficiency(mechs[k], inst, optimum,
+                                                      achievable_winners(mechs[k], inst))
+                poa, pos = by_sizes[sizes[k]].poa_ratio, by_sizes[sizes[k]].pos_ratio
+            poa_max[k] = max(poa_max[k], poa)
+            pos_max[k] = max(pos_max[k], pos)
     return [FrontierPoint(alpha, (n - 1) * alpha + 1, (n - 1) / alpha + 1, poa, pos)
             for alpha, poa, pos in zip(alphas, poa_max, pos_max)]
 

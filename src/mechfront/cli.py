@@ -55,6 +55,18 @@ def _dump(data) -> str:
     return json.dumps(_round6(data), indent=1, default=lambda o: repr(o))
 
 
+def _floats(flag: str, items) -> list:
+    """`items`, the comma-split value of `flag`, as floats; an item that is
+    not a number is refused by the flag's name."""
+    out = []
+    for item in items:
+        try:
+            out.append(float(item))
+        except ValueError:
+            raise ValueError(f"{flag}: not a number: {item!r}") from None
+    return out
+
+
 def _grid_for(inst, mech, spec):
     """`spec` is the --grid flag value "eps,H" or None for the default grid."""
     if spec is None:
@@ -62,7 +74,7 @@ def _grid_for(inst, mech, spec):
     parts = spec.split(",")
     if len(parts) != 2:
         raise ValueError(f"--grid wants 'eps,H', got {spec!r}")
-    return equilibria.default_grid(inst, mech, float(parts[0]), float(parts[1]))
+    return equilibria.default_grid(inst, mech, *_floats("--grid", parts))
 
 
 @functools.cache
@@ -176,7 +188,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "frontier":
-        alphas = sorted(float(a) for a in args.alphas.split(","))
+        alphas = sorted(_floats("--alphas", args.alphas.split(",")))
         suite = None
         if args.suite:
             suite = [instances.GeneratorSpec.parse(s)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mechfront import analysis, instances
+from mechfront import analysis, instances, optsolver
 from mechfront.analysis import (
     CombiPremiseError,
     check_combi,
@@ -189,40 +189,70 @@ def test_frontier_sweep_values():
     assert points[2].pos_emp == pytest.approx(4.1 / 2.1)
 
 
-def assert_unsolved_members_cannot_raise(points, alphas, solved):
-    """Every default-suite member the sweep left unsolved has bounds at or
-    below its alpha's final maxima, with a positive optimum floor."""
-    unsolved = 0
+def record_sweep(monkeypatch, alphas):
+    """frontier_sweep(3, alphas), with each optimum's member and each
+    report's (member, bucket sizes) recorded in call order."""
+    solved, reported = [], []
+    real_opt, real_winners = analysis.opt_makespan, analysis.achievable_winners
+
+    def counting_opt(inst):
+        solved.append(inst)
+        return real_opt(inst)
+
+    def counting_winners(mech, inst):
+        reported.append((inst, bucket_sizes(sorted_columns(inst), mech.alpha)))
+        return real_winners(mech, inst)
+
+    monkeypatch.setattr(analysis, "opt_makespan", counting_opt)
+    monkeypatch.setattr(analysis, "achievable_winners", counting_winners)
+    return frontier_sweep(3, alphas), solved, reported
+
+
+def assert_unreported_pairs_cannot_raise(points, alphas, solved, reported):
+    """Every (default-suite member, alpha) pair with no report obeys the rule
+    that settled it, against the alpha's final maxima, which are at least
+    the sweep's maxima so far.  Its worst and best ceilings are the O(m)
+    ones or, from the engines, the exact worst makespan W and min(greedy,
+    B).  Either the optimum floor is positive and one pair of ceilings over
+    it is within the maxima, or the member was solved and W and
+    min(greedy, B) over its optimum are."""
+    by_floor = by_optimum = 0
     for point, alpha in zip(points, alphas):
+        mech = MechanismId.spa(alpha)
         for inst in map(GeneratorSpec.build, default_frontier_suite(3, alpha)):
-            if inst in solved:
-                continue
-            unsolved += 1
             columns = sorted_columns(inst)
+            sizes = bucket_sizes(columns, alpha)
+            if (inst, sizes) in reported:
+                continue
+            mask = achievable_winners(mech, inst)
+            worst = opt_makespan_masked(inst, mask, "max")[0]
+            _, load = optsolver._greedy_placement(inst.times, [sorted(s) for s in mask.allowed])
+            best = analysis._best_ceiling(inst, columns)
+            ceilings = ((analysis._worst_ceiling(columns, sizes), best),
+                        (worst, min(max(load), best)))
             floor = analysis._optimum_floor(columns)
-            assert floor > 0
-            worst = analysis._worst_ceiling(columns, bucket_sizes(columns, alpha))
-            assert worst / floor <= point.poa_emp
-            assert analysis._best_ceiling(inst, columns) / floor <= point.pos_emp
-    assert unsolved > 0
+            if floor > 0 and any(w / floor <= point.poa_emp and b / floor <= point.pos_emp
+                                 for w, b in ceilings):
+                by_floor += 1
+                continue
+            assert inst in solved
+            opt = opt_makespan(inst)[0]
+            assert analysis._ratio(worst, opt) <= point.poa_emp
+            assert analysis._ratio(min(max(load), best), opt) <= point.pos_emp
+            by_optimum += 1
+    assert by_floor > 0 and by_optimum > 0
 
 
 def test_frontier_solves_each_instance_once(monkeypatch):
-    solved = []
-    real = analysis.opt_makespan
-
-    def counting(inst):
-        solved.append(inst)
-        return real(inst)
-
-    monkeypatch.setattr(analysis, "opt_makespan", counting)
     alphas = [1.0, 1.5, 2.0, 4.0]
-    points = frontier_sweep(3, alphas)
+    points, solved, reported = record_sweep(monkeypatch, alphas)
     distinct = {spec.build() for a in alphas for spec in default_frontier_suite(3, a)}
     assert len(solved) == len(set(solved)) < len(distinct)
     assert set(solved) <= distinct
     assert solved[0] == default_frontier_suite(3, 1.0)[0].build()  # uniform first
-    assert_unsolved_members_cannot_raise(points, alphas, set(solved))
+    # the exact pass settles every alpha of some solved members
+    assert {inst for inst, _ in reported} < set(solved)
+    assert_unreported_pairs_cannot_raise(points, alphas, set(solved), set(reported))
     assert [p.alpha for p in points] == alphas
 
 
@@ -288,9 +318,7 @@ def test_frontier_skips_match_the_per_alpha_oracle_on_mixed_suites(case):
     assert_sweep_matches_the_oracle(case)
 
 
-def test_the_mixed_suite_property_fails_with_a_worst_bound_too_low(monkeypatch):
-    monkeypatch.setattr(analysis, "_worst_ceiling", lambda columns, sizes: 0.0)
-
+def assert_the_mixed_suite_property_fails():
     @settings(max_examples=60, deadline=None, database=None, report_multiple_bugs=False)
     @given(mixed_frontier_cases())
     @example(WORST_BOUND_WITNESS)
@@ -301,25 +329,51 @@ def test_the_mixed_suite_property_fails_with_a_worst_bound_too_low(monkeypatch):
         prop()
 
 
+def test_the_mixed_suite_property_fails_with_a_worst_bound_too_low(monkeypatch):
+    monkeypatch.setattr(analysis, "_worst_ceiling", lambda columns, sizes: 0.0)
+    assert_the_mixed_suite_property_fails()
+
+
+def test_the_mixed_suite_property_fails_with_an_exact_pass_of_zeros(monkeypatch):
+    monkeypatch.setattr(analysis, "_equilibrium_makespans", lambda inst, columns, sizes: (0.0, 0.0))
+    assert_the_mixed_suite_property_fails()
+
+
 def test_frontier_computes_winner_sets_once_per_instance_and_bucket_sizes(monkeypatch):
-    asked = []
-    real = analysis.achievable_winners
-
-    def counting(mech, inst):
-        asked.append((inst, bucket_sizes(sorted_columns(inst), mech.alpha)))
-        return real(mech, inst)
-
-    monkeypatch.setattr(analysis, "achievable_winners", counting)
     alphas = [1.0, 1.5, 2.0, 4.0]
-    points = frontier_sweep(3, alphas)
-    solved = {inst for inst, _ in asked}
+    points, solved, reported = record_sweep(monkeypatch, alphas)
     distinct = {(inst, bucket_sizes(sorted_columns(inst), a))
                 for a in alphas for inst in map(GeneratorSpec.build, default_frontier_suite(3, a))
                 if inst in solved}
-    assert len(asked) == len(set(asked)) == len(distinct)
-    assert set(asked) == distinct
+    assert len(reported) == len(set(reported))
+    assert set(reported) < distinct  # some solved pairs need no report
     assert len(distinct) < 4 * len(solved)  # alphas share winner sets
-    assert_unsolved_members_cannot_raise(points, alphas, solved)
+    # the first member meets every alpha at -inf, so it reports at each
+    uniform = solved[0]
+    assert {(uniform, bucket_sizes(sorted_columns(uniform), a)) for a in alphas} <= set(reported)
+    assert_unreported_pairs_cannot_raise(points, alphas, set(solved), set(reported))
+
+
+@st.composite
+def equilibrium_pass_cases(draw):
+    n = draw(st.integers(2, 5))
+    entries = st.one_of(st.sampled_from(ENTRIES), st.floats(0.0, 10.0))
+    columns = [draw(st.lists(entries, min_size=n, max_size=n))
+               for _ in range(draw(st.integers(1, 6)))]
+    return draw(st.floats(1.0, 5.0)), Instance(tuple(zip(*columns)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(equilibrium_pass_cases())
+def test_the_exact_pass_matches_the_engines(case):
+    alpha, inst = case
+    mask = achievable_winners(MechanismId.spa(alpha), inst)
+    columns = sorted_columns(inst)
+    worst, greedy = analysis._equilibrium_makespans(inst, columns, bucket_sizes(columns, alpha))
+    assert worst.hex() == opt_makespan_masked(inst, mask, "max")[0].hex()
+    _, load = optsolver._greedy_placement(inst.times, [sorted(s) for s in mask.allowed])
+    assert greedy.hex() == max(load).hex()
+    assert greedy >= opt_makespan_masked(inst, mask, "min")[0]
 
 
 def _count_builds(monkeypatch) -> list:

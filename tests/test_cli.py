@@ -167,6 +167,18 @@ def test_equilibria_explicit_grid_and_task(capsys, tradeoff_file):
     assert data["tasks"][0]["winners"] == [0]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("frontier", "-n", "3", "--alphas", "2,,3"), "--alphas: not a number: ''"),
+    (("frontier", "-n", "3", "--alphas", "1,x"), "--alphas: not a number: 'x'"),
+    (("equilibria", "-i", None, "--mech", "fp", "--grid", "0.1,x"),
+     "--grid: not a number: 'x'"),
+], ids=["alphas-empty", "alphas-x", "grid-x"])
+def test_a_number_flag_names_itself_and_the_bad_item(capsys, tradeoff_file, argv, message):
+    argv = [tradeoff_file if a is None else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_equilibria_malformed_grid(capsys, tradeoff_file):
     code, _, err = run_cli(capsys, "equilibria", "-i", tradeoff_file,
                            "--mech", "fp", "--grid", "0.5")
@@ -361,19 +373,6 @@ def test_analyze_random_golden_stdout(replay_entry, seed, mech):
 
 # ---------------------------------------------------------------- frontier
 
-def test_frontier_csv_exact(replay_entry):
-    replay_entry(" ".join(FRONTIER_ARGS))
-
-
-def test_frontier_n5_csv_exact(replay_entry):
-    replay_entry("frontier -n 5 --alphas 1,1.5,2,4")
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_frontier_golden_stdout(replay_entry, n):
-    replay_entry(f"frontier -n {n} --alphas 1,1.3,2,2.7,4")
-
-
 # the sweep answers these only by skipping the seeded random members that
 # the search would refuse (exit 3)
 @pytest.mark.parametrize("n", [10, 20, 40])
@@ -441,8 +440,9 @@ def test_frontier_reaches_every_engine_binding(capsys, monkeypatch):
     assert set(calls) == {"opt_makespan", "achievable_winners", "inefficiency", "masked_min",
                           "masked_max", "build", "__init__"}
     assert calls["masked_max"] == calls["inefficiency"] == calls["achievable_winners"]
-    # members whose bounds cannot raise a maximum are built but not solved
-    assert calls["opt_makespan"] < calls["build"] <= calls["__init__"]
+    # members whose bounds cannot raise a maximum are built but not solved,
+    # and a solved member whose exact pass settles every alpha has no report
+    assert calls["inefficiency"] < calls["opt_makespan"] < calls["build"] <= calls["__init__"]
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
