@@ -30,8 +30,8 @@ from .equilibria import (
     verify_equilibrium,
 )
 from .instances import GeneratorSpec, gen_canonical, gen_circulant, regression_suite
-from .model import GRID_STEP, BudgetExceededError, Instance, MechanismId, makespan
-from .optsolver import EligibilityMask, opt_makespan, opt_makespan_masked
+from .model import GRID_STEP, BudgetExceededError, Instance, MechanismId
+from .optsolver import opt_makespan, opt_makespan_masked
 from .rules import SingleTaskRule, rule_for
 
 SQRT2 = math.sqrt(2.0)
@@ -66,16 +66,15 @@ class InefficiencyReport:
         }
 
 
-def inefficiency(mech: MechanismId, inst: Instance, optimum: tuple | None = None,
-                 mask: EligibilityMask | None = None) -> InefficiencyReport:
+def inefficiency(mech: MechanismId, inst: Instance,
+                 optimum: tuple | None = None) -> InefficiencyReport:
     """Worst/best equilibrium makespan against the optimum, with witnesses.
 
     Because the rules are task-independent, every combination of per-task
     equilibrium winners is realized by some whole-profile equilibrium, so the
     worst and best equilibrium makespans are masked assignment optimizations
     over the winner sets.  `optimum` is `opt_makespan(inst)`'s (value,
-    witness) and `mask` is `achievable_winners(mech, inst)` when the caller
-    already has them.
+    witness) when the caller already has it.
 
     When every task's winner in the optimum's witness is in its winner set,
     the optimum is also the best equilibrium, value and witness, and no
@@ -85,8 +84,7 @@ def inefficiency(mech: MechanismId, inst: Instance, optimum: tuple | None = None
     float.  The best witness is then the optimum's, which may differ from the
     one a masked search would pick among equal-valued assignments.
     """
-    if mask is None:
-        mask = achievable_winners(mech, inst)
+    mask = achievable_winners(mech, inst)
     opt, opt_w = opt_makespan(inst) if optimum is None else optimum
     worst, worst_w = opt_makespan_masked(inst, mask, "max")
     if all(map(frozenset.__contains__, mask.allowed, opt_w)):
@@ -145,24 +143,6 @@ def _optimum_floor(columns) -> float:
     return max(max(minima), average if average >= sys.float_info.min else 0.0)
 
 
-def _worst_ceiling(columns, sizes) -> float:
-    """An upper bound on the worst equilibrium makespan under the winner
-    sets of `bucket_sizes`: each task's largest winner time, added one by
-    one in task order from 0.0, as `model.loads` adds."""
-    total = 0.0
-    for col, size in zip(columns, sizes):
-        total += col[size - 1]
-    return total
-
-
-def _best_ceiling(inst: Instance, columns) -> float:
-    """An upper bound on the best equilibrium makespan: the makespan with
-    each task on its first fastest machine, an assignment every spa
-    mechanism's winner sets admit."""
-    return makespan(inst, [col.index(fastest[0])
-                           for col, fastest in zip(zip(*inst.times), columns)])
-
-
 def _equilibrium_makespans(inst: Instance, columns, sizes) -> tuple:
     """(worst, greedy) under the winner sets of `bucket_sizes`, task j's set
     being the machines whose time is at most `columns[j][sizes[j] - 1]`.
@@ -205,20 +185,14 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
 
     An alpha of a member that cannot raise its maxima so far gets no
     report, and a member none of whose alphas can gets no optimum either.
-    Each alpha k has ceilings on the worst and best equilibrium makespans,
-    first the O(m) W_k = `_worst_ceiling` and B = `_best_ceiling`.  With
-    L = `_optimum_floor`, alpha k is settled when L > 0 and W_k / L <=
-    poa_max[k] and B / L <= pos_max[k].  For the alphas left, unless one
-    still has its maxima at -inf, one exact pass per distinct sizes vector
-    (`_equilibrium_makespans`) gives the worst makespan W and the greedy
-    makespan G; the ceilings become W and min(G, B), and the same test
-    settles more alphas.  If any is left, the optimum is solved, and an
-    alpha k with min(G, B) / opt <= pos_max[k] takes W / opt, the report's
-    poa_ratio, with no report; any other gets a report.  The pass waits for
-    maxima because no ratio is <= -inf: the first member, which meets every
-    alpha, would pay it for nothing (at n = 40 that is `uniform(40)`, 1600
-    tasks).  Every rule is exact in floats, so every point is the float it
-    would be with every member solved:
+    One exact pass per distinct sizes vector (`_equilibrium_makespans`)
+    gives the worst equilibrium makespan W and the greedy makespan G.  With
+    L = `_optimum_floor`, alpha k is settled when L > 0 and W / L <=
+    poa_max[k] and G / L <= pos_max[k].  If any alpha is left, the optimum
+    is solved, and an alpha k with G / opt <= pos_max[k] takes W / opt, the
+    report's poa_ratio, with no report; any other gets a report.  Every rule
+    is exact in floats, so every point is the float it would be with every
+    member solved:
 
     - opt >= L.  The optimum is max(loads) of some assignment, each load a
       float sum of non-negative times.  Such a sum is at least each of its
@@ -230,20 +204,15 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
       loss.  `math.fsum`, the division by n and the shrink each round by a
       relative 2^-53 at most while the result is a normal float, so L stays
       below opt.
-    - worst <= W_k.  The worst makespan is one machine's load under an
-      admitted assignment: its terms in task order, 0 elsewhere, each at
-      most the task's largest winner time.  Float addition is monotone in
-      each operand, so the load is at most W_k, the same sum over every
-      task.
     - worst == W.  The masked "max" gives one machine every task it may
       take and parks the rest; that machine's load is its full admitted sum,
       and a parked machine's load sums a subset of its own in the same
-      order, which by the same monotony is no larger.  So its value,
-      max(loads) of that witness, is the largest full sum, bit for bit.
-    - best <= min(G, B).  The best makespan is the float minimum over the
-      admitted assignments (the optimum when its witness is admitted, which
-      is no larger), and G and B are two of them: G's by construction, B's
-      as a fastest time t obeys t <= alpha * t in floats for alpha >= 1.
+      order, which is no larger, as float addition is monotone in each
+      operand.  So its value, max(loads) of that witness, is the largest
+      full sum, bit for bit.
+    - best <= G.  The best makespan is the float minimum over the admitted
+      assignments (the optimum when its witness is admitted, which is no
+      larger), and G is one of them.
     - Correctly rounded division is monotone, and so is `_ratio` in its
       first argument for a fixed opt, so for the floats `inefficiency` and
       these tests compute, a settled alpha's best ratio is at most its
@@ -277,31 +246,21 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
     for inst, ks in members:
         columns = sorted_columns(inst)
         sizes = {k: bucket_sizes(columns, alphas[k]) for k in ks}
+        exact = {s: _equilibrium_makespans(inst, columns, s) for s in set(sizes.values())}
         floor = _optimum_floor(columns)
-        best = _best_ceiling(inst, columns)
         if floor > 0:
-            ks = [k for k in ks if best / floor > pos_max[k]
-                  or _worst_ceiling(columns, sizes[k]) / floor > poa_max[k]]
-        exact = {}  # bucket sizes -> (W, min(G, B))
-        if ks and -math.inf not in map(poa_max.__getitem__, ks):
-            for s in {sizes[k] for k in ks}:
-                worst, greedy = _equilibrium_makespans(inst, columns, s)
-                exact[s] = worst, min(greedy, best)
-            if floor > 0:
-                ks = [k for k in ks if exact[sizes[k]][1] / floor > pos_max[k]
-                      or exact[sizes[k]][0] / floor > poa_max[k]]
+            ks = [k for k in ks if exact[sizes[k]][0] / floor > poa_max[k]
+                  or exact[sizes[k]][1] / floor > pos_max[k]]
         if not ks:
             continue
         optimum = opt_makespan(inst)
-        by_sizes = {}
+        reports = {}  # bucket sizes -> report
         for k in ks:
-            if exact:
-                poa, pos = (_ratio(c, optimum[0]) for c in exact[sizes[k]])
-            if not exact or pos > pos_max[k]:
-                if sizes[k] not in by_sizes:
-                    by_sizes[sizes[k]] = inefficiency(mechs[k], inst, optimum,
-                                                      achievable_winners(mechs[k], inst))
-                poa, pos = by_sizes[sizes[k]].poa_ratio, by_sizes[sizes[k]].pos_ratio
+            poa, pos = (_ratio(c, optimum[0]) for c in exact[sizes[k]])
+            if pos > pos_max[k]:
+                if sizes[k] not in reports:
+                    reports[sizes[k]] = inefficiency(mechs[k], inst, optimum)
+                poa, pos = reports[sizes[k]].poa_ratio, reports[sizes[k]].pos_ratio
             poa_max[k] = max(poa_max[k], poa)
             pos_max[k] = max(pos_max[k], pos)
     return [FrontierPoint(alpha, (n - 1) * alpha + 1, (n - 1) / alpha + 1, poa, pos)

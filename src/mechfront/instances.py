@@ -240,10 +240,13 @@ class GeneratorSpec:
             raise
 
     def label(self) -> str:
+        """The text `parse` reads back as this spec: a float is written with
+        `:g` when that reads back as the same float, else in full."""
         if not self.params:
             return self.name
-        return self.name + ":" + ",".join(f"{k}={v:g}" if isinstance(v, float)
-                                          else f"{k}={v}" for k, v in self.params)
+        return self.name + ":" + ",".join(
+            f"{k}={v:g}" if isinstance(v, float) and float(f"{v:g}") == v else f"{k}={v}"
+            for k, v in self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +258,17 @@ def instance_to_dict(inst: Instance) -> dict:
             "times": [list(row) for row in inst.times]}
 
 
+def _json_number(x, field: str) -> float:
+    """A JSON int or float as a float; true, "2.5" and an int past the float
+    range are refused, naming the field."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            return float(x)
+        except OverflowError:
+            pass
+    raise ValueError(f"{field}: not a number: {x!r}")
+
+
 def instance_from_dict(data: dict) -> Instance:
     """Instance from its JSON form; a missing or malformed field is named."""
     for key in ("times", "big"):
@@ -263,11 +277,9 @@ def instance_from_dict(data: dict) -> Instance:
     times = data["times"]
     if not isinstance(times, list) or not all(isinstance(row, list) for row in times):
         raise ValueError("times: must be a list of rows, each a list of numbers")
-    try:
-        big = float(data["big"])
-    except (TypeError, ValueError):
-        raise ValueError(f"big: not a number: {data['big']!r}") from None
-    inst = Instance(tuple(tuple(row) for row in times), big)
+    big = _json_number(data["big"], "big")
+    inst = Instance(tuple(tuple(_json_number(x, f"times: row {r}") for x in row)
+                          for r, row in enumerate(times)), big)
     if inst.n != data.get("n", inst.n) or inst.m != data.get("m", inst.m):
         raise ValueError("declared shape does not match the times matrix")
     return inst

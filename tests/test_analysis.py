@@ -171,7 +171,7 @@ def test_best_equilibrium_matches_the_masked_search(case):
     best_w = report.witnesses["best"]
     assert all(i in s for i, s in zip(best_w, mask.allowed))
     assert makespan(inst, best_w) == report.best_makespan
-    assert inefficiency(mech, inst, opt_makespan(inst), mask) == report
+    assert inefficiency(mech, inst, opt_makespan(inst)) == report
 
 
 # ---------------------------------------------------------------- frontier
@@ -211,34 +211,28 @@ def record_sweep(monkeypatch, alphas):
 def assert_unreported_pairs_cannot_raise(points, alphas, solved, reported):
     """Every (default-suite member, alpha) pair with no report obeys the rule
     that settled it, against the alpha's final maxima, which are at least
-    the sweep's maxima so far.  Its worst and best ceilings are the O(m)
-    ones or, from the engines, the exact worst makespan W and min(greedy,
-    B).  Either the optimum floor is positive and one pair of ceilings over
-    it is within the maxima, or the member was solved and W and
-    min(greedy, B) over its optimum are."""
+    the sweep's maxima so far.  Its ceilings on the worst and best
+    makespans come from the engines: the exact worst makespan W and the
+    greedy makespan G.  Either the optimum floor is positive and both over
+    it are within the maxima, or the member was solved and both over its
+    optimum are."""
     by_floor = by_optimum = 0
     for point, alpha in zip(points, alphas):
         mech = MechanismId.spa(alpha)
         for inst in map(GeneratorSpec.build, default_frontier_suite(3, alpha)):
-            columns = sorted_columns(inst)
-            sizes = bucket_sizes(columns, alpha)
-            if (inst, sizes) in reported:
+            if (inst, bucket_sizes(sorted_columns(inst), alpha)) in reported:
                 continue
             mask = achievable_winners(mech, inst)
             worst = opt_makespan_masked(inst, mask, "max")[0]
             _, load = optsolver._greedy_placement(inst.times, [sorted(s) for s in mask.allowed])
-            best = analysis._best_ceiling(inst, columns)
-            ceilings = ((analysis._worst_ceiling(columns, sizes), best),
-                        (worst, min(max(load), best)))
-            floor = analysis._optimum_floor(columns)
-            if floor > 0 and any(w / floor <= point.poa_emp and b / floor <= point.pos_emp
-                                 for w, b in ceilings):
+            floor = analysis._optimum_floor(sorted_columns(inst))
+            if floor > 0 and worst / floor <= point.poa_emp and max(load) / floor <= point.pos_emp:
                 by_floor += 1
                 continue
             assert inst in solved
             opt = opt_makespan(inst)[0]
             assert analysis._ratio(worst, opt) <= point.poa_emp
-            assert analysis._ratio(min(max(load), best), opt) <= point.pos_emp
+            assert analysis._ratio(max(load), opt) <= point.pos_emp
             by_optimum += 1
     assert by_floor > 0 and by_optimum > 0
 
@@ -327,11 +321,6 @@ def assert_the_mixed_suite_property_fails():
 
     with pytest.raises(AssertionError):
         prop()
-
-
-def test_the_mixed_suite_property_fails_with_a_worst_bound_too_low(monkeypatch):
-    monkeypatch.setattr(analysis, "_worst_ceiling", lambda columns, sizes: 0.0)
-    assert_the_mixed_suite_property_fails()
 
 
 def test_the_mixed_suite_property_fails_with_an_exact_pass_of_zeros(monkeypatch):

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mechfront.instances import (
     _BUILDERS,
+    _INT_PARAMS,
     GENERATOR_BUDGET,
     GeneratorSpec,
     gen_canonical,
@@ -251,6 +254,21 @@ def test_generators_take_only_their_family_parameters():
             for name, builder in _BUILDERS.items()} == GENERATOR_PARAMETERS
 
 
+@st.composite
+def generator_specs(draw):
+    name = draw(st.sampled_from(sorted(GENERATOR_PARAMETERS)))
+    return GeneratorSpec(name, tuple(
+        (key, draw(st.integers() if key in _INT_PARAMS else st.floats(allow_nan=False)))
+        for key in GENERATOR_PARAMETERS[name]))
+
+
+@given(generator_specs())
+@example(GeneratorSpec("hat", (("n", 3), ("alpha", 2.0000001))))
+@example(GeneratorSpec("tilde", (("n", 3), ("alpha", 999999.5))))
+def test_a_spec_label_parses_back_to_the_spec(spec):
+    assert GeneratorSpec.parse(spec.label()) == spec
+
+
 @pytest.mark.parametrize("build, shape", [
     (lambda: gen_uniform(216), "216 x 46656"),
     (lambda: thm3_hat_image(216), "216 x 46656"),
@@ -331,6 +349,8 @@ def test_instance_from_dict_names_the_bad_field(data, field):
 def test_dict_roundtrip():
     inst = gen_hat(3, 2.0, "hat")
     assert instance_from_dict(instance_to_dict(inst)).times == inst.times
+    ints = {"times": [[1, 2], [2, 1]], "big": 1000000}  # a JSON int is a number
+    assert instance_from_dict(ints) == Instance(((1.0, 2.0), (2.0, 1.0)))
 
 
 # ---------------------------------------------------------------- suite

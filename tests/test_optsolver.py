@@ -167,7 +167,7 @@ def test_opt_makespan_builds_no_mask(monkeypatch):
     monkeypatch.setattr(analysis, "inefficiency", counted)
     analysis.frontier_sweep(3, [1.0, 2.0])
     masks = list(built)
-    # one mask per distinct (solved instance, winner sets), handed to that
+    # one mask per distinct (solved instance, winner sets), built by that
     # pair's one report: 46 of the 48 (alpha, instance) pairs are distinct,
     # and the members the sweep skips unsolved get none
     solved = {args[1] for args in calls}
@@ -177,8 +177,7 @@ def test_opt_makespan_builds_no_mask(monkeypatch):
     distinct = {(inst, mask) for inst, mask in pairs if inst in solved}
     assert len(pairs) == 46
     assert len(masks) == len(calls) == len(distinct) < 46
-    assert all(args[3] is mask for args, mask in zip(calls, masks))
-    assert {(args[1], args[3]) for args in calls} == distinct
+    assert {(args[1], mask) for args, mask in zip(calls, masks)} == distinct
 
 
 def test_singleton_masks_pin_the_assignment():
