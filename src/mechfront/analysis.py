@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 from .equilibria import (
@@ -119,50 +118,14 @@ def _default_sweeps(n: int, alphas) -> dict:
     """The default suite, each member mapped to the indices of the alphas it
     is swept at: the uniform square (every alpha), then each alpha's stress
     pair (the tilde member meets the worst-case bound exactly) and a hat just
-    past the mechanism's reach (tracks the best-case bound from below), then
-    20 seeded randoms (every alpha).  A member repeated by several alphas
-    keeps its first place."""
-    every = range(len(alphas))
-    sweeps = {GeneratorSpec("uniform", (("n", n),)): every}
+    past the mechanism's reach (tracks the best-case bound from below).  A
+    member repeated by several alphas keeps its first place."""
+    sweeps = {GeneratorSpec("uniform", (("n", n),)): range(len(alphas))}
     for k, alpha in enumerate(alphas):
         a = alpha if alpha > 1 else 2.0
         for name, at in (("tilde", a), ("hat", a), ("hat", alpha + 0.1)):
             sweeps.setdefault(GeneratorSpec(name, (("n", n), ("alpha", at))), []).append(k)
-    for seed in range(1000, 1020):
-        sweeps[GeneratorSpec("random", (("n", n), ("m", n + 1), ("seed", seed)))] = every
     return sweeps
-
-
-def _optimum_floor(columns) -> float:
-    """A lower bound on the optimum from `sorted_columns`: the larger of the
-    biggest per-task minimum and the minima's sum over n, times 1 - 1e-9,
-    a shrink that covers the float-sum loss bounded in `frontier_sweep`'s
-    docstring (an average below the smallest normal float counts as 0)."""
-    minima = [col[0] for col in columns]
-    average = math.fsum(minima) / len(columns[0]) * (1 - 1e-9)
-    return max(max(minima), average if average >= sys.float_info.min else 0.0)
-
-
-def _equilibrium_makespans(inst: Instance, columns, sizes) -> tuple:
-    """(worst, greedy) under the winner sets of `bucket_sizes`, task j's set
-    being the machines whose time is at most `columns[j][sizes[j] - 1]`.
-    worst sums each machine's admitted times in task order and takes the
-    max; greedy is the makespan of `optsolver`'s load-greedy placement over
-    the same sets: tasks in index order, each on the admitted machine whose
-    load stays lowest, the first on ties."""
-    full = [0.0] * inst.n
-    greedy = [0.0] * inst.n
-    for col, ordered, size in zip(zip(*inst.times), columns, sizes):
-        cut = ordered[size - 1]
-        winner, low = 0, math.inf  # every grown load is finite
-        for i, t in enumerate(col):
-            if t <= cut:
-                full[i] += t
-                grown = greedy[i] + t
-                if grown < low:
-                    winner, low = i, grown
-        greedy[winner] = low
-    return max(full), max(greedy)
 
 
 def frontier_sweep(n: int, alphas, suite=None) -> list:
@@ -175,49 +138,13 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
     One loop over the distinct suite members, each built once, in the order
     a sweep first meets it, before any is solved; a build that fails names
     its member.  The built-in suite is met in this order: the uniform
-    square, then each alpha's tilde and hat members, then the randoms; a
-    `suite` keeps its own order.  Each member's columns are sorted once.
+    square, then each alpha's tilde and hat members; a `suite` keeps its own
+    order.  Each member is solved once, and its columns are sorted once.
     spa:alpha's winner set of a task is its k fastest entries, k one
     bisection at alpha * t_min (`bucket_sizes`), so each distinct vector of
-    sizes gets one `achievable_winners` mask and one `inefficiency` report,
-    shared by the alphas that reach it: a report's ratios depend on the
-    mechanism only through its winner sets.
-
-    An alpha of a member that cannot raise its maxima so far gets no
-    report, and a member none of whose alphas can gets no optimum either.
-    One exact pass per distinct sizes vector (`_equilibrium_makespans`)
-    gives the worst equilibrium makespan W and the greedy makespan G.  With
-    L = `_optimum_floor`, alpha k is settled when L > 0 and W / L <=
-    poa_max[k] and G / L <= pos_max[k].  If any alpha is left, the optimum
-    is solved, and an alpha k with G / opt <= pos_max[k] takes W / opt, the
-    report's poa_ratio, with no report; any other gets a report.  Every rule
-    is exact in floats, so every point is the float it would be with every
-    member solved:
-
-    - opt >= L.  The optimum is max(loads) of some assignment, each load a
-      float sum of non-negative times.  Such a sum is at least each of its
-      terms, so opt >= every per-task minimum.  Summing k terms one by one
-      loses at most a relative (k - 1) * 2^-53 / (1 - (k - 1) * 2^-53),
-      under 6e-10 for the at most 5 * 10^6 tasks of a generated instance
-      with n >= 2; the loads' exact sums add up to at least the minima's
-      exact sum, so the largest load is at least that sum over n, less that
-      loss.  `math.fsum`, the division by n and the shrink each round by a
-      relative 2^-53 at most while the result is a normal float, so L stays
-      below opt.
-    - worst == W.  The masked "max" gives one machine every task it may
-      take and parks the rest; that machine's load is its full admitted sum,
-      and a parked machine's load sums a subset of its own in the same
-      order, which is no larger, as float addition is monotone in each
-      operand.  So its value, max(loads) of that witness, is the largest
-      full sum, bit for bit.
-    - best <= G.  The best makespan is the float minimum over the admitted
-      assignments (the optimum when its witness is admitted, which is no
-      larger), and G is one of them.
-    - Correctly rounded division is monotone, and so is `_ratio` in its
-      first argument for a fixed opt, so for the floats `inefficiency` and
-      these tests compute, a settled alpha's best ratio is at most its
-      maximum, and so is its worst ratio, or it is W / opt, the value a
-      report would carry."""
+    sizes gets one `inefficiency` report, shared by the alphas that reach
+    it: a report's ratios depend on the mechanism only through its winner
+    sets."""
     if n < 2:
         raise ValueError("need n >= 2")
     alphas = [float(a) for a in alphas]
@@ -239,30 +166,18 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
             raise ValueError(f"suite instance {spec.label()} has {inst.n} "
                              f"machines, not n = {n}")
         members.append((inst, ks))
-    # the first member meets every alpha below all maxima, so each point
-    # has a report
     poa_max = [-math.inf] * len(alphas)
     pos_max = [-math.inf] * len(alphas)
     for inst, ks in members:
         columns = sorted_columns(inst)
-        sizes = {k: bucket_sizes(columns, alphas[k]) for k in ks}
-        exact = {s: _equilibrium_makespans(inst, columns, s) for s in set(sizes.values())}
-        floor = _optimum_floor(columns)
-        if floor > 0:
-            ks = [k for k in ks if exact[sizes[k]][0] / floor > poa_max[k]
-                  or exact[sizes[k]][1] / floor > pos_max[k]]
-        if not ks:
-            continue
         optimum = opt_makespan(inst)
         reports = {}  # bucket sizes -> report
         for k in ks:
-            poa, pos = (_ratio(c, optimum[0]) for c in exact[sizes[k]])
-            if pos > pos_max[k]:
-                if sizes[k] not in reports:
-                    reports[sizes[k]] = inefficiency(mechs[k], inst, optimum)
-                poa, pos = reports[sizes[k]].poa_ratio, reports[sizes[k]].pos_ratio
-            poa_max[k] = max(poa_max[k], poa)
-            pos_max[k] = max(pos_max[k], pos)
+            sizes = bucket_sizes(columns, alphas[k])
+            if sizes not in reports:
+                reports[sizes] = inefficiency(mechs[k], inst, optimum)
+            poa_max[k] = max(poa_max[k], reports[sizes].poa_ratio)
+            pos_max[k] = max(pos_max[k], reports[sizes].pos_ratio)
     return [FrontierPoint(alpha, (n - 1) * alpha + 1, (n - 1) / alpha + 1, poa, pos)
             for alpha, poa, pos in zip(alphas, poa_max, pos_max)]
 

@@ -41,7 +41,7 @@ def _as_matrix(rows) -> tuple:
     for r, row in enumerate(rows):
         try:
             row = tuple(map(float, row))
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:  # an int past the float range
             raise ValueError(f"times: row {r}: {e}") from None
         if width is None:
             width = len(row)
@@ -77,7 +77,11 @@ class Instance:
     def __post_init__(self):
         times, top = _as_matrix(self.times)
         object.__setattr__(self, "times", times)
-        if not (self.big > 0) or math.isinf(self.big):
+        try:
+            finite = math.isfinite(self.big)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not (self.big > 0 and finite):
             raise ValueError("big must be positive and finite")
         if not top < self.big:  # a sentinel row: the largest entry below big
             top = max((x for row in times for x in row if x < self.big), default=None)

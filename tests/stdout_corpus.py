@@ -55,13 +55,17 @@ INSTANCE_FILES = {
 }
 MECHS = ("fp", "sp", "spa:1.5", "spa:2", "spa:3")
 PROBE_MECHS = ("fp", "sp", "spa:1", "spa:1.5", "spa:2", "spa:3")
-# commands outside the crossed set: the console-script checks of CI, and
-# golden commands that tests pinned before the corpus existed
+# commands outside the crossed set: the console-script checks of CI, golden
+# commands that tests pinned before the corpus existed, and a suite member
+# the optimum search refuses at its node budget (exit 3)
 EXTRA_COMMANDS = (
     "equilibria -i uniform-3.txt --mech spa:2 --grid 0.5,3",
     "frontier -n 3 --alphas 1,2",
     *(f"frontier -n {n} --alphas 1,1.3,2,2.7,4" for n in (2, 3, 4, 5)),
     *(f"frontier -n {n} --alphas 1,1.5,2,4" for n in (10, 20, 40)),
+    "frontier -n 10 --alphas 45",
+    "frontier -n 20 --alphas 50",
+    "frontier -n 10 --alphas 2 --suite random:n=10,m=11,seed=1001",
     *(f"analyze -i random-3x4-1004.txt --mech {mech}" for mech in ("fp", "sp", "spa:2")),
     "probe --mech fp -n 2",
     "verify --suite anonymity",

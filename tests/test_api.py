@@ -141,6 +141,8 @@ NUMPY_FREE_CALLS = {
     "opt": "from mechfront import cli; assert cli.run(['opt', '-i', sys.argv[1]]) == 0",
     "analyze": "from mechfront import cli; "
                "assert cli.run(['analyze', '--mech', 'spa:2', '-i', sys.argv[1]]) == 0",
+    "frontier": "from mechfront import cli; "
+                "assert cli.run(['frontier', '-n', '3', '--alphas', '1,2']) == 0",
 }
 
 

@@ -56,6 +56,17 @@ def test_instance_accepts_finite_entries_whose_sum_overflows():
     assert inst.times[0][:2] == (1e308, 1e308)
 
 
+def test_instance_refuses_an_int_past_the_float_range():
+    with pytest.raises(ValueError, match="^times: row 0: int too large to convert to float$"):
+        Instance(((10 ** 400, 1.0), (1.0, 1.0)))
+
+
+@pytest.mark.parametrize("big", [10 ** 400, math.inf, 0, -1.0], ids=["10**400", "inf", "0", "-1"])
+def test_instance_refuses_a_big_that_is_not_a_positive_float(big):
+    with pytest.raises(ValueError, match="^big must be positive and finite$"):
+        Instance(((1.0, 1.0), (1.0, 1.0)), big=big)
+
+
 def test_sentinel_dominance_guard():
     # big must dominate any feasible makespan: > 2*(n+m)*max_finite
     with pytest.raises(ValueError):
