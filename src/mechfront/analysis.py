@@ -21,11 +21,9 @@ from .equilibria import (
     EquilibriumCertificate,
     Grid,
     achievable_winners,
-    bucket_sizes,
     canonical_certificate,
     default_grid,
     enumerate_equilibria,
-    sorted_columns,
     verify_equilibrium,
 )
 from .instances import GeneratorSpec, gen_canonical, gen_circulant, regression_suite
@@ -116,11 +114,13 @@ class FrontierPoint:
 
 def _default_sweeps(n: int, alphas) -> dict:
     """The default suite, each member mapped to the indices of the alphas it
-    is swept at: the uniform square (every alpha), then each alpha's stress
-    pair (the tilde member meets the worst-case bound exactly) and a hat just
-    past the mechanism's reach (tracks the best-case bound from below).  A
-    member repeated by several alphas keeps its first place."""
-    sweeps = {GeneratorSpec("uniform", (("n", n),)): range(len(alphas))}
+    is swept at: the uniform square (PoA n) at the alphas equal to 1, if any,
+    then each alpha's stress pair (the tilde member meets the worst-case
+    bound (n-1)*alpha + 1 >= n exactly) and a hat just past the mechanism's
+    reach (tracks the best-case bound from below).  A member repeated by
+    several alphas keeps its first place."""
+    ones = [k for k, alpha in enumerate(alphas) if alpha == 1]
+    sweeps = {GeneratorSpec("uniform", (("n", n),)): ones} if ones else {}
     for k, alpha in enumerate(alphas):
         a = alpha if alpha > 1 else 2.0
         for name, at in (("tilde", a), ("hat", a), ("hat", alpha + 0.1)):
@@ -135,16 +135,11 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
     (`_default_sweeps`).  Each suite instance must have n machines, since
     the bounds are n's.
 
-    One loop over the distinct suite members, each built once, in the order
-    a sweep first meets it, before any is solved; a build that fails names
-    its member.  The built-in suite is met in this order: the uniform
-    square, then each alpha's tilde and hat members; a `suite` keeps its own
-    order.  Each member is solved once, and its columns are sorted once.
-    spa:alpha's winner set of a task is its k fastest entries, k one
-    bisection at alpha * t_min (`bucket_sizes`), so each distinct vector of
-    sizes gets one `inefficiency` report, shared by the alphas that reach
-    it: a report's ratios depend on the mechanism only through its winner
-    sets."""
+    One loop over the distinct suite members, in the order a sweep first
+    meets them (the built-in suite's: the uniform square, then each alpha's
+    tilde and hat members; a `suite` keeps its own order).  Each is built,
+    named if its build fails, solved once, given one `inefficiency` report
+    per alpha that sweeps it, and dropped."""
     if n < 2:
         raise ValueError("need n >= 2")
     alphas = [float(a) for a in alphas]
@@ -155,7 +150,8 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
         sweeps = _default_sweeps(n, alphas)  # spec -> indices of its alphas
     else:
         sweeps = dict.fromkeys(suite, range(len(alphas)))
-    members = []
+    poa_max = [-math.inf] * len(alphas)
+    pos_max = [-math.inf] * len(alphas)
     for spec, ks in sweeps.items():
         try:
             inst = spec.build()
@@ -165,19 +161,11 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
         if inst.n != n:
             raise ValueError(f"suite instance {spec.label()} has {inst.n} "
                              f"machines, not n = {n}")
-        members.append((inst, ks))
-    poa_max = [-math.inf] * len(alphas)
-    pos_max = [-math.inf] * len(alphas)
-    for inst, ks in members:
-        columns = sorted_columns(inst)
         optimum = opt_makespan(inst)
-        reports = {}  # bucket sizes -> report
         for k in ks:
-            sizes = bucket_sizes(columns, alphas[k])
-            if sizes not in reports:
-                reports[sizes] = inefficiency(mechs[k], inst, optimum)
-            poa_max[k] = max(poa_max[k], reports[sizes].poa_ratio)
-            pos_max[k] = max(pos_max[k], reports[sizes].pos_ratio)
+            report = inefficiency(mechs[k], inst, optimum)
+            poa_max[k] = max(poa_max[k], report.poa_ratio)
+            pos_max[k] = max(pos_max[k], report.pos_ratio)
     return [FrontierPoint(alpha, (n - 1) * alpha + 1, (n - 1) / alpha + 1, poa, pos)
             for alpha, poa, pos in zip(alphas, poa_max, pos_max)]
 

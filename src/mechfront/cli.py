@@ -52,7 +52,7 @@ def _round6(obj):
 
 
 def _dump(data) -> str:
-    return json.dumps(_round6(data), indent=1, default=lambda o: repr(o))
+    return json.dumps(_round6(data), indent=1)
 
 
 def _floats(flag: str, items) -> list:

@@ -20,9 +20,7 @@ anything it names, per task, the machines that win in *some* equilibrium:
 those within the reserve of the fastest, {i : t_i <= reserve * min_k t_k},
 boundary included, or with no reserve (sp) every machine below the sentinel
 (a sentinel machine would need a payment at sentinel scale, which capped
-reports cannot produce).  A spa set is a prefix of the task's times in
-ascending order, so `bucket_sizes` gives every alpha's set sizes from one
-`sorted_columns` pass, and for one instance the sizes name the sets.
+reports cannot produce).
 
 Without a reserve or above reserve 1, enumeration and the analytic sets agree
 exactly when true times are positive grid multiples.  At reserve 1 (fp) the grid adds winners
@@ -398,20 +396,6 @@ def achievable_winners(mech: MechanismId, inst: Instance) -> EligibilityMask:
             winners = [i for i, t in enumerate(col) if t <= cut]
         sets.append(winners)
     return EligibilityMask(tuple(sets))
-
-
-def sorted_columns(inst: Instance) -> list:
-    """Each task's times in ascending order, as `bucket_sizes` reads them."""
-    return [sorted(col) for col in zip(*inst.times)]
-
-
-def bucket_sizes(columns, alpha: float) -> tuple:
-    """How many machines each task's spa:alpha winner set holds (alpha = 1:
-    fp's), given `sorted_columns` of the instance.  The set is {i : t_i <=
-    alpha * t_min}, the same float product and comparison `achievable_winners`
-    makes, so it holds a column's k fastest entries and, for one instance,
-    equal sizes mean equal winner sets."""
-    return tuple([bisect.bisect_right(col, alpha * col[0]) for col in columns])
 
 
 # ---------------------------------------------------------------------------

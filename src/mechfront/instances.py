@@ -302,7 +302,10 @@ def load_instance(path: str) -> Instance:
     """Read what `save_instance` writes; the extension picks the format."""
     with open(path) as f:
         if not str(path).endswith(".txt"):
-            return instance_from_dict(json.load(f))
+            try:
+                return instance_from_dict(json.load(f))
+            except RecursionError:  # json's reader recurses once per nesting level
+                raise ValueError("JSON nests too deeply to be an instance") from None
         head = f.readline().split()
         try:
             n, m, big = head

@@ -32,14 +32,13 @@ scan the makespans reachable by a mechanism's equilibrium winner sets);
 `objective="max"` finds the *worst* reachable makespan instead.  An
 `EligibilityMask` holds one frozenset of machine indices per task; it
 refuses empty sets, negative indices and any index that is not an integer
-when it is built, and equal masks hash alike, so a caller can key reports on
-them.  `opt_makespan_masked` checks the rest against the instance -- one set
-per task, every index below n -- before it searches.  The masked search's
-value is the float minimum over the assignments the mask admits, so when
-`opt_makespan`'s witness is admitted the masked minimum is `opt_makespan`'s
-value, bit for bit; `analysis.inefficiency` then skips the masked search.
-`opt_makespan` builds no mask: it runs the same search with every machine
-allowed on every task.
+when it is built, and equal masks hash alike.  `opt_makespan_masked` checks
+the rest against the instance -- one set per task, every index below n --
+before it searches.  The masked search's value is the float minimum over the
+assignments the mask admits, so when `opt_makespan`'s witness is admitted
+the masked minimum is `opt_makespan`'s value, bit for bit;
+`analysis.inefficiency` then skips the masked search.  `opt_makespan` builds
+no mask: it runs the same search with every machine allowed on every task.
 """
 from __future__ import annotations
 

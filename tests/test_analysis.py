@@ -21,11 +21,9 @@ from mechfront.analysis import (
 from mechfront.equilibria import (
     Grid,
     achievable_winners,
-    bucket_sizes,
     canonical_certificate,
     default_grid,
     enumerate_equilibria,
-    sorted_columns,
 )
 from mechfront.instances import (
     GeneratorSpec,
@@ -191,7 +189,7 @@ def test_frontier_sweep_values():
 
 def record_sweep(monkeypatch, alphas):
     """frontier_sweep(3, alphas), with each optimum's member and each
-    report's (member, bucket sizes) recorded in call order."""
+    report's (member, alpha) recorded in call order."""
     solved, reported = [], []
     real_opt, real_winners = analysis.opt_makespan, analysis.achievable_winners
 
@@ -200,7 +198,7 @@ def record_sweep(monkeypatch, alphas):
         return real_opt(inst)
 
     def counting_winners(mech, inst):
-        reported.append((inst, bucket_sizes(sorted_columns(inst), mech.alpha)))
+        reported.append((inst, mech.alpha))
         return real_winners(mech, inst)
 
     monkeypatch.setattr(analysis, "opt_makespan", counting_opt)
@@ -215,7 +213,9 @@ def test_frontier_solves_each_instance_once(monkeypatch):
     assert len(solved) == len(set(solved)) == len(distinct)
     assert set(solved) == distinct
     assert solved[0] == default_frontier_suite(3, 1.0)[0].build()  # uniform first
-    assert {inst for inst, _ in reported} == set(solved)
+    pairs = {(spec.build(), a) for a in alphas for spec in default_frontier_suite(3, a)}
+    assert len(reported) == len(set(reported)) == len(pairs)  # one report per (member, alpha)
+    assert set(reported) == pairs
     assert [p.alpha for p in points] == alphas
 
 
@@ -281,35 +281,6 @@ def test_frontier_skips_match_the_per_alpha_oracle_on_mixed_suites(case):
     assert_sweep_matches_the_oracle(case)
 
 
-def assert_the_mixed_suite_property_fails():
-    @settings(max_examples=60, deadline=None, database=None, report_multiple_bugs=False)
-    @given(mixed_frontier_cases())
-    @example(WORST_BOUND_WITNESS)
-    @example((3, [1.0, 4.0], [("tradeoff", (("n", 3), ("rho", 2.0)))]))  # pos 2 and 1
-    def prop(case):
-        assert_sweep_matches_the_oracle(case)
-
-    with pytest.raises(AssertionError):
-        prop()
-
-
-def test_the_mixed_suite_property_fails_when_alphas_share_a_report_wrongly(monkeypatch):
-    # one bucket-size vector for every alpha: each member's first alpha
-    # reports for all of them
-    monkeypatch.setattr(analysis, "bucket_sizes", lambda columns, alpha: ())
-    assert_the_mixed_suite_property_fails()
-
-
-def test_frontier_computes_winner_sets_once_per_instance_and_bucket_sizes(monkeypatch):
-    alphas = [1.0, 1.5, 2.0, 4.0]
-    _, solved, reported = record_sweep(monkeypatch, alphas)
-    distinct = {(inst, bucket_sizes(sorted_columns(inst), a))
-                for a in alphas for inst in map(GeneratorSpec.build, default_frontier_suite(3, a))}
-    assert len(reported) == len(set(reported)) == len(distinct)
-    assert set(reported) == distinct
-    assert len(distinct) < 4 * len(solved)  # alphas share winner sets
-
-
 def _count_builds(monkeypatch) -> list:
     built = []
     real = GeneratorSpec.build
@@ -324,11 +295,15 @@ def _count_builds(monkeypatch) -> list:
 
 def test_frontier_builds_each_distinct_spec_once(monkeypatch):
     built = _count_builds(monkeypatch)
-    alphas = [1.0, 1.5, 2.0, 4.0]  # alpha 1 sweeps tilde and hat at 2, as alpha 2 does
-    frontier_sweep(3, alphas)
-    distinct = {spec for a in alphas for spec in default_frontier_suite(3, a)}
-    assert len(built) == len(set(built)) == len(distinct) < 1 + 3 * len(alphas)
-    assert set(built) == distinct
+    # alpha 1 sweeps tilde and hat at 2, as alpha 2 does, and only alpha 1
+    # sweeps the uniform square
+    for alphas in ([1.0, 1.5, 2.0, 4.0], [1.5, 2.0, 4.0]):
+        built.clear()
+        frontier_sweep(3, alphas)
+        distinct = {spec for a in alphas for spec in default_frontier_suite(3, a)}
+        assert len(built) == len(set(built)) == len(distinct) < 1 + 3 * len(alphas)
+        assert set(built) == distinct
+        assert (GeneratorSpec.parse("uniform:n=3") in built) == (1.0 in alphas)
 
 
 def test_frontier_rejects_bad_args():
@@ -340,7 +315,7 @@ def test_frontier_rejects_bad_args():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_frontier_refuses_a_non_finite_alpha_before_any_build(monkeypatch, bad):
-    # a nan or inf alpha would otherwise share alpha 2's bucket sizes
+    # every alpha is read before the loop that builds the members
     built = _count_builds(monkeypatch)
     with pytest.raises(ValueError, match=f"^spa needs a finite alpha >= 1, got {bad}$"):
         frontier_sweep(3, [2.0, bad], [GeneratorSpec.parse("uniform:n=3")])
@@ -353,10 +328,13 @@ def test_frontier_rejects_empty_suite():
 
 
 def test_default_frontier_suite_shape():
+    # tilde, hat, and the hat past the reach; the uniform square only at 1
     specs = default_frontier_suite(3, 2.0)
-    assert len(specs) == 4                     # uniform, tilde, hat, hat past the reach
-    assert specs[0].name == "uniform"
-    assert {s.name for s in specs[:4]} == {"uniform", "tilde", "hat"}
+    assert [s.label() for s in specs] == ["tilde:alpha=2,n=3", "hat:alpha=2,n=3",
+                                          "hat:alpha=2.1,n=3"]
+    specs = default_frontier_suite(3, 1.0)
+    assert [s.label() for s in specs] == ["uniform:n=3", "tilde:alpha=2,n=3",
+                                          "hat:alpha=2,n=3", "hat:alpha=1.1,n=3"]
 
 
 # ---------------------------------------------------------------- monotonicity

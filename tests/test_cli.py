@@ -765,7 +765,7 @@ def test_generator_entries_stay_below_the_sentinel(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize("argv", [
     ["gen", "uniform", "n=1000", "-o", "u.json"],
-    ["frontier", "-n", "1000", "--alphas", "2"],
+    ["frontier", "-n", "1000", "--alphas", "1,2"],
     ["gen", "random", "n=10000", "m=10000", "seed=1", "-o", "r.txt"],
 ])
 def test_oversized_generator_refused_before_allocating(capsys, tmp_path, monkeypatch, argv):
@@ -788,10 +788,13 @@ def test_oversized_generator_refused_before_allocating(capsys, tmp_path, monkeyp
     ({"times": [[1, 2], [1, "2.5"]], "big": 1e6}, "times: row 1: not a number: '2.5'"),
     ({"times": [[1, None], [1, 1]], "big": 1e6}, "times: row 0: not a number: None"),
     ({"times": [[1, 2], [10 ** 400, 1]], "big": 1e6}, "times: row 1: not a number: 1000"),
+    # json's reader, and writer, recurse once per level: given as text
+    pytest.param('{"times": ' + "[" * 1000 + "]" * 1000 + ', "big": 1e6}',
+                 "JSON nests too deeply", id="nested-1000-deep"),
 ])
 def test_malformed_instance_file_exits_two(capsys, tmp_path, data, field):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     code, out, err = run_cli(capsys, "opt", "-i", str(path))
     assert code == 2
     assert out == ""

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mechfront import equilibria
@@ -13,12 +13,10 @@ from mechfront.equilibria import (
     EquilibriumCertificate,
     Grid,
     achievable_winners,
-    bucket_sizes,
     canonical_certificate,
     default_grid,
     _lattice_index,
     enumerate_equilibria,
-    sorted_columns,
     verify_equilibrium,
 )
 from mechfront.instances import (
@@ -568,42 +566,6 @@ def test_bucket_equivalence_spot_checks(alpha):
         g = default_grid(t, mech)
         enum = enumerate_equilibria(rule, t, g).winner_union()
         assert enum == achievable_winners(mech, inst).allowed[0]
-
-
-@st.composite
-def bucket_cases(draw):
-    """An instance on the 0.1 lattice, drawn from a few values so that ties
-    are common, with zeros and sentinel entries, plus alphas: 1, lattice
-    points, and ratios t / t_min within a column, whose product alpha * t_min
-    often lands back on t as a float."""
-    n = draw(st.integers(2, 5))
-    m = draw(st.integers(1, 4))
-    ks = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4))
-    entry = st.sampled_from([float(k) * 0.1 for k in ks] + [float(DEFAULT_BIG)])
-    times = tuple(tuple(draw(entry) for _ in range(m)) for _ in range(n))
-    ratios = {t / min(col) for col in zip(*times) if min(col) > 0 for t in col}
-    choices = sorted(ratios | {1.0} | {k / 10 for k in range(10, 41)})
-    alphas = draw(st.lists(st.sampled_from(choices), min_size=1, max_size=6))
-    return Instance(times), alphas
-
-
-@given(bucket_cases())
-@settings(max_examples=400, deadline=None)
-# 2 * (3 * 0.1) == 6 * 0.1 as floats: the boundary machine is in the set
-@example((Instance(((0.30000000000000004, 0.0), (0.6000000000000001, float(DEFAULT_BIG)),
-                    (0.6000000000000001, 0.0))), [1.0, 2.0, 1.9, 2.0]))
-def test_bucket_sizes_name_the_spa_winner_sets(case):
-    inst, alphas = case
-    columns = sorted_columns(inst)
-    masks = {}  # bucket sizes -> the mask achievable_winners gave them
-    for alpha in alphas:
-        sizes = bucket_sizes(columns, alpha)
-        mask = achievable_winners(MechanismId.spa(alpha), inst)
-        for col, fastest, k, winners in zip(zip(*inst.times), columns, sizes, mask.allowed):
-            # the k fastest entries, ties included
-            assert winners == {i for i, t in enumerate(col) if t <= fastest[k - 1]}
-        assert masks.setdefault(sizes, mask) == mask
-    assert len(set(masks.values())) == len(masks)
 
 
 # ---------------------------------------------------------------- templates

@@ -167,8 +167,9 @@ def test_opt_makespan_builds_no_mask(monkeypatch):
     monkeypatch.setattr(analysis, "inefficiency", counted)
     analysis.frontier_sweep(3, [1.0, 2.0])
     masks = list(built)
-    # one mask per distinct (instance, winner sets), built by that pair's one
-    # report: 7 of the 8 (alpha, instance) pairs are distinct
+    # one mask per (alpha, instance) pair, built by that pair's one report:
+    # the uniform square at alpha 1 and three members at each alpha, whose
+    # winner sets differ between the alphas
     distinct = {(inst, analysis.achievable_winners(MechanismId.spa(a), inst))
                 for a in (1.0, 2.0)
                 for inst in map(GeneratorSpec.build, default_frontier_suite(3, a))}
