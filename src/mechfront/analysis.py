@@ -114,32 +114,25 @@ class FrontierPoint:
 
 def _default_sweeps(n: int, alphas) -> dict:
     """The default suite, each member mapped to the indices of the alphas it
-    is swept at: the uniform square (PoA n) at the alphas equal to 1, if any,
-    then each alpha's stress pair (the tilde member meets the worst-case
-    bound (n-1)*alpha + 1 >= n exactly) and a hat just past the mechanism's
-    reach (tracks the best-case bound from below).  A member repeated by
-    several alphas keeps its first place."""
-    ones = [k for k, alpha in enumerate(alphas) if alpha == 1]
-    sweeps = {GeneratorSpec("uniform", (("n", n),)): ones} if ones else {}
+    is swept at: per alpha, tilde (meets the worst-case bound (n-1)*alpha + 1
+    exactly), hat, and a hat just past the reach (tracks the best-case bound
+    from below); a member repeated by several alphas keeps its first place."""
+    sweeps = {}
     for k, alpha in enumerate(alphas):
-        a = alpha if alpha > 1 else 2.0
-        for name, at in (("tilde", a), ("hat", a), ("hat", alpha + 0.1)):
+        for name, at in (("tilde", alpha), ("hat", alpha), ("hat", alpha + 0.1)):
             sweeps.setdefault(GeneratorSpec(name, (("n", n), ("alpha", at))), []).append(k)
     return sweeps
 
 
 def frontier_sweep(n: int, alphas, suite=None) -> list:
     """One FrontierPoint per alpha (caller order), empirical columns maxed
-    over the suite.  `suite` is a list of GeneratorSpec shared by every alpha;
-    by default each alpha sweeps the built-in suite at that alpha
-    (`_default_sweeps`).  Each suite instance must have n machines, since
-    the bounds are n's.
+    over the suite: `suite`, a list of GeneratorSpec shared by every alpha,
+    or by default `_default_sweeps`' members at each alpha.  Each member must
+    have n machines, since the bounds are n's.
 
-    One loop over the distinct suite members, in the order a sweep first
-    meets them (the built-in suite's: the uniform square, then each alpha's
-    tilde and hat members; a `suite` keeps its own order).  Each is built,
-    named if its build fails, solved once, given one `inefficiency` report
-    per alpha that sweeps it, and dropped."""
+    One loop over the distinct members, in the order the sweep first meets
+    them: each is built (a failed build is named), solved once, given one
+    `inefficiency` report per alpha that sweeps it, and dropped."""
     if n < 2:
         raise ValueError("need n >= 2")
     alphas = [float(a) for a in alphas]

@@ -25,10 +25,11 @@ import functools
 import json
 import math
 import os
+import reprlib
 import sys
 
 from . import analysis, equilibria, instances
-from .model import BudgetExceededError, MechanismId
+from .model import BudgetExceededError, MechanismId, read_float
 from .optsolver import opt_makespan, opt_makespan_masked
 from .rules import rule_for
 
@@ -55,26 +56,15 @@ def _dump(data) -> str:
     return json.dumps(_round6(data), indent=1)
 
 
-def _floats(flag: str, items) -> list:
-    """`items`, the comma-split value of `flag`, as floats; an item that is
-    not a number is refused by the flag's name."""
-    out = []
-    for item in items:
-        try:
-            out.append(float(item))
-        except ValueError:
-            raise ValueError(f"{flag}: not a number: {item!r}") from None
-    return out
-
-
 def _grid_for(inst, mech, spec):
     """`spec` is the --grid flag value "eps,H" or None for the default grid."""
     if spec is None:
         return equilibria.default_grid(inst, mech)
     parts = spec.split(",")
     if len(parts) != 2:
-        raise ValueError(f"--grid wants 'eps,H', got {spec!r}")
-    return equilibria.default_grid(inst, mech, *_floats("--grid", parts))
+        raise ValueError(f"--grid wants 'eps,H', got {reprlib.repr(spec)}")
+    return equilibria.default_grid(inst, mech, *(read_float(p, "--grid: not a number")
+                                                 for p in parts))
 
 
 @functools.cache
@@ -188,7 +178,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "frontier":
-        alphas = sorted(_floats("--alphas", args.alphas.split(",")))
+        alphas = sorted(read_float(a, "--alphas: not a number") for a in args.alphas.split(","))
         suite = None
         if args.suite:
             suite = [instances.GeneratorSpec.parse(s)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 
 from .model import DEFAULT_BIG, GRID_STEP, BudgetExceededError, Instance
@@ -124,12 +125,13 @@ def gen_hat(n: int, alpha: float, variant: str) -> Instance:
     own -- its bucket membership lets worst equilibria pile (n-1)*alpha + 1
     onto it.  hat: specialists at alpha, machine n-1 at 1 on their tasks,
     alpha on its own -- whether the specialists stay winnable depends on the
-    mechanism's multiplier, which is what pins the best equilibrium.  From
-    alpha = DEFAULT_BIG on the alpha entries would read as sentinels.
+    mechanism's multiplier, which is what pins the best equilibrium.  At
+    alpha = 1 both are one matrix, whose worst case n is first price's
+    bound.  From alpha = DEFAULT_BIG the alpha entries would be sentinels.
     """
     _check_shape(n, n)
-    if not 1 < alpha < DEFAULT_BIG:
-        raise ValueError(f"need 1 < alpha < {DEFAULT_BIG}")
+    if not 1 <= alpha < DEFAULT_BIG:
+        raise ValueError(f"need 1 <= alpha < {DEFAULT_BIG}")
     if variant not in ("tilde", "hat"):
         raise ValueError("variant must be 'tilde' or 'hat'")
     spec_t, last_t = (1.0, float(alpha)) if variant == "tilde" else (float(alpha), 1.0)
@@ -203,7 +205,7 @@ class GeneratorSpec:
 
     def __post_init__(self):
         if self.name not in _BUILDERS:
-            raise ValueError(f"unknown generator {self.name!r}")
+            raise ValueError(f"unknown generator {reprlib.repr(self.name)}")
         object.__setattr__(self, "params", tuple(sorted(dict(self.params).items())))
 
     @staticmethod
@@ -215,16 +217,17 @@ class GeneratorSpec:
             for part in rest.split(","):
                 key, _, val = part.partition("=")
                 if not _:
-                    raise ValueError(f"bad generator parameter {part!r}")
+                    raise ValueError(f"bad generator parameter {reprlib.repr(part)}")
                 key = key.strip()
+                where = f"generator {reprlib.repr(name)}: parameter {reprlib.repr(key)}"
                 if key in params:
-                    raise ValueError(f"generator {name!r}: parameter {key!r} given twice")
+                    raise ValueError(f"{where} given twice")
                 kind = int if key in _INT_PARAMS else float
                 try:
                     params[key] = kind(val)
                 except ValueError:
-                    raise ValueError(f"generator {name!r}: parameter {key!r} wants "
-                                     f"{kind.__name__}, got {val!r}") from None
+                    raise ValueError(f"{where} wants {kind.__name__}, "
+                                     f"got {reprlib.repr(val)}") from None
         return GeneratorSpec(name, tuple(params.items()))
 
     def build(self):
@@ -266,7 +269,7 @@ def _json_number(x, field: str) -> float:
             return float(x)
         except OverflowError:
             pass
-    raise ValueError(f"{field}: not a number: {x!r}")
+    raise ValueError(f"{field}: not a number: {reprlib.repr(x)}")
 
 
 def instance_from_dict(data: dict) -> Instance:
@@ -311,7 +314,8 @@ def load_instance(path: str) -> Instance:
             n, m, big = head
             n, m, big = int(n), int(m), float(big)
         except ValueError:
-            raise ValueError(f"first line must be 'n m big', got {' '.join(head)!r}") from None
+            raise ValueError("first line must be 'n m big', "
+                             f"got {reprlib.repr(' '.join(head))}") from None
         rows = [line.split() for line in f if line.strip()]
     if len(rows) != n or any(len(r) != m for r in rows):
         raise ValueError(f"expected {n} rows of {m} entries")

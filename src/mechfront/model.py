@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from dataclasses import dataclass
 
 DEFAULT_BIG = 10 ** 6
@@ -25,6 +26,14 @@ MECHANISM_KINDS = ("fp", "sp", "spa")
 
 class BudgetExceededError(RuntimeError):
     """An exhaustive computation would scan more states than its budget allows."""
+
+
+def read_float(text, what: str) -> float:
+    """float(text), refused with `what` and text's repr cut to a bounded length."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{what}: {reprlib.repr(text)}") from None
 
 
 def _as_matrix(rows) -> tuple:
@@ -41,8 +50,11 @@ def _as_matrix(rows) -> tuple:
     for r, row in enumerate(rows):
         try:
             row = tuple(map(float, row))
-        except (TypeError, ValueError, OverflowError) as e:  # an int past the float range
-            raise ValueError(f"times: row {r}: {e}") from None
+        except (TypeError, ValueError, OverflowError):  # an int past the float range
+            try:  # again entry by entry, so that a bad token is named cut short
+                row = tuple(read_float(x, "could not convert string to float") for x in row)
+            except (TypeError, ValueError, OverflowError) as e:
+                raise ValueError(f"times: row {r}: {e}") from None
         if width is None:
             width = len(row)
         elif len(row) != width:
@@ -152,8 +164,8 @@ class MechanismId:
         if text in ("fp", "sp"):
             return MechanismId(text)
         if text.startswith("spa:"):
-            return MechanismId.spa(float(text.split(":", 1)[1]))
-        raise ValueError(f"cannot parse mechanism {text!r}")
+            return MechanismId.spa(read_float(text[4:], "could not convert string to float"))
+        raise ValueError(f"cannot parse mechanism {reprlib.repr(text)}")
 
     @functools.cached_property  # read by every payment: a plain attribute after the first
     def reserve(self) -> float | None:

@@ -55,10 +55,10 @@ INSTANCE_FILES = {
 }
 MECHS = ("fp", "sp", "spa:1.5", "spa:2", "spa:3")
 PROBE_MECHS = ("fp", "sp", "spa:1", "spa:1.5", "spa:2", "spa:3")
-# commands outside the crossed set: the console-script checks of CI, golden
-# commands that tests pinned before the corpus existed, a size past the
-# uniform square's generator budget, which no alpha above 1 builds, and a
-# suite member the optimum search refuses at its node budget (exit 3)
+# commands outside the crossed set: golden commands that tests pinned before
+# the corpus existed, sizes at which an n x n^2 member would pass the
+# generator budget (the default suite's members are n x n), and a suite
+# member the optimum search refuses at its node budget (exit 3)
 EXTRA_COMMANDS = (
     "equilibria -i uniform-3.txt --mech spa:2 --grid 0.5,3",
     "frontier -n 3 --alphas 1,2",
@@ -66,6 +66,7 @@ EXTRA_COMMANDS = (
     *(f"frontier -n {n} --alphas 1,1.5,2,4" for n in (10, 20, 40)),
     "frontier -n 10 --alphas 45",
     "frontier -n 20 --alphas 50",
+    "frontier -n 216 --alphas 1",
     "frontier -n 300 --alphas 2",
     "frontier -n 10 --alphas 2 --suite random:n=10,m=11,seed=1001",
     *(f"analyze -i random-3x4-1004.txt --mech {mech}" for mech in ("fp", "sp", "spa:2")),

@@ -209,13 +209,14 @@ def record_sweep(monkeypatch, alphas):
 def test_frontier_solves_each_instance_once(monkeypatch):
     alphas = [1.0, 1.5, 2.0, 4.0]
     points, solved, reported = record_sweep(monkeypatch, alphas)
-    distinct = {spec.build() for a in alphas for spec in default_frontier_suite(3, a)}
-    assert len(solved) == len(set(solved)) == len(distinct)
-    assert set(solved) == distinct
-    assert solved[0] == default_frontier_suite(3, 1.0)[0].build()  # uniform first
-    pairs = {(spec.build(), a) for a in alphas for spec in default_frontier_suite(3, a)}
-    assert len(reported) == len(set(reported)) == len(pairs)  # one report per (member, alpha)
-    assert set(reported) == pairs
+    specs = list(dict.fromkeys(spec for a in alphas for spec in default_frontier_suite(3, a)))
+    # one optimum per distinct spec, in the order the alphas first meet them;
+    # tilde and hat at alpha 1 are one matrix under two names
+    assert solved == [spec.build() for spec in specs]
+    assert len(set(solved)) == len(specs) - 1
+    # one report per (member, alpha), member by member
+    assert reported == [(spec.build(), a) for spec in specs
+                        for a in alphas if spec in default_frontier_suite(3, a)]
     assert [p.alpha for p in points] == alphas
 
 
@@ -295,15 +296,15 @@ def _count_builds(monkeypatch) -> list:
 
 def test_frontier_builds_each_distinct_spec_once(monkeypatch):
     built = _count_builds(monkeypatch)
-    # alpha 1 sweeps tilde and hat at 2, as alpha 2 does, and only alpha 1
-    # sweeps the uniform square
-    for alphas in ([1.0, 1.5, 2.0, 4.0], [1.5, 2.0, 4.0]):
+    # tilde and two hats at every alpha, alpha 1 included, and a repeated
+    # alpha builds nothing twice
+    for alphas in ([1.0, 1.5, 2.0, 4.0], [4.0, 1.0, 4.0, 1.0]):
         built.clear()
         frontier_sweep(3, alphas)
         distinct = {spec for a in alphas for spec in default_frontier_suite(3, a)}
-        assert len(built) == len(set(built)) == len(distinct) < 1 + 3 * len(alphas)
+        assert len(built) == len(set(built)) == len(distinct) == 3 * len(set(alphas))
         assert set(built) == distinct
-        assert (GeneratorSpec.parse("uniform:n=3") in built) == (1.0 in alphas)
+        assert {spec.name for spec in built} == {"tilde", "hat"}
 
 
 def test_frontier_rejects_bad_args():
@@ -328,13 +329,24 @@ def test_frontier_rejects_empty_suite():
 
 
 def test_default_frontier_suite_shape():
-    # tilde, hat, and the hat past the reach; the uniform square only at 1
+    # tilde, hat, and the hat past the reach, at every alpha
     specs = default_frontier_suite(3, 2.0)
     assert [s.label() for s in specs] == ["tilde:alpha=2,n=3", "hat:alpha=2,n=3",
                                           "hat:alpha=2.1,n=3"]
     specs = default_frontier_suite(3, 1.0)
-    assert [s.label() for s in specs] == ["uniform:n=3", "tilde:alpha=2,n=3",
-                                          "hat:alpha=2,n=3", "hat:alpha=1.1,n=3"]
+    assert [s.label() for s in specs] == ["tilde:alpha=1,n=3", "hat:alpha=1,n=3",
+                                          "hat:alpha=1.1,n=3"]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_first_price_needs_no_member_of_its_own(n):
+    # the sweep at alpha 1 against the suite it swept before tilde and hat
+    # took alpha 1: the uniform square and the pair built at 2; tilde at
+    # alpha 1 meets first price's worst-case bound n by itself
+    old_suite = [GeneratorSpec.parse(s) for s in (
+        f"uniform:n={n}", f"tilde:n={n},alpha=2", f"hat:n={n},alpha=2", f"hat:n={n},alpha=1.1")]
+    assert frontier_sweep(n, [1.0]) == frontier_sweep(n, [1.0], old_suite)
+    assert inefficiency(FP, gen_hat(n, 1.0, "tilde")).poa_ratio == n
 
 
 # ---------------------------------------------------------------- monotonicity

@@ -20,26 +20,6 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-@pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
-    """The stdout corpus, and a directory holding its instance files."""
-    directory = tmp_path_factory.mktemp("corpus")
-    stdout_corpus.write_instances(str(directory))
-    return stdout_corpus.load(), directory
-
-
-@pytest.fixture
-def replay_entry(corpus, monkeypatch):
-    """Replay the corpus entry of one command; returns its stdout."""
-    entries, directory = corpus
-    monkeypatch.chdir(directory)
-
-    def replay(cmd):
-        stdout_corpus.replay({cmd: entries[cmd]})
-        return entries[cmd][1]
-    return replay
-
-
 @pytest.fixture
 def tradeoff_file(tmp_path):
     path = tmp_path / "tradeoff.json"
@@ -172,11 +152,17 @@ def test_equilibria_explicit_grid_and_task(capsys, tradeoff_file):
     (("frontier", "-n", "3", "--alphas", "1,x"), "--alphas: not a number: 'x'"),
     (("equilibria", "-i", None, "--mech", "fp", "--grid", "0.1,x"),
      "--grid: not a number: 'x'"),
-], ids=["alphas-empty", "alphas-x", "grid-x"])
+    # a long item is echoed cut short
+    (("frontier", "-n", "3", "--alphas", "1," + "9" * 5000 + "x"),
+     "--alphas: not a number: '999999999999...999999999999x'"),
+    (("equilibria", "-i", None, "--mech", "fp", "--grid", "0.1," + "9" * 5000 + "x"),
+     "--grid: not a number: '999999999999...999999999999x'"),
+], ids=["alphas-empty", "alphas-x", "grid-x", "alphas-long", "grid-long"])
 def test_a_number_flag_names_itself_and_the_bad_item(capsys, tradeoff_file, argv, message):
     argv = [tradeoff_file if a is None else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert len(err) < 100
 
 
 def test_equilibria_malformed_grid(capsys, tradeoff_file):
@@ -338,14 +324,6 @@ def test_every_mechanism_refuses_one_machine(capsys, tmp_path, mid):
     assert run_cli(capsys, "opt", "-i", path)[0] == 0
 
 
-# golden stdout: each of these commands replays its `stdout_corpus.txt` entry;
-# a changed tie or witness anywhere shows here
-@pytest.mark.parametrize("seed,mech", [(seed, mech) for seed in range(1000, 1005)
-                                       for mech in ("fp", "sp", "spa:2")])
-def test_analyze_random_golden_stdout(replay_entry, seed, mech):
-    replay_entry(f"analyze -i random-3x4-{seed}.txt --mech {mech}")
-
-
 # ---------------------------------------------------------------- frontier
 
 # the default suite's tilde member meets the worst-case bound at every n
@@ -355,8 +333,7 @@ def test_frontier_golden_stdout_for_large_n(n):
     assert code == 0
     for row in out.splitlines()[1:]:
         alpha, poa_bound, pos_bound, poa_emp, pos_emp = map(float, row.split(","))
-        if alpha > 1:
-            assert poa_emp == poa_bound
+        assert poa_emp == poa_bound
         assert pos_emp <= pos_bound
 
 
@@ -435,7 +412,7 @@ def test_frontier_suite_instance_needs_n_machines(capsys):
 
 @pytest.mark.parametrize("alphas, member, cause", [
     ("999999", "tilde:alpha=999999,n=3", "big=1000000 does not dominate: "),
-    ("1e308", "tilde:alpha=1e+308,n=3", "need 1 < alpha < 1000000\n"),
+    ("1e308", "tilde:alpha=1e+308,n=3", "need 1 <= alpha < 1000000\n"),
     ("999999.5", "tilde:alpha=999999.5,n=3", "big=1000000 does not dominate: "),
 ])
 def test_frontier_names_the_suite_instance_that_fails_to_build(capsys, alphas, member, cause):
@@ -765,7 +742,7 @@ def test_generator_entries_stay_below_the_sentinel(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize("argv", [
     ["gen", "uniform", "n=1000", "-o", "u.json"],
-    ["frontier", "-n", "1000", "--alphas", "1,2"],
+    ["frontier", "-n", "3163", "--alphas", "2"],
     ["gen", "random", "n=10000", "m=10000", "seed=1", "-o", "r.txt"],
 ])
 def test_oversized_generator_refused_before_allocating(capsys, tmp_path, monkeypatch, argv):
@@ -788,6 +765,12 @@ def test_oversized_generator_refused_before_allocating(capsys, tmp_path, monkeyp
     ({"times": [[1, 2], [1, "2.5"]], "big": 1e6}, "times: row 1: not a number: '2.5'"),
     ({"times": [[1, None], [1, 1]], "big": 1e6}, "times: row 0: not a number: None"),
     ({"times": [[1, 2], [10 ** 400, 1]], "big": 1e6}, "times: row 1: not a number: 1000"),
+    # a long or deep value is echoed cut short
+    pytest.param('{"times": [[1, ' + "[" * 498 + "]" * 498 + '], [1, 1]], "big": 1e6}',
+                 "times: row 0: not a number: [[[[[[[...]]]]]]]", id="entry-498-deep"),
+    pytest.param({"times": [[1, 2], [1, "9" * 5000]], "big": 1e6},
+                 "times: row 1: not a number: '999999999999...9999999999999'",
+                 id="string-5000-long"),
     # json's reader, and writer, recurse once per level: given as text
     pytest.param('{"times": ' + "[" * 1000 + "]" * 1000 + ', "big": 1e6}',
                  "JSON nests too deeply", id="nested-1000-deep"),
@@ -799,18 +782,27 @@ def test_malformed_instance_file_exits_two(capsys, tmp_path, data, field):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and field in err
+    assert len(err) < 100
 
 
 @pytest.mark.parametrize("text, message", [
     ("2 x 1e6\n1 2\n3 4\n", "first line must be 'n m big', got '2 x 1e6'"),
     ("1 2\n1 2\n", "first line must be 'n m big', got '1 2'"),
     ("1 2 1e6\n1 a\n", "times: row 0: could not convert string to float: 'a'"),
+    # a long token, or first line, is echoed cut short
+    pytest.param("1 2 1e6\n1 " + "1" * 5000 + "a\n",
+                 "times: row 0: could not convert string to float: "
+                 "'111111111111...111111111111a'", id="token-5001-long"),
+    pytest.param("2 2 " + "1" * 5000 + "x\n1 2\n3 4\n",
+                 "first line must be 'n m big', got '2 2 11111111...111111111111x'",
+                 id="first-line-5005-long"),
 ])
 def test_malformed_text_instance_file_exits_two(capsys, tmp_path, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     code, out, err = run_cli(capsys, "opt", "-i", str(path))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert len(err) < 100
 
 
 @pytest.mark.parametrize("extra", [["--eps", "0"], ["--eps", "1e-320"], ["--cap", "inf"],

@@ -167,13 +167,15 @@ def test_opt_makespan_builds_no_mask(monkeypatch):
     monkeypatch.setattr(analysis, "inefficiency", counted)
     analysis.frontier_sweep(3, [1.0, 2.0])
     masks = list(built)
-    # one mask per (alpha, instance) pair, built by that pair's one report:
-    # the uniform square at alpha 1 and three members at each alpha, whose
-    # winner sets differ between the alphas
+    # one mask per (alpha, member) pair, built by that pair's one report:
+    # three members at each alpha, whose winner sets differ between the
+    # alphas; tilde and hat at alpha 1 are one matrix, so one (instance,
+    # mask) pair twice
     distinct = {(inst, analysis.achievable_winners(MechanismId.spa(a), inst))
                 for a in (1.0, 2.0)
                 for inst in map(GeneratorSpec.build, default_frontier_suite(3, a))}
-    assert len(masks) == len(calls) == len(distinct) == 7
+    assert len(masks) == len(calls) == 6
+    assert len(distinct) == 5
     assert {(args[1], mask) for args, mask in zip(calls, masks)} == distinct
 
 
