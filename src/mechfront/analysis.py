@@ -115,20 +115,35 @@ class FrontierPoint:
 def _default_sweeps(n: int, alphas) -> dict:
     """The default suite, each member mapped to the indices of the alphas it
     is swept at: per alpha, tilde (meets the worst-case bound (n-1)*alpha + 1
-    exactly), hat, and a hat just past the reach (tracks the best-case bound
-    from below); a member repeated by several alphas keeps its first place."""
+    exactly) and a hat just past the reach (tracks the best-case bound from
+    below); a member repeated by several alphas keeps its first place.
+
+    The hat at alpha itself is no member, as it never sets a maximum under
+    spa:alpha: its specialists sit on the closed bucket's edge, so its
+    optimum is an equilibrium and its PoS is 1, and its worst case piles
+    everything on the last machine, ((n-1) + alpha)/alpha = (n-1)/alpha + 1
+    <= (n-1)*alpha + 1, tilde's.  A hat that is another alpha's hat past
+    the reach (1.9 + 0.1 == 2.0) is swept at that alpha only."""
     sweeps = {}
     for k, alpha in enumerate(alphas):
-        for name, at in (("tilde", alpha), ("hat", alpha), ("hat", alpha + 0.1)):
+        for name, at in (("tilde", alpha), ("hat", alpha + 0.1)):
             sweeps.setdefault(GeneratorSpec(name, (("n", n), ("alpha", at))), []).append(k)
     return sweeps
+
+
+def _cut(text: str) -> str:
+    """`text` for an error line, its middle cut to '...' past 60 characters."""
+    return text if len(text) <= 60 else f"{text[:28]}...{text[-29:]}"
 
 
 def frontier_sweep(n: int, alphas, suite=None) -> list:
     """One FrontierPoint per alpha (caller order), empirical columns maxed
     over the suite: `suite`, a list of GeneratorSpec shared by every alpha,
     or by default `_default_sweeps`' members at each alpha.  Each member must
-    have n machines, since the bounds are n's.
+    have n machines, since the bounds are n's.  The default sweeps only the
+    members that can set a maximum: the paper's hat at alpha has PoS 1 and
+    PoA (n-1)/alpha + 1 under spa:alpha, never above tilde's (n-1)*alpha + 1,
+    so it is left out.
 
     One loop over the distinct members, in the order the sweep first meets
     them: each is built (a failed build is named), solved once, given one
@@ -149,10 +164,10 @@ def frontier_sweep(n: int, alphas, suite=None) -> list:
         try:
             inst = spec.build()
         except (ValueError, BudgetExceededError) as e:
-            e.args = (f"suite instance {spec.label()}: {e}",)
+            e.args = (f"suite instance {_cut(spec.label())}: {e}",)
             raise
         if inst.n != n:
-            raise ValueError(f"suite instance {spec.label()} has {inst.n} "
+            raise ValueError(f"suite instance {_cut(spec.label())} has {inst.n} "
                              f"machines, not n = {n}")
         optimum = opt_makespan(inst)
         for k in ks:

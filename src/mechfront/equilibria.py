@@ -417,10 +417,18 @@ def canonical_certificate(mech: MechanismId, inst: Instance,
     t_min is the grid top is refused.
 
     Flooring shades a loser's report down by less than one step, which can
-    only lose it money if it wins.  Under spa with alpha > 1 a zero fastest
-    time fails: its winner is paid alpha * 0 = 0 and gains by raising its
-    bid.  Every column is re-verified against the grid, and a failed
-    construction raises ValueError.
+    only lose it money if it wins.  Every column is re-verified against the
+    grid, and a failed construction raises ValueError.  Three kinds of
+    column fail under spa with alpha > 1:
+      - a zero fastest time: its winner is paid alpha * 0 = 0 and gains by
+        raising its bid;
+      - reserve * t_min floored back onto t_min: the losers sit at `above`,
+        and the winner gains by tying there (the column (0.1, 0.8) under
+        spa:1.5 is paid 0.15; at 0.2 it is paid 0.2, a gain of 0.05);
+      - the losers' cap, the grid point read at reserve * t_min, a float's
+        dust above it: the winner gains that dust by raising its bid (task
+        1 of hat:n=2,alpha=4.1 under spa:2, whose loser bids
+        8.200000000000001 against 2 * 4.1 = 8.2, gains 1.8e-15 at 4.2).
     """
     if grid is None:
         grid = default_grid(inst, mech)

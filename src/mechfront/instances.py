@@ -236,10 +236,16 @@ class GeneratorSpec:
         try:
             return builder(**kwargs)
         except TypeError:
-            try:  # name a missing or unknown parameter; re-raise any other fault
-                inspect.signature(builder).bind(**kwargs)
+            # name a missing, then an unknown parameter; re-raise any other fault
+            sig = inspect.signature(builder)
+            try:
+                sig.bind(**{k: v for k, v in kwargs.items() if k in sig.parameters})
             except TypeError as e:
                 raise ValueError(f"generator {self.name!r}: {e}") from None
+            unknown = [k for k in kwargs if k not in sig.parameters]
+            if unknown:
+                raise ValueError(f"generator {self.name!r}: got an unexpected keyword "
+                                 f"argument {reprlib.repr(unknown[0])}") from None
             raise
 
     def label(self) -> str:
@@ -288,11 +294,19 @@ def instance_from_dict(data: dict) -> Instance:
     return inst
 
 
+def _open(path: str, mode: str = "r"):
+    """open(), whose OSError names the path cut short."""
+    try:
+        return open(path, mode)
+    except OSError as e:
+        raise type(e)(f"[Errno {e.errno}] {e.strerror}: {reprlib.repr(path)}") from None
+
+
 def save_instance(inst: Instance, path: str) -> None:
     """A path ending in .txt gets the text format -- first line 'n m big',
     then one whitespace row per machine -- and any other JSON; both
     round-trip floats losslessly."""
-    with open(path, "w") as f:
+    with _open(path, "w") as f:
         if str(path).endswith(".txt"):
             f.write(f"{inst.n} {inst.m} {inst.big!r}\n")
             f.writelines(" ".join(map(repr, row)) + "\n" for row in inst.times)
@@ -303,7 +317,7 @@ def save_instance(inst: Instance, path: str) -> None:
 
 def load_instance(path: str) -> Instance:
     """Read what `save_instance` writes; the extension picks the format."""
-    with open(path) as f:
+    with _open(path) as f:
         if not str(path).endswith(".txt"):
             try:
                 return instance_from_dict(json.load(f))

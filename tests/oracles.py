@@ -8,13 +8,15 @@ matrices with the scalar rules; `enumerate_dense` is `enumerate_equilibria`
 as a scan of every grid profile, and `enumerate_by_verify` the same one
 profile at a time; `brute_force_makespan` enumerates every assignment;
 `frontier_per_alpha` is `frontier_sweep` with nothing shared between alphas
-or instances, over `default_frontier_suite`, the one reader of the sweep's
-private default suite; `on_grid`, `grid_index_of`, `grid_floor` and
-`canonical_in_passes` are the lattice readings and the certificate
-construction as they stood before `equilibria._lattice_index` owned the
-rule, each reading measured from its own value (the construction since
-lets a tie at the fastest time bid it, even at the grid top).  The tests
-compare the production paths against them.
+or instances, by default over `paper_frontier_suite`, the paper's three
+members per alpha, the hat at alpha that the sweep leaves out included;
+`default_frontier_suite` is the one reader of the sweep's private default
+suite; `on_grid`, `grid_index_of`, `grid_floor` and `canonical_in_passes`
+are the lattice readings and the certificate construction as they stood
+before `equilibria._lattice_index` owned the rule, each reading measured
+from its own value (the construction since lets a tie at the fastest time
+bid it, even at the grid top).  The tests compare the production paths
+against them.
 """
 import bisect
 import itertools
@@ -32,6 +34,7 @@ from mechfront.equilibria import (
     default_grid,
     verify_equilibrium,
 )
+from mechfront.instances import GeneratorSpec
 from mechfront.model import BudgetExceededError, MechanismId, loads
 from mechfront.optsolver import opt_makespan, opt_makespan_masked
 from mechfront.rules import rule_for
@@ -160,16 +163,24 @@ def default_frontier_suite(n: int, alpha: float) -> list:
     return list(analysis._default_sweeps(n, [alpha]))
 
 
+def paper_frontier_suite(n: int, alpha: float) -> list:
+    """The paper's constructions at one alpha: tilde, hat, and the hat just
+    past the reach."""
+    return [GeneratorSpec(name, (("n", n), ("alpha", at)))
+            for name, at in (("tilde", alpha), ("hat", alpha), ("hat", alpha + 0.1))]
+
+
 def frontier_per_alpha(n: int, alphas, suite=None) -> list:
     """`frontier_sweep` as a plain loop: every (alpha, instance) builds its
     instance, solves its optimum, computes its winner sets and runs both
     masked searches afresh, the best one even when the optimum is an
-    equilibrium outcome."""
+    equilibrium outcome.  `suite` defaults to `paper_frontier_suite` at each
+    alpha."""
     points = []
     for alpha in map(float, alphas):
         mech = MechanismId.spa(alpha)
         poa, pos = [], []
-        for spec in default_frontier_suite(n, alpha) if suite is None else suite:
+        for spec in paper_frontier_suite(n, alpha) if suite is None else suite:
             inst = spec.build()
             opt, _ = opt_makespan(inst)
             mask = achievable_winners(mech, inst)

@@ -56,9 +56,11 @@ INSTANCE_FILES = {
 MECHS = ("fp", "sp", "spa:1.5", "spa:2", "spa:3")
 PROBE_MECHS = ("fp", "sp", "spa:1", "spa:1.5", "spa:2", "spa:3")
 # commands outside the crossed set: golden commands that tests pinned before
-# the corpus existed, sizes at which an n x n^2 member would pass the
-# generator budget (the default suite's members are n x n), and a suite
-# member the optimum search refuses at its node budget (exit 3)
+# the corpus existed, alphas where one alpha's hat past the reach is bit for
+# bit another alpha's own hat (1.9 + 0.1 == 2.0, 2.9 + 0.1 == 3.0; 1.1 + 0.1
+# is not 1.2), sizes at which an n x n^2 member would pass the generator
+# budget (the default suite's members are n x n), and a suite member the
+# optimum search refuses at its node budget (exit 3)
 EXTRA_COMMANDS = (
     "equilibria -i uniform-3.txt --mech spa:2 --grid 0.5,3",
     "frontier -n 3 --alphas 1,2",
@@ -66,6 +68,8 @@ EXTRA_COMMANDS = (
     *(f"frontier -n {n} --alphas 1,1.5,2,4" for n in (10, 20, 40)),
     "frontier -n 10 --alphas 45",
     "frontier -n 20 --alphas 50",
+    "frontier -n 3 --alphas 1.9,2,2.1",
+    "frontier -n 4 --alphas 1,1.1,2.9,3",
     "frontier -n 216 --alphas 1",
     "frontier -n 300 --alphas 2",
     "frontier -n 10 --alphas 2 --suite random:n=10,m=11,seed=1001",

@@ -210,10 +210,10 @@ def test_frontier_solves_each_instance_once(monkeypatch):
     alphas = [1.0, 1.5, 2.0, 4.0]
     points, solved, reported = record_sweep(monkeypatch, alphas)
     specs = list(dict.fromkeys(spec for a in alphas for spec in default_frontier_suite(3, a)))
-    # one optimum per distinct spec, in the order the alphas first meet them;
-    # tilde and hat at alpha 1 are one matrix under two names
+    # one optimum per distinct spec, in the order the alphas first meet them,
+    # and no two members are one matrix
     assert solved == [spec.build() for spec in specs]
-    assert len(set(solved)) == len(specs) - 1
+    assert len(set(solved)) == len(specs) == 2 * len(alphas)
     # one report per (member, alpha), member by member
     assert reported == [(spec.build(), a) for spec in specs
                         for a in alphas if spec in default_frontier_suite(3, a)]
@@ -296,13 +296,13 @@ def _count_builds(monkeypatch) -> list:
 
 def test_frontier_builds_each_distinct_spec_once(monkeypatch):
     built = _count_builds(monkeypatch)
-    # tilde and two hats at every alpha, alpha 1 included, and a repeated
-    # alpha builds nothing twice
+    # tilde and the hat past the reach at every alpha, alpha 1 included, and
+    # a repeated alpha builds nothing twice
     for alphas in ([1.0, 1.5, 2.0, 4.0], [4.0, 1.0, 4.0, 1.0]):
         built.clear()
         frontier_sweep(3, alphas)
         distinct = {spec for a in alphas for spec in default_frontier_suite(3, a)}
-        assert len(built) == len(set(built)) == len(distinct) == 3 * len(set(alphas))
+        assert len(built) == len(set(built)) == len(distinct) == 2 * len(set(alphas))
         assert set(built) == distinct
         assert {spec.name for spec in built} == {"tilde", "hat"}
 
@@ -329,13 +329,52 @@ def test_frontier_rejects_empty_suite():
 
 
 def test_default_frontier_suite_shape():
-    # tilde, hat, and the hat past the reach, at every alpha
+    # tilde and the hat past the reach, at every alpha
     specs = default_frontier_suite(3, 2.0)
-    assert [s.label() for s in specs] == ["tilde:alpha=2,n=3", "hat:alpha=2,n=3",
-                                          "hat:alpha=2.1,n=3"]
+    assert [s.label() for s in specs] == ["tilde:alpha=2,n=3", "hat:alpha=2.1,n=3"]
     specs = default_frontier_suite(3, 1.0)
-    assert [s.label() for s in specs] == ["tilde:alpha=1,n=3", "hat:alpha=1,n=3",
-                                          "hat:alpha=1.1,n=3"]
+    assert [s.label() for s in specs] == ["tilde:alpha=1,n=3", "hat:alpha=1.1,n=3"]
+
+
+def test_a_shared_hat_is_swept_at_the_alpha_it_is_past_the_reach_of(monkeypatch):
+    # 1.9 + 0.1 == 2.0: the hat past 1.9's reach is hat(3, 2), swept at 1.9
+    # only; 1.1 + 0.1 is 1.2000000000000002, no alpha's own hat
+    assert 1.9 + 0.1 == 2.0 and 1.1 + 0.1 != 1.2
+    _, _, reported = record_sweep(monkeypatch, [1.9, 2.0])
+    assert [a for inst, a in reported if inst == gen_hat(3, 2.0, "hat")] == [1.9]
+
+
+@st.composite
+def dominance_cases(draw):
+    """(n, alpha): alpha a float in [1, 100] or 1 + k * 2**-52."""
+    alpha = draw(st.one_of(st.floats(1.0, 100.0),
+                           st.integers(0, 64).map(lambda k: 1.0 + k * 2.0 ** -52)))
+    return draw(st.integers(2, 12)), alpha
+
+
+@settings(max_examples=200, deadline=None)
+@given(dominance_cases())
+@example((3, 1.0))
+@example((2, 100.0))
+def test_the_hat_at_alpha_never_sets_a_maximum(case):
+    # why the default suite leaves it out: PoS 1, and a PoA no higher than
+    # tilde's at the same alpha
+    n, alpha = case
+    mech = MechanismId.spa(alpha)
+    hat = inefficiency(mech, gen_hat(n, alpha, "hat"))
+    assert hat.pos_ratio == 1.0
+    assert hat.poa_ratio <= inefficiency(mech, gen_hat(n, alpha, "tilde")).poa_ratio
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.lists(st.one_of(
+    st.integers(10, 40).map(lambda k: k / 10), st.floats(1.0, 6.0),
+    st.integers(0, 8).map(lambda k: 1.0 + k * 2.0 ** -52)), min_size=1, max_size=5))
+@example(3, [1.9, 2.0, 2.1])
+@example(4, [1.0, 1.1, 2.9, 3.0])
+def test_default_sweep_matches_the_paper_suite_oracle(n, alphas):
+    # the oracle sweeps the hat at alpha as well, which never moves a point
+    assert frontier_sweep(n, alphas) == frontier_per_alpha(n, alphas)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

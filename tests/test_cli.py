@@ -165,6 +165,28 @@ def test_a_number_flag_names_itself_and_the_bad_item(capsys, tradeoff_file, argv
     assert len(err) < 100
 
 
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("argv, echo", [
+    (("probe", "--mech", "fp", "-n", "3", "--eps", LONG),
+     "argument --eps: invalid float value: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    (("frontier", "-n", LONG, "--alphas", "2"),
+     "argument -n: invalid int value: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    (("opt", "-i", LONG), "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    (("gen", "uniform", "n=3", "-o", LONG), "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    (("gen", "uniform", "n=3", LONG + "=1", "-o", "x.json"),
+     "got an unexpected keyword argument 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    (("frontier", "-n", "3", "--alphas", "2", "--suite", f"uniform:n=3,{LONG}=1"),
+     "got an unexpected keyword argument 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+], ids=["probe-eps", "frontier-n", "opt-i", "gen-o", "gen-key", "frontier-suite-key"])
+def test_a_long_value_is_echoed_cut_short(capsys, argv, echo):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert echo in err
+    assert max(map(len, err.splitlines())) < 300
+
+
 def test_equilibria_malformed_grid(capsys, tradeoff_file):
     code, _, err = run_cli(capsys, "equilibria", "-i", tradeoff_file,
                            "--mech", "fp", "--grid", "0.5")

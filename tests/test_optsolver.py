@@ -168,14 +168,11 @@ def test_opt_makespan_builds_no_mask(monkeypatch):
     analysis.frontier_sweep(3, [1.0, 2.0])
     masks = list(built)
     # one mask per (alpha, member) pair, built by that pair's one report:
-    # three members at each alpha, whose winner sets differ between the
-    # alphas; tilde and hat at alpha 1 are one matrix, so one (instance,
-    # mask) pair twice
+    # two members at each alpha, no two of them one matrix
     distinct = {(inst, analysis.achievable_winners(MechanismId.spa(a), inst))
                 for a in (1.0, 2.0)
                 for inst in map(GeneratorSpec.build, default_frontier_suite(3, a))}
-    assert len(masks) == len(calls) == 6
-    assert len(distinct) == 5
+    assert len(masks) == len(calls) == len(distinct) == 4
     assert {(args[1], mask) for args, mask in zip(calls, masks)} == distinct
 
 
