@@ -13,6 +13,7 @@ unboundedly inefficient); 0/0 counts as 1.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -241,8 +242,8 @@ def anonymity_check(rule: SingleTaskRule, true_vectors, grid: Grid) -> Anonymity
 
     For each vector t and permutation pi, a machine w winning some equilibrium
     of t must reappear as winner pi^{-1}(w) in the permuted vector's
-    equilibria.  Exhaustive over tie-free fixtures; costs two enumerations
-    per (vector, permutation).
+    equilibria.  Exhaustive over tie-free fixtures; costs 1 + n!
+    enumerations per vector.
     """
     n = rule.n
     checked = 0
@@ -271,45 +272,32 @@ def probe_matrix(rule: SingleTaskRule, grid: Grid) -> tuple:
     equilibrium while machine i is the unit-time fastest (0 on the diagonal
     and when no probe succeeded).
 
-    Climbs a*= k*eps ladders per (fast, slow) pair, with eps the grid's step,
-    and records the largest a whose canonical single-task vector still lets
-    the slow machine win.  Each probe is one `enumerate_equilibria` call of
-    n winner passes, n * n(n-1) * (g - 1) at worst on a g-point grid; past
-    PROBE_BUDGET passes, or ENUMERATION_BUDGET bid pairs in the grid,
-    BudgetExceededError is raised before anything is allocated.
-
-    The ladder stops after n consecutive failures past the rule's analytic
-    reach, its reserve, or at k = len(grid) - 1, the grid's top; second
-    price has no reserve, so no finite reach, and probing it saturates the
-    cap.  Note fp can hold one grid step past 1 when the slow machine has
-    the lower index (the tie-break protects it), so entries land within one
-    step of the analytic boundary.
+    Probes a = k*eps for k = 1..g-1 on a g-point grid with step eps, each
+    one `enumerate_equilibria` call of n winner passes on the canonical
+    single-task vector.  The rungs j wins form a prefix of that ladder: the
+    probes change only t_j, the losers' conditions never read the winner's
+    time, and j's own conditions read t_j only through t_j <= its pay (not
+    asked when the second-lowest bid is the grid top), so a rung j wins is
+    won at every lower time too.  One bisection per (fast, slow) pair
+    therefore finds the prefix's length, at most
+    n * n(n-1) * (g-1).bit_length() winner passes in all; past PROBE_BUDGET
+    passes, or ENUMERATION_BUDGET bid pairs in the grid, BudgetExceededError
+    is raised before anything is allocated.  Second price has no reserve,
+    so probing it saturates the grid.  fp can hold one grid step past 1
+    when the slow machine has the lower index (the tie-break protects it),
+    so entries land within one step of the analytic boundary.
     """
     n, eps, g = rule.n, grid.step, len(grid)
-    passes = n * n * (n - 1) * (g - 1)
+    passes = n * n * (n - 1) * (g - 1).bit_length()
     if passes > PROBE_BUDGET:
         raise BudgetExceededError(f"{passes} winner passes of {n}-machine ladders on a "
                                   f"{g}-point grid exceed the probe budget {PROBE_BUDGET}")
-    reach = rule.id.reserve
     a = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            best = 0.0
-            fails_past = 0
-            for k in range(1, g):
-                probe = k * eps
-                vec = gen_canonical(n, i, j, probe)
-                hit = j in enumerate_equilibria(rule, vec, grid).winner_union()
-                if hit:
-                    best = probe
-                    fails_past = 0
-                elif reach is None or probe > reach:
-                    fails_past += 1
-                    if fails_past >= n:
-                        break
-            a[i][j] = best
+    for i, j in itertools.permutations(range(n), 2):
+        def lost(k):  # j wins no equilibrium at t_j = k*eps
+            vec = gen_canonical(n, i, j, k * eps)
+            return j not in enumerate_equilibria(rule, vec, grid).winner_union()
+        a[i][j] = bisect.bisect_left(range(1, g), True, key=lost) * eps
     return tuple(tuple(r) for r in a)
 
 

@@ -67,24 +67,23 @@ def _grid_for(inst, mech, spec):
                                                  for p in parts))
 
 
-def _typed(kind):
-    """An argparse `type=` reading `kind`, whose refusal names the value
-    cut short: argparse's own message echoes it whole."""
-    def read(text: str):
+class _Parser(argparse.ArgumentParser):
+    """argparse, whose refusal of a value (not a number, not a choice)
+    echoes it cut short by `reprlib.repr`; subparsers inherit the class."""
+
+    def _get_values(self, action, arg_strings):
         try:
-            return kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid {kind.__name__} value: {reprlib.repr(text)}") from None
-    return read
-
-
-_int, _float = _typed(int), _typed(float)
+            return super()._get_values(action, arg_strings)
+        except argparse.ArgumentError as e:
+            message = e.message
+            for text in arg_strings:
+                message = message.replace(repr(text), reprlib.repr(text))
+            raise argparse.ArgumentError(action, message) from None
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="mechfront", description=__doc__.split("\n")[0])
+    p = _Parser(prog="mechfront", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="verb", required=True)
 
     q = sub.add_parser("opt", help="optimal makespan, optionally masked")
@@ -96,7 +95,7 @@ def _parser() -> argparse.ArgumentParser:
     q = sub.add_parser("equilibria", help="enumerate grid equilibria per task")
     q.add_argument("-i", "--instance", required=True)
     q.add_argument("--mech", required=True)
-    q.add_argument("--task", type=_int, help="single task index (default: all)")
+    q.add_argument("--task", type=int, help="single task index (default: all)")
     q.add_argument("--grid", metavar="EPS,H",
                    help="bid grid step and top (default: 0.1, alpha*max_finite + 0.2)")
 
@@ -105,21 +104,21 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--mech", required=True)
 
     q = sub.add_parser("frontier", help="bounds vs. measured ratios per alpha (CSV)")
-    q.add_argument("-n", type=_int, required=True)
+    q.add_argument("-n", type=int, required=True)
     q.add_argument("--alphas", required=True, help="comma list, e.g. 1,1.5,2,4")
     q.add_argument("--suite", help="semicolon list of generators, e.g. "
                                    "'uniform:n=3;hat:n=3,alpha=2' (default: built-in)")
 
     q = sub.add_parser("probe", help="winner-reach matrix of a rule")
     q.add_argument("--mech", required=True)
-    q.add_argument("-n", type=_int, required=True)
-    q.add_argument("--eps", type=_float, default=0.5)
-    q.add_argument("--cap", type=_float, help="grid top (default: 2*reach + 1)")
+    q.add_argument("-n", type=int, required=True)
+    q.add_argument("--eps", type=float, default=0.5)
+    q.add_argument("--cap", type=float, help="grid top (default: 2*reach + 1)")
 
     q = sub.add_parser("verify", help="run a property suite")
     q.add_argument("--suite", default="all",
                    choices=sorted(analysis.VERIFY_SUITES) + ["all"])
-    q.add_argument("--seed", type=_int,
+    q.add_argument("--seed", type=int,
                    help="seed of the seeded suites (default 0); the anonymity suite takes none")
 
     q = sub.add_parser("gen", help="write a generated instance to a file")

@@ -3,20 +3,21 @@
 The scalar fp/sp/spa rules are the straightforward versions of
 `SingleTaskRule.batch` and `SingleTaskRule.pay`; `per_machine_scan` is the
 dense twin of the closed-form `verify_equilibrium`, scoring every grid bid of
-every machine; `apply` and `utility` play the whole game on complete report
-matrices with the scalar rules; `enumerate_dense` is `enumerate_equilibria`
-as a scan of every grid profile, and `enumerate_by_verify` the same one
-profile at a time; `brute_force_makespan` enumerates every assignment;
-`frontier_per_alpha` is `frontier_sweep` with nothing shared between alphas
-or instances, by default over `paper_frontier_suite`, the paper's three
-members per alpha, the hat at alpha that the sweep leaves out included;
-`default_frontier_suite` is the one reader of the sweep's private default
-suite; `on_grid`, `grid_index_of`, `grid_floor` and `canonical_in_passes`
-are the lattice readings and the certificate construction as they stood
-before `equilibria._lattice_index` owned the rule, each reading measured
-from its own value (the construction since lets a tie at the fastest time
-bid it, even at the grid top).  The tests compare the production paths
-against them.
+every machine; `probe_by_ladder` is `probe_matrix` climbing every rung of each
+ladder instead of bisecting it; `apply` and `utility` play the whole game on
+complete report matrices with the scalar rules; `enumerate_dense` is
+`enumerate_equilibria` as a scan of every grid profile, and
+`enumerate_by_verify` the same one profile at a time; `brute_force_makespan`
+enumerates every assignment; `frontier_per_alpha` is `frontier_sweep` with
+nothing shared between alphas or instances, by default over
+`paper_frontier_suite`, the paper's three members per alpha, the hat at alpha
+that the sweep leaves out included; `default_frontier_suite` is the one reader
+of the sweep's private default suite; `on_grid`, `grid_index_of`, `grid_floor`
+and `canonical_in_passes` are the lattice readings and the certificate
+construction as they stood before `equilibria._lattice_index` owned the rule,
+each reading measured from its own value (the construction since lets a tie at
+the fastest time bid it, even at the grid top).  The tests compare the
+production paths against them.
 """
 import bisect
 import itertools
@@ -32,9 +33,10 @@ from mechfront.equilibria import (
     VerifyResult,
     achievable_winners,
     default_grid,
+    enumerate_equilibria,
     verify_equilibrium,
 )
-from mechfront.instances import GeneratorSpec
+from mechfront.instances import GeneratorSpec, gen_canonical
 from mechfront.model import BudgetExceededError, MechanismId, loads
 from mechfront.optsolver import opt_makespan, opt_makespan_masked
 from mechfront.rules import rule_for
@@ -219,6 +221,20 @@ def per_machine_scan(rule, true_times, bids, grid) -> VerifyResult:
             best_dev = float(pts[k])
             best_gain = gain
     return VerifyResult(best_machine is None, best_machine, best_dev, best_gain, n * g)
+
+
+def probe_by_ladder(rule, grid) -> tuple:
+    """`probe_matrix` without its bisection: each (fast i, slow j) ladder
+    climbs every rung k*eps of the grid, with no early stop, and a[i][j] is
+    the largest rung at which j wins some equilibrium (0 when none)."""
+    n, eps = rule.n, grid.step
+    a = [[0.0] * n for _ in range(n)]
+    for i, j in itertools.permutations(range(n), 2):
+        for k in range(1, len(grid)):
+            vec = gen_canonical(n, i, j, k * eps)
+            if j in enumerate_equilibria(rule, vec, grid).winner_union():
+                a[i][j] = k * eps
+    return tuple(tuple(r) for r in a)
 
 
 def enumerate_by_verify(rule, true_times, grid) -> list:

@@ -59,8 +59,9 @@ PROBE_MECHS = ("fp", "sp", "spa:1", "spa:1.5", "spa:2", "spa:3")
 # the corpus existed, alphas where one alpha's hat past the reach is bit for
 # bit another alpha's own hat (1.9 + 0.1 == 2.0, 2.9 + 0.1 == 3.0; 1.1 + 0.1
 # is not 1.2), sizes at which an n x n^2 member would pass the generator
-# budget (the default suite's members are n x n), and a suite member the
-# optimum search refuses at its node budget (exit 3)
+# budget (the default suite's members are n x n), a suite member the
+# optimum search refuses at its node budget (exit 3), and fine-grid probes
+# whose ladders run well past each reach
 EXTRA_COMMANDS = (
     "equilibria -i uniform-3.txt --mech spa:2 --grid 0.5,3",
     "frontier -n 3 --alphas 1,2",
@@ -75,6 +76,10 @@ EXTRA_COMMANDS = (
     "frontier -n 10 --alphas 2 --suite random:n=10,m=11,seed=1001",
     *(f"analyze -i random-3x4-1004.txt --mech {mech}" for mech in ("fp", "sp", "spa:2")),
     "probe --mech fp -n 2",
+    "probe --mech sp -n 3 --eps 0.1",
+    "probe --mech spa:1.5 -n 4 --eps 0.1",
+    "probe --mech fp -n 3 --eps 0.05 --cap 2",
+    "probe --mech spa:2.5 -n 3 --eps 0.2 --cap 4.4",
     "verify --suite anonymity",
     "verify --suite monotonicity-reverse",
 )

@@ -39,7 +39,12 @@ from mechfront.instances import (
 from mechfront.model import DEFAULT_BIG, BudgetExceededError, Instance, MechanismId, makespan
 from mechfront.optsolver import opt_makespan, opt_makespan_masked
 from mechfront.rules import rule_for
-from oracles import default_frontier_suite, enumerate_dense, frontier_per_alpha
+from oracles import (
+    default_frontier_suite,
+    enumerate_dense,
+    frontier_per_alpha,
+    probe_by_ladder,
+)
 
 FP = MechanismId.parse("fp")
 SP = MechanismId.parse("sp")
@@ -571,14 +576,37 @@ def test_spa_one_is_fp_on_the_regression_suite(name, inst):
 
 
 def test_probe_matrix_refuses_past_its_budget(monkeypatch):
-    # 3 machines, 6 ordered pairs, a 7-point grid: 3 * 6 * 6 = 108 winner passes
+    # 3 machines, 6 ordered pairs, a 7-point grid: each bisection over 6 rungs
+    # takes at most (6).bit_length() = 3 probes, so 3 * 6 * 3 = 54 winner passes
     calls = []
     monkeypatch.setattr(analysis, "enumerate_equilibria", lambda *a: calls.append(a))
-    monkeypatch.setattr(analysis, "PROBE_BUDGET", 107)
-    with pytest.raises(BudgetExceededError, match="^108 winner passes of 3-machine ladders "
-                                                  "on a 7-point grid exceed the probe budget 107$"):
+    monkeypatch.setattr(analysis, "PROBE_BUDGET", 53)
+    with pytest.raises(BudgetExceededError, match="^54 winner passes of 3-machine ladders "
+                                                  "on a 7-point grid exceed the probe budget 53$"):
         probe_matrix(rule_for(FP, 3), Grid(0.5, 3.0))
     assert calls == []
+
+
+@st.composite
+def probe_cases(draw):
+    """fp, sp or spa at a lattice or off-lattice alpha in [1, 4], 2..4
+    machines, and a grid of 2..16 steps built the way `probe` builds it."""
+    mech = draw(st.one_of(
+        st.sampled_from([FP, SP]),
+        st.integers(10, 40).map(lambda k: MechanismId.spa(k / 10)),
+        st.floats(1.0, 4.0).map(MechanismId.spa)))
+    eps = draw(st.sampled_from([0.1, 0.2, 0.25, 0.3, 0.5, 0.7]))
+    grid = default_grid((1.0,), mech, eps, draw(st.integers(2, 16)) * eps)
+    return rule_for(mech, draw(st.integers(2, 4))), grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(probe_cases())
+def test_probe_matrix_bisects_to_the_full_ladder(case):
+    """Each (fast, slow) ladder's wins are a prefix of its rungs, so the
+    bisection lands on the largest rung the slow machine wins."""
+    rule, grid = case
+    assert probe_matrix(rule, grid) == probe_by_ladder(rule, grid)
 
 
 # ------------------------------------------------------------ inequality checks

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -179,12 +180,29 @@ LONG = "x" * 5000
      "got an unexpected keyword argument 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
     (("frontier", "-n", "3", "--alphas", "2", "--suite", f"uniform:n=3,{LONG}=1"),
      "got an unexpected keyword argument 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
-], ids=["probe-eps", "frontier-n", "opt-i", "gen-o", "gen-key", "frontier-suite-key"])
+    (("verify", "--suite", LONG), "argument --suite: invalid choice: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    (("opt", "-i", "x", "--objective", LONG),
+     "argument --objective: invalid choice: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    ((LONG,), "argument verb: invalid choice: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+], ids=["probe-eps", "frontier-n", "opt-i", "gen-o", "gen-key", "frontier-suite-key",
+        "verify-suite", "opt-objective", "verb"])
 def test_a_long_value_is_echoed_cut_short(capsys, argv, echo):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert echo in err
     assert max(map(len, err.splitlines())) < 300
+
+
+@pytest.mark.parametrize("argv, echo", [
+    (("verify", "--suite", "bogus"), "argument --suite: invalid choice: 'bogus'"),
+    (("bogus",), "argument verb: invalid choice: 'bogus'"),
+    (("probe", "--mech", "fp", "-n", "x"), "argument -n: invalid int value: 'x'"),
+])
+def test_a_short_bad_value_reads_as_argparse_prints_it(capsys, monkeypatch, argv, echo):
+    ours = run_cli(capsys, *argv)
+    assert echo in ours[2]
+    monkeypatch.setattr(cli._Parser, "_get_values", argparse.ArgumentParser._get_values)
+    assert run_cli(capsys, *argv) == ours
 
 
 def test_equilibria_malformed_grid(capsys, tradeoff_file):
@@ -524,9 +542,31 @@ def test_probe_refuses_a_huge_machine_count_before_allocating(capsys):
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "probe", "--mech", "fp", "-n", "100000")
     assert (code, out) == (3, "")
-    assert err == ("budget refused: 5999940000000000 winner passes of 100000-machine "
+    assert err == ("budget refused: 2999970000000000 winner passes of 100000-machine "
                    "ladders on a 7-point grid exceed the probe budget 100000\n")
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_probe_admits_32_machines_and_refuses_33(capsys, monkeypatch):
+    # fp's default grid has 7 points, so each ladder bisects 6 rungs in at
+    # most 3 probes: 32 * 32 * 31 * 3 = 95232 winner passes fit the budget,
+    # 33 * 33 * 32 * 3 = 104544 do not; no ladder here enumerates anything
+    calls = []
+
+    def nobody_wins(rule, times, grid):
+        calls.append(times)
+        return equilibria.EnumerationResult((0,) * rule.n, len(grid) ** rule.n)
+
+    monkeypatch.setattr(analysis, "enumerate_equilibria", nobody_wins)
+    code, out, err = run_cli(capsys, "probe", "--mech", "fp", "-n", "32")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["a"] == [[0] * 32] * 32
+    assert len(calls) == 32 * 31 * 3
+    calls.clear()
+    code, out, err = run_cli(capsys, "probe", "--mech", "fp", "-n", "33")
+    assert (code, out, calls) == (3, "", [])
+    assert err == ("budget refused: 104544 winner passes of 33-machine ladders on a "
+                   "7-point grid exceed the probe budget 100000\n")
 
 
 @pytest.mark.parametrize("eps, cap", [("1e-12", "1e-11"), ("1e-300", "1e-299")])
@@ -538,7 +578,7 @@ def test_probe_with_a_tiny_step_stays_on_its_grid(capsys, monkeypatch, eps, cap)
 
     def counting(rule, times, grid):
         calls.append(times)
-        assert len(calls) <= 2 * (len(grid) - 1), "probe left its grid"
+        assert len(calls) <= 2 * (len(grid) - 1).bit_length(), "probe left its bisection"
         return real(rule, times, grid)
 
     monkeypatch.setattr(analysis, "enumerate_equilibria", counting)
