@@ -16,6 +16,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import reprlib
 from dataclasses import dataclass
 
 from .equilibria import (
@@ -212,18 +213,18 @@ def monotonicity_check(mech: MechanismId, inst: Instance, cert: EquilibriumCerti
     import numpy as np
 
     rule = rule_for(mech, inst.n)
-    times = np.asarray(inst.times)
-    live = ~inst.is_sentinel(times)
-    won = np.asarray(cert.winner) == np.arange(inst.n)[:, None]
-    down = won if direction == "forward" else ~won
-    u = np.zeros((trials,) + times.shape)
-    u[:, live] = np.random.default_rng(seed).uniform(size=(trials, int(live.sum())))
-    modified = np.where(live, np.where(down, times * u, times * (1.0 + u)), times)
-    truths = modified.transpose(0, 2, 1).tolist()  # [trial][task] -> true-time column
+    forward = direction == "forward"
+    live = [(i, j, t, (cert.winner[j] == i) == forward)  # (machine, task, time, down)
+            for i, row in enumerate(inst.times) for j, t in enumerate(row)
+            if not inst.is_sentinel(t)]
+    draws = np.random.default_rng(seed).uniform(size=(trials, len(live))).tolist()
+    truths = [list(col) for col in zip(*inst.times)]  # [task] -> true-time column
     columns = list(zip(*cert.profile))
     failures = []
-    for trial, cols in enumerate(truths):
-        for j, (col, bids) in enumerate(zip(cols, columns, strict=True)):
+    for trial, us in enumerate(draws):
+        for (i, j, t, down), u in zip(live, us):
+            truths[j][i] = t * u if down else t * (1.0 + u)
+        for j, (col, bids) in enumerate(zip(truths, columns, strict=True)):
             res = verify_equilibrium(rule, col, bids, grid)
             if not res:
                 failures.append((trial, j, res.machine, res.deviation, res.gain))
@@ -290,7 +291,8 @@ def probe_matrix(rule: SingleTaskRule, grid: Grid) -> tuple:
     n, eps, g = rule.n, grid.step, len(grid)
     passes = n * n * (n - 1) * (g - 1).bit_length()
     if passes > PROBE_BUDGET:
-        raise BudgetExceededError(f"{passes} winner passes of {n}-machine ladders on a "
+        raise BudgetExceededError(f"{reprlib.repr(passes)} winner passes of "
+                                  f"{reprlib.repr(n)}-machine ladders on a "
                                   f"{g}-point grid exceed the probe budget {PROBE_BUDGET}")
     a = [[0.0] * n for _ in range(n)]
     for i, j in itertools.permutations(range(n), 2):
@@ -401,8 +403,7 @@ def bucket_equivalence_check(seed: int) -> SuiteReport:
         mech = MechanismId.spa(alpha)
         rule = rule_for(mech, BUCKET_N)
         for v in range(BUCKET_VECTORS):
-            ks = rng.integers(1, 41, size=BUCKET_N)
-            vec = tuple(float(k) * GRID_STEP for k in ks)
+            vec = tuple(k * GRID_STEP for k in rng.integers(1, 41, size=BUCKET_N).tolist())
             grid = default_grid(vec, mech)
             enum = enumerate_equilibria(rule, vec, grid).winner_union()
             bucket = achievable_winners(mech, Instance(tuple((t,) for t in vec))).allowed[0]
@@ -472,14 +473,13 @@ def tech1_fuzz(seed: int) -> SuiteReport:
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    xs, ys = rng.uniform(0.0, 10.0, size=(2, TECH1_COUNT))
-    betas, gammas = rng.uniform(0.1, 10.0, size=(2, TECH1_COUNT))
-    for k in range(TECH1_COUNT):
-        if xs[k] == 0.0 and ys[k] == 0.0:
+    xs, ys = rng.uniform(0.0, 10.0, size=(2, TECH1_COUNT)).tolist()
+    betas, gammas = rng.uniform(0.1, 10.0, size=(2, TECH1_COUNT)).tolist()
+    for x, y, beta, gamma in zip(xs, ys, betas, gammas):
+        if x == 0.0 and y == 0.0:
             continue
-        if not check_tech1(xs[k], ys[k], betas[k], gammas[k]):
-            return SuiteReport(False, (f"  fails at x={xs[k]} y={ys[k]} beta={betas[k]} "
-                                       f"gamma={gammas[k]}",))
+        if not check_tech1(x, y, beta, gamma):
+            return SuiteReport(False, (f"  fails at x={x} y={y} beta={beta} gamma={gamma}",))
     return SuiteReport(True, (f"  {TECH1_COUNT} random tuples hold",))
 
 
@@ -496,15 +496,11 @@ def combi_fuzz(seed: int) -> SuiteReport:
     for k in range(COMBI_COUNT):
         n = int(rng.integers(2, 6))
         alpha = float(rng.uniform(1.0, 4.0))
-        raw = rng.uniform(0.05, 1.0, size=(n, n))
+        raw = rng.uniform(0.05, 1.0, size=(n, n)).tolist()
         col_limit = (n - 1) * alpha / SQRT2
-        a = [[0.0] * n for _ in range(n)]
-        for j in range(n):
-            col_sum = sum(raw[i][j] for i in range(n) if i != j)
-            scale = col_limit * float(rng.uniform(0.3, 0.95)) / col_sum
-            for i in range(n):
-                if i != j:
-                    a[i][j] = raw[i][j] * scale
+        scale = [col_limit * float(rng.uniform(0.3, 0.95))  # one draw per column, in order
+                 / sum(raw[i][j] for i in range(n) if i != j) for j in range(n)]
+        a = [[raw[i][j] * scale[j] if i != j else 0.0 for j in range(n)] for i in range(n)]
         eps = alpha / ((n - 1) * SQRT2) * float(rng.uniform(0.1, 1.0))
         ok, _ = check_combi(a, alpha, eps)
         if not ok:

@@ -176,7 +176,7 @@ def _dispatch(args) -> int:
         rows = []
         for j in tasks:
             if not 0 <= j < inst.m:
-                raise ValueError(f"task {j} out of range")
+                raise ValueError(f"task {reprlib.repr(j)} out of range")
             res = equilibria.enumerate_equilibria(rule, inst.column(j), grid)
             rows.append({"task": j, "profiles": sum(res.counts),
                          "winners": sorted(res.winner_union())})
@@ -230,7 +230,7 @@ def _dispatch(args) -> int:
 
     if args.verb == "verify":
         if args.seed is not None and args.seed < 0:  # before any suite prints a line
-            raise ValueError(f"--seed must be >= 0, got {args.seed}")
+            raise ValueError(f"--seed must be >= 0, got {reprlib.repr(args.seed)}")
         if args.seed is not None and args.suite in analysis.SEEDLESS_SUITES:
             raise ValueError(f"suite {args.suite!r} has fixed fixtures and takes no --seed")
         names = sorted(analysis.VERIFY_SUITES) if args.suite == "all" else [args.suite]

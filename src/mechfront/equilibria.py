@@ -49,6 +49,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 from .model import DEFAULT_BIG, GRID_STEP, BudgetExceededError, Instance, MechanismId
@@ -60,9 +61,9 @@ ENUMERATION_BUDGET = 10 ** 7
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Bid grid {0, step, ..., cap}; `anchors` are values that must be
-    representable exactly and replace their nearest generated point.
-    `points` is a tuple of Python floats.  A grid of more than
+    """Bid grid {0, step, ..., cap}: `points` is the tuple of Python floats
+    k * step, k = 0..cap/step, but each of `anchors` (values that must be
+    representable exactly) replaces its nearest point.  A grid of more than
     ENUMERATION_BUDGET points is refused before it is built."""
 
     step: float
@@ -77,15 +78,13 @@ class Grid:
             raise ValueError(f"cap must be finite, got {self.cap}")
         ratio = self.cap / self.step
         if ratio >= ENUMERATION_BUDGET - 0.5:  # the point count would round past the budget
-            raise BudgetExceededError(
-                f"{ratio + 1:.0f} grid points exceed the enumeration budget {ENUMERATION_BUDGET}"
-            )
+            count = round(ratio + 1) if ratio < math.inf else ratio
+            raise BudgetExceededError(f"{reprlib.repr(count)} grid points exceed the "
+                                      f"enumeration budget {ENUMERATION_BUDGET}")
         k = _lattice_index(self.cap, self.step)
         if k is None or k < 1:
             raise ValueError(f"cap {self.cap} is not a positive multiple of step {self.step}")
-        import numpy as np  # one vectorized product beats a Python loop even at 81 points
-
-        pts = (np.arange(k + 1) * self.step).tolist()
+        pts = [i * self.step for i in range(k + 1)]
         for a in self.anchors:
             a = float(a)
             i = _lattice_index(a, self.step)

@@ -50,8 +50,9 @@ def _check_shape(n: int, m: int, min_n: int = 2) -> None:
     if n < min_n:
         raise ValueError(f"need n >= {min_n}")
     if n * m > GENERATOR_BUDGET:
-        raise BudgetExceededError(
-            f"{n} x {m} = {n * m} entries exceed the generator budget {GENERATOR_BUDGET}")
+        raise BudgetExceededError(f"{reprlib.repr(n)} x {reprlib.repr(m)} = "
+                                  f"{reprlib.repr(n * m)} entries exceed the generator "
+                                  f"budget {GENERATOR_BUDGET}")
 
 
 def gen_uniform(n: int) -> Instance:
@@ -175,8 +176,8 @@ def gen_random(n: int, m: int, seed: int) -> Instance:
     _check_shape(n, m, min_n=1)
     import numpy as np
 
-    ks = np.random.default_rng(seed).integers(1, 41, size=(n, m))
-    return Instance((ks * GRID_STEP).tolist())
+    ks = np.random.default_rng(seed).integers(1, 41, size=(n, m)).tolist()
+    return Instance([[k * GRID_STEP for k in row] for row in ks])
 
 
 # ---------------------------------------------------------------------------

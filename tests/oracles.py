@@ -3,10 +3,12 @@
 The scalar fp/sp/spa rules are the straightforward versions of
 `SingleTaskRule.batch` and `SingleTaskRule.pay`; `per_machine_scan` is the
 dense twin of the closed-form `verify_equilibrium`, scoring every grid bid of
-every machine; `probe_by_ladder` is `probe_matrix` climbing every rung of each
-ladder instead of bisecting it; `apply` and `utility` play the whole game on
-complete report matrices with the scalar rules; `enumerate_dense` is
-`enumerate_equilibria` as a scan of every grid profile, and
+every machine; `monotonicity_by_cube` is `monotonicity_check` building every
+trial's true times at once as numpy arrays; `probe_by_ladder` is
+`probe_matrix` climbing every rung of each ladder instead of bisecting it;
+`apply` and `utility` play the whole game on complete report matrices with
+the scalar rules; `enumerate_dense` is `enumerate_equilibria` as a scan of
+every grid profile, and
 `enumerate_by_verify` the same one profile at a time; `brute_force_makespan`
 enumerates every assignment; `frontier_per_alpha` is `frontier_sweep` with
 nothing shared between alphas or instances, by default over
@@ -221,6 +223,28 @@ def per_machine_scan(rule, true_times, bids, grid) -> VerifyResult:
             best_dev = float(pts[k])
             best_gain = gain
     return VerifyResult(best_machine is None, best_machine, best_dev, best_gain, n * g)
+
+
+def monotonicity_by_cube(mech, inst, cert, trials, seed, direction, grid) -> tuple:
+    """`monotonicity_check`'s (trial, task) true-time columns, built as one
+    (trials, n, m) cube from the same `uniform` draw, and its result."""
+    rule = rule_for(mech, inst.n)
+    times = np.asarray(inst.times)
+    live = ~inst.is_sentinel(times)
+    won = np.asarray(cert.winner) == np.arange(inst.n)[:, None]
+    down = won if direction == "forward" else ~won
+    u = np.zeros((trials,) + times.shape)
+    u[:, live] = np.random.default_rng(seed).uniform(size=(trials, int(live.sum())))
+    modified = np.where(live, np.where(down, times * u, times * (1.0 + u)), times)
+    truths = modified.transpose(0, 2, 1).tolist()  # [trial][task] -> true-time column
+    columns = list(zip(*cert.profile))
+    failures = []
+    for trial, cols in enumerate(truths):
+        for j, (col, bids) in enumerate(zip(cols, columns, strict=True)):
+            res = verify_equilibrium(rule, col, bids, grid)
+            if not res:
+                failures.append((trial, j, res.machine, res.deviation, res.gain))
+    return truths, analysis.MonotonicityResult(not failures, trials, direction, tuple(failures))
 
 
 def probe_by_ladder(rule, grid) -> tuple:

@@ -167,6 +167,7 @@ def test_a_number_flag_names_itself_and_the_bad_item(capsys, tradeoff_file, argv
 
 
 LONG = "x" * 5000
+BIG = "9" * 401
 
 
 @pytest.mark.parametrize("argv, echo", [
@@ -184,11 +185,39 @@ LONG = "x" * 5000
     (("opt", "-i", "x", "--objective", LONG),
      "argument --objective: invalid choice: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
     ((LONG,), "argument verb: invalid choice: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    (("equilibria", "-i", None, "--mech", "fp", "--task", BIG),
+     "error: task 999999999999999999...9999999999999999999 out of range"),
+    (("verify", "--seed", "-" + BIG),
+     "error: --seed must be >= 0, got -99999999999999999...9999999999999999999"),
 ], ids=["probe-eps", "frontier-n", "opt-i", "gen-o", "gen-key", "frontier-suite-key",
-        "verify-suite", "opt-objective", "verb"])
-def test_a_long_value_is_echoed_cut_short(capsys, argv, echo):
-    code, out, err = run_cli(capsys, *argv)
+        "verify-suite", "opt-objective", "verb", "equilibria-task", "verify-seed"])
+def test_a_long_value_is_echoed_cut_short(capsys, tradeoff_file, argv, echo):
+    code, out, err = run_cli(capsys, *[tradeoff_file if a is None else a for a in argv])
     assert (code, out) == (2, "")
+    assert echo in err
+    assert max(map(len, err.splitlines())) < 300
+
+
+@pytest.mark.parametrize("argv, echo", [
+    (("probe", "--mech", "fp", "-n", BIG),
+     "budget refused: 299999999999999999...9999999999999999994 winner passes of "
+     "999999999999999999...9999999999999999999-machine ladders"),
+    (("gen", "uniform", f"n={BIG}", "-o", "x.json"),
+     "budget refused: 999999999999999999...9999999999999999999 x "
+     "999999999999999999...0000000000000000001 = 999999999999999999...9999999999999999999 "
+     "entries"),
+    (("gen", "random", f"n={BIG}", "m=2", "seed=1", "-o", "x.json"),
+     "budget refused: 999999999999999999...9999999999999999999 x 2 = "
+     "199999999999999999...9999999999999999998 entries"),
+    (("frontier", "-n", BIG, "--alphas", "2"),
+     ": 999999999999999999...9999999999999999999 x 999999999999999999...9999999999999999999 = "
+     "999999999999999999...0000000000000000001 entries"),
+    (("equilibria", "-i", None, "--mech", "spa:1e300"),
+     "budget refused: 200000000000000010...7737309188010803200 grid points"),
+], ids=["probe-n", "gen-uniform-n", "gen-random-n", "frontier-n", "equilibria-alpha"])
+def test_a_long_count_is_echoed_cut_short(capsys, tradeoff_file, argv, echo):
+    code, out, err = run_cli(capsys, *[tradeoff_file if a is None else a for a in argv])
+    assert (code, out) == (3, "")
     assert echo in err
     assert max(map(len, err.splitlines())) < 300
 

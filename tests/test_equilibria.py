@@ -114,6 +114,19 @@ def test_grid_points_are_python_floats():
     assert g.points == tuple(0.3 if i == 3 else i * 0.1 for i in range(11))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-3, 10.0), st.integers(1, 400), st.data())
+def test_grid_points_are_numpys_products_before_anchoring(step, k, data):
+    """Every point an anchor leaves alone is the float numpy's
+    `arange(k + 1) * step` gives; an anchor one ulp off its point replaces it."""
+    expected = (np.arange(k + 1) * step).tolist()
+    shifted = data.draw(st.sets(st.integers(0, k)))
+    for i in shifted:
+        expected[i] = math.nextafter(expected[i], math.inf)
+    grid = Grid(step, k * step, anchors=tuple(expected[i] for i in shifted))
+    assert [p.hex() for p in grid.points] == [p.hex() for p in expected]
+
+
 def test_lattice_index():
     assert _lattice_index(1.0, 0.1) == 10
     assert _lattice_index(0.30000000000000004, 0.1) == 3

@@ -182,13 +182,11 @@ def test_gen_random_determinism():
 @pytest.mark.parametrize("n, m, seed", [(1, 1, 0), (3, 4, 7), (2, 9, 123), (7, 3, 2 ** 31 - 1)])
 def test_gen_random_matches_numpy_scalar_construction(n, m, seed):
     """The instance is built from plain floats; every entry is bit-equal to
-    the numpy scalar k * GRID_STEP it was once built from."""
+    the numpy product k * GRID_STEP of the same draw, in row-major order."""
     ks = np.random.default_rng(seed).integers(1, 41, size=(n, m))
-    old = Instance(tuple(tuple(row) for row in ks * GRID_STEP))
     new = gen_random(n, m, seed)
-    assert new.times == old.times
-    assert [x.hex() for row in new.times for x in row] == \
-        [float(x).hex() for row in old.times for x in row]
+    assert [[x.hex() for x in row] for row in new.times] == \
+        [[x.hex() for x in row] for row in (ks * GRID_STEP).tolist()]
     assert all(type(x) is float for row in new.times for x in row)
 
 
