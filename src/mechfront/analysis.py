@@ -16,7 +16,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import reprlib
 from dataclasses import dataclass
 
 from .equilibria import (
@@ -29,7 +28,7 @@ from .equilibria import (
     verify_equilibrium,
 )
 from .instances import GeneratorSpec, gen_canonical, gen_circulant, regression_suite
-from .model import GRID_STEP, BudgetExceededError, Instance, MechanismId
+from .model import GRID_STEP, BudgetExceededError, Instance, MechanismId, echo_count
 from .optsolver import opt_makespan, opt_makespan_masked
 from .rules import SingleTaskRule, rule_for
 
@@ -226,7 +225,7 @@ def monotonicity_check(mech: MechanismId, inst: Instance, cert: EquilibriumCerti
             truths[j][i] = t * u if down else t * (1.0 + u)
         for j, (col, bids) in enumerate(zip(truths, columns, strict=True)):
             res = verify_equilibrium(rule, col, bids, grid)
-            if not res:
+            if not res.ok:
                 failures.append((trial, j, res.machine, res.deviation, res.gain))
     return MonotonicityResult(not failures, trials, direction, tuple(failures))
 
@@ -291,8 +290,8 @@ def probe_matrix(rule: SingleTaskRule, grid: Grid) -> tuple:
     n, eps, g = rule.n, grid.step, len(grid)
     passes = n * n * (n - 1) * (g - 1).bit_length()
     if passes > PROBE_BUDGET:
-        raise BudgetExceededError(f"{reprlib.repr(passes)} winner passes of "
-                                  f"{reprlib.repr(n)}-machine ladders on a "
+        raise BudgetExceededError(f"{echo_count(passes)} winner passes of "
+                                  f"{echo_count(n)}-machine ladders on a "
                                   f"{g}-point grid exceed the probe budget {PROBE_BUDGET}")
     a = [[0.0] * n for _ in range(n)]
     for i, j in itertools.permutations(range(n), 2):

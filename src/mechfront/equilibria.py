@@ -40,9 +40,11 @@ identically on both routes.  A float reads as lattice index
 k = round(value / step) when the quotient is finite and |k * step - value|
 <= 1e-9 * max(1, |value|); `_lattice_index` holds that one dust rule, and
 every cap, anchor, bid and fastest time here reads by it.  A grid point, the
-common case of a bid, reads as its own index by one exact comparison
+common case of a bid, reads as its own index by one dict lookup
 (`Grid.index_of` and `Grid.floor`); any other value reads by the dust rule,
-which gives a grid point that same index.
+which gives a grid point that same index.  A bid column is read once per
+grid: the grid keeps what `verify_equilibrium` read from each column it saw,
+up to len(grid) columns.
 """
 from __future__ import annotations
 
@@ -64,7 +66,13 @@ class Grid:
     """Bid grid {0, step, ..., cap}: `points` is the tuple of Python floats
     k * step, k = 0..cap/step, but each of `anchors` (values that must be
     representable exactly) replaces its nearest point.  A grid of more than
-    ENUMERATION_BUDGET points is refused before it is built."""
+    ENUMERATION_BUDGET points is refused before it is built.
+
+    Two lazy attributes live and die with the grid, built on first use:
+    `_index` maps each point to its index, and `_columns` memoises the read
+    of each bid column `verify_equilibrium` decides, at most len(grid)
+    columns (it is cleared when full).  A column that fails to read is not
+    kept, so it raises again."""
 
     step: float
     cap: float
@@ -112,17 +120,43 @@ class Grid:
             raise ValueError(f"{value} is below the grid")
         return self.points[i]
 
+    @functools.cached_property  # a plain attribute after the first read
+    def _index(self) -> dict:
+        return {p: i for i, p in enumerate(self.points)}
+
+    @functools.cached_property
+    def _columns(self) -> dict:
+        return {}
+
     def _read(self, value: float) -> int | None:
         """The lattice index `value` reads as, or None: a grid point reads as
-        its own index by one exact comparison, any other value by
+        its own index by one dict lookup, any other value (-0.0 hits 0.0's
+        entry; NaN, an infinity or an anchor's twin k * step misses) by
         `_lattice_index`, which gives a grid point that same index."""
-        try:
-            k = round(value / self.step)
-            if k >= 0 and self.points[k] == value:
-                return k
-        except (OverflowError, ValueError, IndexError):  # inf, NaN, past the top
-            pass
-        return _lattice_index(value, self.step)
+        i = self._index.get(value)
+        return _lattice_index(value, self.step) if i is None else i
+
+    def _read_column(self, bids: tuple) -> tuple:
+        """(w, h, k_low, k_second) of a tuple of float bids, each read by
+        `index_of` (which raises when it is off the grid): k_low is the
+        lowest bid's index and w its first holder, k_second and h the same
+        for the bids other than w's.  Memoised per column in `_columns`."""
+        memo = self._columns
+        read = memo.get(bids)
+        if read is None:
+            index_of = self.index_of
+            w = h = len(bids)
+            k_low = k_second = len(self.points)  # above every index
+            for i, b in enumerate(bids):
+                k = index_of(b)
+                if k < k_low:
+                    w, k_low, h, k_second = i, k, w, k_low
+                elif k < k_second:
+                    h, k_second = i, k
+            if len(memo) >= len(self.points):
+                memo.clear()
+            read = memo[bids] = (w, h, k_low, k_second)
+        return read
 
     def _off_grid(self, value: float) -> ValueError:
         return ValueError(f"{value} is not on the grid (step {self.step}, cap {self.cap})")
@@ -211,7 +245,7 @@ def verify_equilibrium(rule: SingleTaskRule, true_times, bids, grid: Grid) -> Ve
     """Decide every unilateral grid deviation of every machine in closed form.
 
     Each bid must read as a grid point (`Grid.index_of`: a grid point as
-    itself by an exact comparison, any other value by the dust rule) and is
+    itself by a dict lookup, any other value by the dust rule) and is
     judged as that point; each true time must be finite and >= 0.  Only the
     winner is paid, and machine i moving its bid faces the others' bids
     unchanged: with m_i = pts[k] the lowest of them and h_i the lowest index
@@ -225,6 +259,9 @@ def verify_equilibrium(rule: SingleTaskRule, true_times, bids, grid: Grid) -> Ve
     value is negative.  The witness is the best improving deviation, ties
     toward the lowest machine, then the lowest bid; a bisection, run for the
     witness alone, finds the first point reaching its value.
+    The pass over the bids depends on the bids and the grid alone, so the
+    grid memoises it per column (`Grid._columns`, at most len(grid)
+    columns): re-verifying a column under other true times reads no bid.
     `checked_deviations` counts the n * len(grid) deviations decided; every
     passing verdict with one count is one shared `VerifyResult`.
     """
@@ -235,16 +272,8 @@ def verify_equilibrium(rule: SingleTaskRule, true_times, bids, grid: Grid) -> Ve
         raise ValueError(f"expected {n} true times and bids")
     pts = grid.points
     g = len(pts)
-    index_of = grid.index_of
     # w holds the lowest bid and h the lowest other, each the first holder
-    w = h = n
-    k_low = k_second = g  # above every index
-    for i, b in enumerate(bids):
-        k = index_of(b)  # raises when off-grid
-        if k < k_low:
-            w, k_low, h, k_second = i, k, w, k_low
-        elif k < k_second:
-            h, k_second = i, k
+    w, h, k_low, k_second = grid._read_column(bids)  # raises when off-grid
     low, second = pts[k_low], pts[k_second]
     best_gain, witness = 0.0, None
     for i, t in enumerate(true_times):
@@ -460,7 +489,7 @@ def canonical_certificate(mech: MechanismId, inst: Instance,
                 raise ValueError(f"{t_min} is the top grid point; no bid above it")
             bids.append(b)
         res = verify_equilibrium(rule, col, bids, grid)
-        if not res:
+        if not res.ok:
             raise ValueError(f"canonical construction failed for task {j}: machine "
                              f"{res.machine} gains {res.gain} at bid {res.deviation}")
         out_w, _ = rule.outcome(bids)

@@ -39,7 +39,7 @@ import math
 import reprlib
 from dataclasses import dataclass
 
-from .model import DEFAULT_BIG, GRID_STEP, BudgetExceededError, Instance
+from .model import DEFAULT_BIG, GRID_STEP, BudgetExceededError, Instance, echo_count
 
 GENERATOR_BUDGET = 10 ** 7  # entries of one generated instance
 
@@ -50,8 +50,8 @@ def _check_shape(n: int, m: int, min_n: int = 2) -> None:
     if n < min_n:
         raise ValueError(f"need n >= {min_n}")
     if n * m > GENERATOR_BUDGET:
-        raise BudgetExceededError(f"{reprlib.repr(n)} x {reprlib.repr(m)} = "
-                                  f"{reprlib.repr(n * m)} entries exceed the generator "
+        raise BudgetExceededError(f"{echo_count(n)} x {echo_count(m)} = "
+                                  f"{echo_count(n * m)} entries exceed the generator "
                                   f"budget {GENERATOR_BUDGET}")
 
 

@@ -36,6 +36,15 @@ def read_float(text, what: str) -> float:
         raise ValueError(f"{what}: {reprlib.repr(text)}") from None
 
 
+def echo_count(k: int) -> str:
+    """`reprlib.repr(k)`; a count past Python's int-to-decimal digit limit,
+    which refuses it before converting, is named from its bit length."""
+    try:
+        return reprlib.repr(k)
+    except ValueError:
+        return f"at least 2^{k.bit_length() - 1}"
+
+
 def _as_matrix(rows) -> tuple:
     """The rows as float tuples, and the largest entry.
 

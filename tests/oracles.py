@@ -322,8 +322,10 @@ def grid_index_of(grid, value: float) -> int:
 
 
 def grid_floor(grid, value: float) -> float:
-    """`Grid.floor` as the largest grid point <= value plus its dust."""
-    v = float(value) + 1e-9 * max(1.0, abs(value))
+    """`Grid.floor` as the largest grid point <= value plus its dust (none:
+    -inf + inf would be NaN)."""
+    v = float(value)
+    v += 1e-9 * max(1.0, abs(v)) if math.isfinite(v) else 0.0
     i = bisect.bisect_right(grid.points, v) - 1
     if i < 0:
         raise ValueError(f"{value} is below the grid")

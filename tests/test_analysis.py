@@ -455,6 +455,38 @@ def test_monotonicity_check_verifies_each_trial_and_column_through_analysis(monk
     assert all(type(x) is float for truth, _ in calls for x in truth)
 
 
+def test_monotonicity_check_reads_each_bid_column_once(monkeypatch):
+    """T trials of an m-task certificate make T * m calls through
+    `analysis.verify_equilibrium`, and yet, on a grid that has read no
+    column yet, reach `Grid.index_of` and `Grid._read` at most m * n times:
+    each bid column is read once, not once per trial."""
+    inst = gen_hat(3, 2.0, "hat")
+    cert = canonical_certificate(SPA2, inst)
+    grid = default_grid(inst, SPA2)
+    trials, calls, reads = 20, [], {"index_of": 0, "_read": 0}
+    real = analysis.verify_equilibrium
+
+    def counting(rule, truth, bids, grid):
+        calls.append(bids)
+        return real(rule, truth, bids, grid)
+
+    def counted(name):
+        method = getattr(Grid, name)
+
+        def wrapper(self, value):
+            reads[name] += 1
+            return method(self, value)
+        return wrapper
+
+    monkeypatch.setattr(analysis, "verify_equilibrium", counting)
+    for name in reads:
+        monkeypatch.setattr(Grid, name, counted(name))
+    assert monotonicity_check(SPA2, inst, cert, trials, seed=1, grid=grid).passed
+    assert len(calls) == trials * inst.m
+    assert 0 < reads["index_of"] <= inst.m * inst.n
+    assert 0 < reads["_read"] <= inst.m * inst.n
+
+
 @st.composite
 def monotonicity_cases(draw):
     """An instance with sentinel entries (tradeoff, fp_pos, hat, tilde) or a

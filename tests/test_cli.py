@@ -214,7 +214,15 @@ def test_a_long_value_is_echoed_cut_short(capsys, tradeoff_file, argv, echo):
      "999999999999999999...0000000000000000001 entries"),
     (("equilibria", "-i", None, "--mech", "spa:1e300"),
      "budget refused: 200000000000000010...7737309188010803200 grid points"),
-], ids=["probe-n", "gen-uniform-n", "gen-random-n", "frontier-n", "equilibria-alpha"])
+    # counts past the int-to-decimal digit limit: named by their bit length
+    (("probe", "--mech", "fp", "-n", "9" * 4300),
+     "budget refused: at least 2^42854 winner passes of "
+     "999999999999999999...9999999999999999999-machine ladders"),
+    (("gen", "uniform", "n=" + "9" * 2200, "-o", "x.json"),
+     "budget refused: 999999999999999999...9999999999999999999 x at least 2^14616 = "
+     "at least 2^21924 entries"),
+], ids=["probe-n", "gen-uniform-n", "gen-random-n", "frontier-n", "equilibria-alpha",
+        "probe-huge-n", "gen-uniform-huge-n"])
 def test_a_long_count_is_echoed_cut_short(capsys, tradeoff_file, argv, echo):
     code, out, err = run_cli(capsys, *[tradeoff_file if a is None else a for a in argv])
     assert (code, out) == (3, "")

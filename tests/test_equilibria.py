@@ -147,13 +147,22 @@ def _ulps(x: float, k: int) -> float:
 @st.composite
 def lattice_readings(draw):
     """A grid of step 0.1, 0.25, 1/3 or 0.5, bare or anchored at typed
-    decimals k / d, and a value near its lattice: an exact product k * step
-    or a typed decimal k / d, shifted by up to 4 ulps or 1e-6 relative."""
+    decimals k / d, and a value: one near its lattice (an exact product
+    k * step or a typed decimal k / d, shifted by up to 4 ulps or 1e-6
+    relative), one of its points, an anchored index's product k * step (the
+    anchor's float twin), or -0.0, NaN or an infinity."""
     step, d = draw(st.sampled_from(LATTICES))
     top = draw(st.integers(1, 40))
     ks = draw(st.sets(st.integers(0, top), max_size=top + 1)) if draw(st.booleans()) else ()
     grid = Grid(step, draw(st.sampled_from([top * step, top / d])),
                 anchors=tuple(k / d for k in sorted(ks)))
+    kind = draw(st.sampled_from(["near", "near", "point", "twin", "special"]))
+    if kind == "point":
+        return grid, draw(st.sampled_from(grid.points))
+    if kind == "twin" and ks:
+        return grid, draw(st.sampled_from(sorted(ks))) * step
+    if kind == "special":
+        return grid, draw(st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
     k = draw(st.integers(-2, top + 3))
     base = draw(st.sampled_from([k * step, k / d]))
     if draw(st.booleans()):
@@ -174,13 +183,21 @@ def _result(f, *args) -> str:
 @settings(max_examples=600, deadline=None)
 def test_lattice_readings_match_the_per_point_readings(case):
     """Away from the 1e-9 band's edge, one reader gives what the readings
-    measured from each point gave: `on_grid`, `index_of` and `floor`."""
+    measured from each point gave: `on_grid`, `index_of`, `floor`, and
+    `_read`, whose dict hit or dust-rule reading is the index the oracle
+    finds, or no index on the grid when the oracle refuses the value."""
     grid, value = case
     k = _lattice_index(value, grid.step)
     assert (k is not None) == on_grid(value, grid.step)
     assert k is None or k == round(value / grid.step)
-    assert _result(grid.index_of, value) == _result(grid_index_of, grid, value)
+    expected = _result(grid_index_of, grid, value)
+    assert _result(grid.index_of, value) == expected
     assert _result(grid.floor, value) == _result(grid_floor, grid, value)
+    i = grid._read(value)
+    if expected.startswith("ValueError"):
+        assert i is None or not 0 <= i < len(grid)
+    else:
+        assert repr(i) == expected
 
 
 def test_the_dust_band_is_centred_on_the_lattice_point():
@@ -375,6 +392,41 @@ def test_verify_takes_arrays_and_lists_alike(case):
     res = verify_equilibrium(rule, list(truth), list(bids), grid)
     assert repr(verify_equilibrium(rule, np.asarray(truth), np.asarray(bids), grid)) == repr(res)
     assert repr(verify_equilibrium(rule, map(np.float64, truth), bids, grid)) == repr(res)
+
+
+def _fields(res) -> tuple:
+    """A VerifyResult's fields, floats by `float.hex`."""
+    return tuple(x.hex() if type(x) is float else x
+                 for x in (res.ok, res.machine, res.deviation, res.gain, res.checked_deviations))
+
+
+@given(verify_cases(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_column_memo_changes_no_verdict(case, data):
+    """A grid that has read a column before (warm) gives the verdict a fresh
+    grid with the same points gives (cold), field for field; an off-grid
+    bid raises on every call, since no failed read is kept; and verifying
+    more distinct columns than the grid has points keeps the memo within
+    len(grid) columns."""
+    rule, truth, bids, grid = case
+    cold, warm = (Grid(grid.step, grid.cap, grid.anchors) for _ in range(2))
+    if data.draw(st.booleans()):
+        bids = list(bids)
+        bids[data.draw(st.integers(0, rule.n - 1))] = data.draw(st.sampled_from(
+            [grid.step / 2, grid.points[-1] + grid.step, -grid.step, math.nan, math.inf]))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="is not on the grid"):
+                verify_equilibrium(rule, truth, bids, warm)
+        assert not warm._columns
+        return
+    verify_equilibrium(rule, truth[::-1], bids, warm)  # warms the column under other truths
+    assert len(warm._columns) == 1
+    assert _fields(verify_equilibrium(rule, truth, bids, warm)) == \
+        _fields(verify_equilibrium(rule, truth, bids, cold))
+    for profile in itertools.islice(itertools.product(warm.points, repeat=rule.n),
+                                    len(warm) + 2):
+        verify_equilibrium(rule, truth, profile, warm)
+        assert len(warm._columns) <= len(warm)
 
 
 def test_verify_witness_ties_go_to_lowest_machine_then_lowest_bid():
